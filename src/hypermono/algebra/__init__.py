@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: Q/Z residues, cyclotomic numbers, finite fields."""
 
 from .cyc import Cyc, cyc_eval, cyclotomic_poly, zeta
-from .fq import KERNEL_IMPLEMENTATION, FieldSpec, FqMatrix, companion_matrix, field, kernel_dim
+from .fq import FieldSpec, FqMatrix, companion_matrix, field, kernel_dim
 from .numth import (
     divisors,
     euler_phi,
@@ -22,7 +22,6 @@ __all__ = [
     "cyc_eval",
     "cyclotomic_poly",
     "zeta",
-    "KERNEL_IMPLEMENTATION",
     "FieldSpec",
     "FqMatrix",
     "companion_matrix",

@@ -1,14 +1,11 @@
-"""Pure-Python finite-field matrix kernel.
+"""Finite-field matrix kernel: the inner loops behind ``fq.FqMatrix``.
 
-Twin of the optional Cython module ``_fqcore``; ``fq`` selects whichever is
-importable at package import time.  Matrices are flat row-major tuples of
-field elements encoded as ints in [0, q); arithmetic goes through flat
-lookup tables (mul[a*q+b], add[a*q+b], neg[a], inv[a]).
+Matrices are flat row-major tuples of field elements encoded as ints in
+[0, q); arithmetic goes through flat lookup tables (mul[a*q+b], add[a*q+b],
+neg[a], inv[a]).
 """
 
 from __future__ import annotations
-
-IMPLEMENTATION = "python"
 
 
 def mat_mul(a, b, n, q, mul, add):

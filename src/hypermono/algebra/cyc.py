@@ -11,6 +11,7 @@ across conductors).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -496,3 +497,21 @@ def cyc_eval(u: UnityClass, m: int | None = None) -> Cyc:
 
 def zeta(m: int, k: int = 1) -> Cyc:
     return Cyc.root(UnityClass(k, m), m)
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer; booleans and floats raise ValueError, never truncate."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
+def cyc_from_literal(obj: dict) -> Cyc:
+    """A {"conductor": m, "coeffs": [...], "den": d} literal: phi(m) integer
+    power-basis coefficients over the denominator d (default 1)."""
+    m = json_int(obj.get("conductor"), "conductor")
+    den = json_int(obj.get("den", 1), "den")
+    coeffs = obj.get("coeffs")
+    if m < 1 or den == 0 or not isinstance(coeffs, list) or len(coeffs) != euler_phi(m):
+        raise ValueError(f"bad cyclotomic literal {json.dumps(obj)}")
+    return Cyc(m, tuple(json_int(c, "coefficient") for c in coeffs), den)

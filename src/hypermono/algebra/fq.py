@@ -3,23 +3,18 @@
 Elements of F_(p^f) are ints in [0, p^f) encoding coefficient vectors base p
 against the deterministic defining polynomial: the monic irreducible of
 degree f whose non-leading coefficient vector (a_{f-1}, ..., a_0), read as a
-base-p integer, is least.  Matrices are flat row-major tuples.  The hot
-matrix loops live in a compiled Cython kernel when available, with a
-pure-Python twin as fallback.
+base-p integer, is least.  Matrices are flat row-major tuples; the hot
+matrix loops (product, rank, matrix-vector) live in ``_fqcore_py``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import _fqcore_py as _kernel
 from .numth import factor
 
-try:  # compiled kernel, built by setup.py when Cython is present
-    from . import _fqcore as _kernel  # type: ignore
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _fqcore_py as _kernel  # type: ignore
-
-KERNEL_IMPLEMENTATION = _kernel.IMPLEMENTATION
+KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
 
 def _poly_mul_mod(a, b, mod, p):
@@ -248,9 +243,6 @@ class FqMatrix:
     def rank(self) -> int:
         F = self.F
         return _kernel.mat_rank(self.data, self.n, F.q, F.mul, F.add, F.neg, F.inv)
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.n
 
     def sub_scalar(self, lam: int) -> "FqMatrix":
         F, n = self.F, self.n

@@ -188,9 +188,6 @@ class HypDescriptor:
     def type(self) -> tuple[int, int]:
         return (self.D, self.m)
 
-    def is_kloosterman(self) -> bool:
-        return self.m == 0
-
     def definable_over(self, q: int) -> bool:
         """All character orders divide q - 1 (definable over F_q)."""
         return all((q - 1) % u.den == 0 for u in self.upstairs + self.downstairs)

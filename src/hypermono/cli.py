@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import __version__
-from .algebra.cyc import Cyc
-from .algebra.numth import euler_phi
+from .algebra.cyc import Cyc, cyc_from_literal, json_int
+from .algebra.numth import is_prime, is_prime_power
 from .algebra.unity import UnityClass
 from .chargeom import (
     DescriptorError,
@@ -71,14 +71,36 @@ def _emit(obj: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _load_descriptor(path: str) -> HypDescriptor:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_IO, f"bad JSON in {path}: {exc}")
+
+
+def _domain_call(fn, *args):
+    """fn(*args), where a ValueError means an argument lies outside fn's
+    domain: a validation error.  Wrap only calls that parse no JSON, since a
+    JSONDecodeError is also a ValueError and belongs to exit 1."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, str(exc))
+
+
+def _check_n_q(n: int, q: int, prime: bool = False) -> None:
+    """n >= 1 and q a prime power (a prime when q is a characteristic)."""
+    if n < 1:
+        raise CliError(EXIT_VALIDATION, f"n must be >= 1, got {n}")
+    if not (is_prime(q) if prime else is_prime_power(q)):
+        raise CliError(EXIT_VALIDATION, f"q must be a prime{'' if prime else ' power'}, got {q}")
+
+
+def _load_descriptor(path: str) -> HypDescriptor:
+    obj = _load_json(path)
     try:
         return HypDescriptor.from_json(obj)
     except DescriptorError as exc:
@@ -138,6 +160,7 @@ def cmd_ss(args) -> dict:
     from .weilgl import ExcludedCase, ss_enumerate, ss_exhaustive_check
 
     fam = args.family.capitalize()
+    _check_n_q(args.n, args.q, prime=fam == "Extraspecial")
     inputs = {"family": fam, "n": args.n, "q": args.q, "exhaustive": args.exhaustive}
     try:
         if fam in ("Linear", "Unitary"):
@@ -149,9 +172,9 @@ def cmd_ss(args) -> dict:
             types = ss_enumerate(fam, args.n, args.q)
             return _report("ss", inputs, {"types": [t.to_json() for t in types]})
         if fam == "Symplectic":
+            types = _domain_call(ss_sp_enumerate, args.n, args.q)  # checks q odd, n >= 2 for the oracle too
             if args.exhaustive:
                 return _report("ss", inputs, ss_sp_oracle(args.n, args.q))
-            types = ss_sp_enumerate(args.n, args.q)
             return _report("ss", inputs, {"types": [t.to_json() for t in types]})
         if fam == "Extraspecial":
             return _report(
@@ -172,7 +195,8 @@ def cmd_spectrum(args) -> dict:
     )
 
     fam = args.family.capitalize()
-    spec = WeilCharSpec(fam, args.n, args.q, args.index)
+    _check_n_q(args.n, args.q)
+    spec = _domain_call(WeilCharSpec, fam, args.n, args.q, args.index)
     if fam == LINEAR:
         g = gl_singer(args.n, args.q)
         torus_order = args.q**args.n - 1
@@ -195,9 +219,9 @@ def cmd_spectrum(args) -> dict:
 def cmd_gates(args) -> dict:
     sub = args.gate
     if sub == "landau":
-        return _report("gates/landau", {"n": args.n}, {"landau": landau(args.n)})
+        return _report("gates/landau", {"n": args.n}, {"landau": _domain_call(landau, args.n)})
     if sub == "ppd":
-        return _report("gates/ppd", {"p": args.p, "k": args.k}, {"ppd": ppd(args.p, args.k)})
+        return _report("gates/ppd", {"p": args.p, "k": args.k}, {"ppd": _domain_call(ppd, args.p, args.k)})
     if sub == "meo":
         fam = _parse_family(args.args)
         try:
@@ -242,22 +266,31 @@ def cmd_gates(args) -> dict:
             tabs = m11_trace_tables()
             t1, t2 = tabs["deg11"], tabs["deg10_rational"]
             type1 = (11, 3)
+        elif args.tables is None:
+            raise CliError(EXIT_VALIDATION, "brauerp needs --tables FILE or --m11")
         else:
-            try:
-                with open(args.tables) as fh:
-                    obj = json.load(fh)
-            except OSError as exc:
-                raise CliError(EXIT_IO, str(exc))
-            t1 = TraceTable.from_json(obj["table1"])
-            t2 = TraceTable.from_json(obj["table2"])
-            type1 = tuple(obj["type1"])
-        out = brauerp_transfer(t1, t2, type1)
+            t1, t2, type1 = _load_trace_tables(args.tables)
+        out = _domain_call(brauerp_transfer, t1, t2, type1)
         return _report(
             "gates/brauerp",
             {"table1": t1.label, "table2": t2.label, "type1": list(type1)},
             {"type2": None if out is None else list(out)},
         )
     raise CliError(EXIT_VALIDATION, f"unknown gate {sub}")
+
+
+def _load_trace_tables(path: str) -> tuple[TraceTable, TraceTable, tuple[int, int]]:
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or not all(k in obj for k in ("table1", "table2", "type1")):
+        raise CliError(EXIT_VALIDATION, f"{path}: expected \"table1\", \"table2\", \"type1\"")
+    type1 = obj["type1"]
+    if not isinstance(type1, list) or len(type1) != 2:
+        raise CliError(EXIT_VALIDATION, f"type1 must be [D, m], got {json.dumps(type1)}")
+    return (
+        _domain_call(TraceTable.from_json, obj["table1"]),
+        _domain_call(TraceTable.from_json, obj["table2"]),
+        tuple(_domain_call(json_int, x, "type1 entry") for x in type1),
+    )
 
 
 def _parse_family(tokens: list[str]) -> GroupFamily:
@@ -325,13 +358,6 @@ def cmd_tables(args) -> dict:
     return _report(f"tables/{args.table}", {"check": args.check}, result)
 
 
-def _json_int(x, what: str) -> int:
-    """A JSON integer; booleans and floats are refused, never truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise CliError(EXIT_VALIDATION, f"{what} must be a JSON integer, got {json.dumps(x)}")
-    return x
-
-
 def _parse_entry(e) -> Cyc:
     """A generator-file entry: an integer, a root of unity "a/N", or a
     {"conductor": m, "coeffs": [...], "den": d} literal (phi(m) coefficients)."""
@@ -341,13 +367,8 @@ def _parse_entry(e) -> Cyc:
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"bad root of unity {json.dumps(e)}")
     if isinstance(e, dict):
-        m = _json_int(e.get("conductor"), "conductor")
-        den = _json_int(e.get("den", 1), "den")
-        coeffs = e.get("coeffs")
-        if m < 1 or den == 0 or not isinstance(coeffs, list) or len(coeffs) != euler_phi(m):
-            raise CliError(EXIT_VALIDATION, f"bad cyclotomic literal {json.dumps(e)}")
-        return Cyc(m, tuple(_json_int(c, "coefficient") for c in coeffs), den)
-    return Cyc.from_int(_json_int(e, "matrix entry"))
+        return _domain_call(cyc_from_literal, e)
+    return Cyc.from_int(_domain_call(json_int, e, "matrix entry"))
 
 
 def _entry_json(c: Cyc):
@@ -362,13 +383,7 @@ def _entry_json(c: Cyc):
 
 
 def _load_generators(path: str) -> list[CycMatrix]:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc))
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_IO, f"bad JSON in {path}: {exc}")
+    obj = _load_json(path)
     mats = obj.get("matrices") if isinstance(obj, dict) else None
     n = len(mats[0]) if isinstance(mats, list) and mats and isinstance(mats[0], list) else 0
     if n == 0 or not all(
@@ -381,10 +396,7 @@ def _load_generators(path: str) -> list[CycMatrix]:
 
 def cmd_m4(args) -> dict:
     gens = _load_generators(args.generators)
-    try:
-        G = closure(gens, cap=args.cap)
-    except CapExceeded as exc:
-        raise CliError(EXIT_CAP, str(exc))
+    G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
     echo = [[[_entry_json(g.data[i * g.n + j]) for j in range(g.n)] for i in range(g.n)] for g in gens]
     return _report(
         "m4",

@@ -8,10 +8,11 @@ comparator between pairs of representations.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra.cyc import Cyc
+from .algebra.cyc import Cyc, cyc_from_literal, json_int
 from .algebra.numth import factor, is_prime, primes_upto
 from .chargeom import HypDescriptor
 
@@ -376,15 +377,21 @@ class TraceTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TraceTable":
+        """Inverse of ``to_json``.  A malformed table raises ValueError: a
+        missing field, a non-boolean flag, or a float or boolean where an
+        integer belongs (never truncated)."""
+        try:
+            rows = [(c["id"], c["p_class"], c["trace"]) for c in obj["classes"]]
+            degree = json_int(obj["degree"], "degree")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"trace table needs a degree and classes with id, p_class, trace: {exc!r}")
         classes = []
-        for c in obj["classes"]:
-            tr = c["trace"]
-            if isinstance(tr, dict):
-                trc = Cyc(int(tr["conductor"]), tuple(int(x) for x in tr["coeffs"]), int(tr.get("den", 1)))
-            else:
-                trc = Cyc.from_int(int(tr))
-            classes.append((c["id"], bool(c["p_class"]), trc))
-        return cls(obj.get("label", ""), int(obj["degree"]), classes)
+        for cid, flag, tr in rows:
+            if not isinstance(cid, str) or not isinstance(flag, bool):
+                raise ValueError(f"a class needs a string id and a boolean p_class, got {json.dumps([cid, flag])}")
+            trc = cyc_from_literal(tr) if isinstance(tr, dict) else Cyc.from_int(json_int(tr, f"trace of {cid}"))
+            classes.append((cid, flag, trc))
+        return cls(obj.get("label", ""), degree, classes)
 
 
 def brauerp_transfer(t1: TraceTable, t2: TraceTable, type1: tuple[int, int]) -> tuple[int, int] | None:

@@ -118,6 +118,24 @@ class CycMatrix:
             e >>= 1
         return out
 
+    def rank(self) -> int:
+        """Rank by Gaussian elimination over the cyclotomic field."""
+        n = self.n
+        m = [list(self.data[i * n : (i + 1) * n]) for i in range(n)]
+        rank = 0
+        for col in range(n):
+            piv = next((r for r in range(rank, n) if not m[r][col].is_zero()), None)
+            if piv is None:
+                continue
+            m[rank], m[piv] = m[piv], m[rank]
+            pivinv = m[rank][col].inverse()
+            for r in range(rank + 1, n):
+                if not m[r][col].is_zero():
+                    f = m[r][col] * pivinv
+                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+            rank += 1
+        return rank
+
     def is_scalar(self) -> Cyc | None:
         n = self.n
         s = self.data[0]
@@ -213,7 +231,7 @@ def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
 
             identity = FqMatrix.identity(g0.F, g0.n)
     for g in generators:
-        if hasattr(g, "rank") and g.rank() != g.n:
+        if g.rank() != g.n:
             raise ValueError("singular generator")
     seen = {identity}
     order_list = [identity]
@@ -248,18 +266,12 @@ class Spectrum:
     def is_simple(self) -> bool:
         return all(m == 1 for m in self.mult.values())
 
-    def support(self) -> list[UnityClass]:
-        return list(self.mult)
-
     def power_pushforward(self, k: int) -> "Spectrum":
         out: dict[UnityClass, int] = {}
         for u, m in self.mult.items():
             v = u * k
             out[v] = out.get(v, 0) + m
         return Spectrum(out)
-
-    def rotate(self, d: UnityClass) -> "Spectrum":
-        return Spectrum({u + d: m for u, m in self.mult.items()})
 
     def canonical_rotation(self) -> "Spectrum":
         """Rotation minimizing the sorted eigenvalue list lexicographically."""
@@ -361,15 +373,6 @@ def m4(group: MatGroup, rep=None) -> int:
     if q.denominator != 1:
         raise ValueError(f"M4 is non-integral: {q}")
     return int(q)
-
-
-def character_of(rep=None):
-    """Trace class function for inner_product convenience."""
-
-    def chi(g):
-        return (rep(g) if rep is not None else g).trace()
-
-    return chi
 
 
 def sym2_character(rep=None):

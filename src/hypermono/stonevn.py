@@ -871,33 +871,3 @@ def ss_sp_oracle(n: int, q: int, mode: str = "targeted") -> dict:
     results["agree"] = agree
     return results
 
-
-# ---------------------------------------------------------------------------
-# uniform operation surface
-# ---------------------------------------------------------------------------
-
-
-def heisenberg_irrep(p: int, n: int, f: int = 1, eps: str | None = None):
-    """The q^n-dimensional irreducible model: Schroedinger for odd p, the
-    tensor extraspecial model (type eps required) for p = 2."""
-    if p == 2:
-        if eps not in ("+", "-"):
-            raise ModelError("p = 2 needs eps '+' or '-'")
-        if f != 1:
-            raise ModelError("p = 2 models are defined over the prime field")
-        return Extraspecial2Model(n, eps)
-    return HeisenbergModel(p, n, f)
-
-
-def outer_intertwiner(model, g: FqMatrix) -> ProjectiveMatrix:
-    if isinstance(model, Extraspecial2Model):
-        return outer_intertwiner_2(model, g)
-    return outer_intertwiner_odd(model, g)
-
-
-def projective_spectrum(pm: ProjectiveMatrix) -> Spectrum:
-    return pm.projective_spectrum()
-
-
-def simple_projective(pm: ProjectiveMatrix) -> bool:
-    return pm.is_simple()

@@ -674,14 +674,6 @@ def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
     raise ExcludedCase(f"no Sp_{2*n}({q}) torus element of order {target} found")
 
 
-def singer_torus(family: str, n: int, q: int) -> FqMatrix:
-    if family == LINEAR:
-        return gl_singer(n, q)
-    if family == UNITARY:
-        return gu_torus_element(n, q, q**n - (-1) ** n)
-    raise ValueError("family must be Linear or Unitary")
-
-
 # ---------------------------------------------------------------------------
 # classified torus types
 # ---------------------------------------------------------------------------
@@ -938,14 +930,3 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
                 agree = False
                 counterexamples.append({"type": cls.label, "missing": True})
     return OracleReport(family, n, q, mode, agree, details, counterexamples)
-
-
-def sub_tori(family: str, n: int, q: int) -> list[tuple[str, FqMatrix]]:
-    """Explicit generators for the classified non-Singer torus types."""
-    out = []
-    for cls in ss_enumerate(family, n, q):
-        if cls.label == "Singer":
-            continue
-        if family == UNITARY and cls.blocks is not None:
-            out.append((cls.label, gu_block_torus(q, cls.blocks)))
-    return out

@@ -188,31 +188,3 @@ class TestFq:
         # x^2 - trace x + det = x^2 + x + 1 over F_3 (trace 2, det 1)
         assert coeffs == (1, 1, 1)
 
-
-class TestKernelTwins:
-    def test_compiled_and_python_kernels_agree(self):
-        """The compiled kernel and its pure-Python fallback are exchangeable."""
-        import random
-
-        from hypermono.algebra import _fqcore_py
-
-        try:
-            from hypermono.algebra import _fqcore
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = random.Random(3)
-        for (p, f, n) in [(2, 1, 4), (3, 1, 3), (3, 2, 3), (5, 1, 2)]:
-            F = field(p, f)
-            for _ in range(50):
-                a = tuple(rng.randrange(F.q) for _ in range(n * n))
-                b = tuple(rng.randrange(F.q) for _ in range(n * n))
-                assert _fqcore.mat_mul(a, b, n, F.q, F.mul, F.add) == _fqcore_py.mat_mul(
-                    a, b, n, F.q, F.mul, F.add
-                )
-                assert _fqcore.mat_rank(a, n, F.q, F.mul, F.add, F.neg, F.inv) == _fqcore_py.mat_rank(
-                    a, n, F.q, F.mul, F.add, F.neg, F.inv
-                )
-                v = tuple(rng.randrange(F.q) for _ in range(n))
-                assert _fqcore.mat_vec(a, v, n, F.q, F.mul, F.add) == _fqcore_py.mat_vec(
-                    a, v, n, F.q, F.mul, F.add
-                )

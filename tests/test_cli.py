@@ -88,6 +88,27 @@ class TestExitCodes:
         code = main(["ss", "unitary", "3", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ss", "linear", "3", "0"],
+            ["ss", "linear", "3", "6"],
+            ["ss", "extraspecial", "5", "6"],
+            ["ss", "symplectic", "2", "4", "--exhaustive"],
+            ["spectrum", "linear", "3", "6"],
+            ["spectrum", "linear", "3", "4", "--index", "9"],
+            ["gates", "landau", "-3"],
+            ["gates", "ppd", "4", "2"],
+            ["gates", "brauerp"],
+        ],
+        ids=lambda argv: "_".join(argv).replace("-", ""),
+    )
+    def test_bad_argument_is_2(self, capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
 
 class TestM4Input:
     """`m4` reports the generators it parsed, not where they came from."""
@@ -132,17 +153,59 @@ class TestM4Input:
             ('{"matrices": [[[{"conductor": 4, "coeffs": [1]}, 0], [0, 1]]]}', 2),
             ('{"matrices": [[["1/0", 0], [0, 1]]]}', 2),
             ('{"matrices": [[[1, 0], [0, 1]], [[1]]]}', 2),
+            ('{"matrices": [[[1, 0], [0, 0]]]}', 2),
             ('{"matrices": []}', 2),
             ('{"gens": [[[1]]]}', 2),
             ('{"matrices": [', 1),
         ],
         ids=["bool", "float", "integral_float", "float_coeff", "bool_den", "short_coeffs",
-             "zero_order", "sizes", "empty", "no_matrices", "bad_json"],
+             "zero_order", "sizes", "singular", "empty", "no_matrices", "bad_json"],
     )
     def test_bad_generator_file(self, tmp_path, capsys, body, code):
         path = tmp_path / "gens.json"
         path.write_text(body)
         assert main(["m4", str(path)]) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+
+def _trace_tables(trace=1, p_class=True, class_id="2A", type1=(2, 1)):
+    """Degrees 2 and 3 with traces differing by 1 on the p-classes: type2 [3, 2]."""
+    def cls(cid, tr, flag=True):
+        return {"id": cid, "p_class": flag, "trace": tr}
+
+    return {
+        "table1": {"degree": 2, "classes": [cls("1A", 2), cls("2A", 0)]},
+        "table2": {"degree": 3, "classes": [cls("1A", 3), cls(class_id, trace, p_class)]},
+        "type1": list(type1),
+    }
+
+
+class TestBrauerpTables:
+    """`gates brauerp --tables` reads integers exactly or refuses the file."""
+
+    @pytest.mark.parametrize(
+        "defect,code",
+        [
+            ({"trace": 1.9}, 2),
+            ({"trace": 1.0}, 2),
+            ({"trace": True}, 2),
+            ({"trace": {"conductor": 4, "coeffs": [1, 0.5]}}, 2),
+            ({"p_class": "yes"}, 2),
+            ({"type1": (2.0, 1)}, 2),
+            ({"class_id": "3A"}, 2),
+            ("bad_json", 1),
+        ],
+        ids=["float", "integral_float", "bool", "float_coeff", "string_flag", "float_type", "classes", "bad_json"],
+    )
+    def test_bad_table_file(self, tmp_path, capsys, defect, code):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(_trace_tables()))
+        exact, out = run_cli(["gates", "brauerp", "--tables", str(path)])
+        assert exact == 0 and json.loads(out)["result"]["type2"] == [3, 2]
+        path.write_text('{"table1": ' if defect == "bad_json" else json.dumps(_trace_tables(**defect)))
+        assert main(["gates", "brauerp", "--tables", str(path)]) == code
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")

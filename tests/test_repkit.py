@@ -63,6 +63,9 @@ class TestClosure:
         F3 = field(3)
         with pytest.raises(ValueError):
             closure([FqMatrix.from_rows(F3, [[1, 0], [0, 0]])])
+        w = zeta(3)
+        with pytest.raises(ValueError):  # determinant w * w - 1 * w^2 = 0
+            closure([CycMatrix.from_rows([[w, 1], [w * w, w]])], cap=100)
 
 
 class TestSpectrum:
