@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -91,12 +92,30 @@ def _domain_call(fn, *args):
         raise CliError(EXIT_VALIDATION, str(exc))
 
 
+def _check_at_least(lo: int, **values: int) -> None:
+    for name, v in values.items():
+        if v < lo:
+            raise CliError(EXIT_VALIDATION, f"{name} must be >= {lo}, got {v}")
+
+
 def _check_n_q(n: int, q: int, prime: bool = False) -> None:
     """n >= 1 and q a prime power (a prime when q is a characteristic)."""
-    if n < 1:
-        raise CliError(EXIT_VALIDATION, f"n must be >= 1, got {n}")
+    _check_at_least(1, n=n)
     if not (is_prime(q) if prime else is_prime_power(q)):
         raise CliError(EXIT_VALIDATION, f"q must be a prime{'' if prime else ' power'}, got {q}")
+
+
+def _check_cap_env() -> None:
+    """HYPERMONO_CAP, when set, is a positive integer (read by repkit's caps)."""
+    env = os.environ.get("HYPERMONO_CAP")
+    if not env:
+        return
+    try:
+        ok = int(env) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise CliError(EXIT_VALIDATION, f"HYPERMONO_CAP must be a positive integer, got {env!r}")
 
 
 def _load_descriptor(path: str) -> HypDescriptor:
@@ -197,6 +216,8 @@ def cmd_spectrum(args) -> dict:
     fam = args.family.capitalize()
     _check_n_q(args.n, args.q)
     spec = _domain_call(WeilCharSpec, fam, args.n, args.q, args.index)
+    if spec.degree < 1:
+        raise CliError(EXIT_VALIDATION, f"no Weil module: {spec!r} has degree {spec.degree}")
     if fam == LINEAR:
         g = gl_singer(args.n, args.q)
         torus_order = args.q**args.n - 1
@@ -235,6 +256,7 @@ def cmd_gates(args) -> dict:
             {"meo": meo, "meo_kind": meo_kind, "min_dim": dim, "min_dim_kind": dim_kind},
         )
     if sub == "chain":
+        _check_at_least(1, d_S=args.ds, dim=args.dim, obar=args.obar, meo=args.meo)
         ok = order_chain(args.ds, args.dim, args.obar, args.meo)
         return _report(
             "gates/chain",
@@ -253,6 +275,8 @@ def cmd_gates(args) -> dict:
             {"must_equal": dec.must_equal, "exception": dec.exception_member},
         )
     if sub == "bounds":
+        _check_at_least(1, d=args.d, index=args.index)
+        _check_at_least(0, W=args.w)
         return _report(
             "gates/bounds",
             {"d": args.d, "W": args.w, "index": args.index},
@@ -504,6 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_cap_env()
         report = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -816,13 +816,12 @@ class OracleReport:
         }
 
 
-def _weil_values_all(family: str, n: int, q: int, g: FqMatrix):
+def _weil_values_all(family: str, n: int, q: int, profile: tuple[int, ...]) -> list[Cyc]:
+    """Every Weil character's value at an element of the given kernel profile."""
     if family == LINEAR:
-        prof = gl_kernel_profile(g, q)
         idxs = range(1) if q == 2 else range(q - 1)
-        return [tau_value(n, q, i, g, prof) for i in idxs]
-    prof = gu_kernel_profile(g, q)
-    return [zeta_value(n, q, i, g, prof) for i in range(q + 1)]
+        return [tau_value(n, q, i, None, profile) for i in idxs]
+    return [zeta_value(n, q, i, None, profile) for i in range(q + 1)]
 
 
 def the_group(family: str, n: int, q: int) -> MatGroup:
@@ -835,6 +834,11 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
 
     Above the element-scan cap a fixed-seed sample of elements is used and
     the report is labeled "sampled" (one-directional comparison only).
+
+    Weil values depend only on the kernel profile, so |chi_i|^2 is evaluated
+    once per distinct profile.  Order, central order and the Parseval sums
+    sum_{y in <g>} |chi_i(y)|^2 depend only on <g>, so they are decided once
+    per cyclic subgroup and shared by its phi(|g|) generators.
     """
     import random
 
@@ -846,39 +850,59 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
         rng = random.Random(20260809)
         scan = [group.elements[rng.randrange(group.order)] for _ in range(min(cap // 10, 20000))]
     scalars = group_scalars(group)
-    values: dict[FqMatrix, list[Cyc]] = {}
-    n_modules = len(_weil_values_all(family, n, q, group.identity))
-    degrees = [int(v.rational()) for v in _weil_values_all(family, n, q, group.identity)]
+    profile_of = gl_kernel_profile if family == LINEAR else gu_kernel_profile
+    one = group.identity
+    profiles: dict[FqMatrix, tuple[int, ...]] = {one: profile_of(one, q)}
+    identity_values = _weil_values_all(family, n, q, profiles[one])
+    n_modules = len(identity_values)
+    degrees = [int(v.rational()) for v in identity_values]
+    abs2_rows: dict[tuple[int, ...], list[Cyc]] = {profiles[one]: [v.abs2() for v in identity_values]}
+    verdicts: dict[FqMatrix, tuple[int, int, list[bool]]] = {}  # element -> (order, cent, simple per module)
 
-    p = group.identity.F.p
-    ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
-    ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
-    pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
-    for g in scan:
-        # power chain once per element
-        order = 1
+    def decide(g: FqMatrix) -> tuple[int, int, list[bool]]:
+        chain = [one]
         x = g
-        chain = [group.identity]
-        while x != group.identity:
+        while x != one:
             chain.append(x)
             x = x * g
-            order += 1
+        order = len(chain)
         cent = next(k for k in range(1, order + 1) if chain[k % order] in scalars)
-        sums = [Cyc.from_int(0)] * n_modules
+        counts: dict[tuple[int, ...], int] = {}
         for y in chain:
-            vy = values.get(y)
-            if vy is None:
-                vy = values[y] = _weil_values_all(family, n, q, y)
+            prof = profiles.get(y)
+            if prof is None:
+                prof = profiles[y] = profile_of(y, q)
+            counts[prof] = counts.get(prof, 0) + 1
+        sums = [Cyc.from_int(0)] * n_modules
+        for prof, cnt in counts.items():
+            row = abs2_rows.get(prof)
+            if row is None:
+                row = abs2_rows[prof] = [v.abs2() for v in _weil_values_all(family, n, q, prof)]
             for i in range(n_modules):
-                sums[i] = sums[i] + vy[i].abs2()
-        if order % p != 0:
-            pprime_counts[cent] = pprime_counts.get(cent, 0) + 1
-        target = ss_central if order % p != 0 else ss_central_p
+                sums[i] = sums[i] + row[i] * cnt
+        simple = []
         for i in range(n_modules):
             total = sums[i].rational()
             if total.denominator != 1:
                 raise RuntimeError("non-integral Parseval sum")
-            if int(total) == order * degrees[i]:
+            simple.append(int(total) == order * degrees[i])
+        verdict = (order, cent, simple)
+        for j in range(order):
+            if gcd(j, order) == 1:
+                verdicts[chain[j]] = verdict
+        return verdict
+
+    p = one.F.p
+    ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
+    ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
+    pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
+    for g in scan:
+        order, cent, simple = verdicts.get(g) or decide(g)
+        if order % p != 0:
+            pprime_counts[cent] = pprime_counts.get(cent, 0) + 1
+        target = ss_central if order % p != 0 else ss_central_p
+        for i in range(n_modules):
+            if simple[i]:
                 target[i][cent] = target[i].get(cent, 0) + 1
 
     # merge modules of equal degree

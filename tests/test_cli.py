@@ -100,6 +100,13 @@ class TestExitCodes:
             ["gates", "landau", "-3"],
             ["gates", "ppd", "4", "2"],
             ["gates", "brauerp"],
+            ["spectrum", "linear", "1", "3"],
+            ["spectrum", "unitary", "1", "3"],
+            ["gates", "chain", "-1", "0", "0", "0"],
+            ["gates", "chain", "10", "10", "0", "11"],
+            ["gates", "bounds", "-5", "-3"],
+            ["gates", "bounds", "10", "-1"],
+            ["gates", "bounds", "10", "11", "--index", "0"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )
@@ -108,6 +115,19 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+    def test_bad_cap_variable_is_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HYPERMONO_CAP", value)
+        assert main(["ss", "linear", "3", "2", "--exhaustive"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and "HYPERMONO_CAP" in out.err
+
+    def test_cap_variable_is_honoured(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERMONO_CAP", "10")
+        assert main(["m4", str(DATA / "monomial_q3.json")]) == 3
 
 
 class TestM4Input:

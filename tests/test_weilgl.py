@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
 from hypermono.repkit import CycMatrix, spectrum as mat_spectrum
+from hypermono import weilgl
 from hypermono.weilgl import (
     ExcludedCase,
     WeilCharSpec,
@@ -16,16 +18,19 @@ from hypermono.weilgl import (
     gu_block_torus,
     gu_kernel_profile,
     gu_torus_element,
+    group_scalars,
     is_symplectic,
     is_unitary,
     simple_cycle_types,
     sp_torus_element,
     ss_enumerate,
+    ss_exhaustive_check,
     symplectic_group,
     tau_value,
     the_group,
     unitary_group,
     weil_spectrum,
+    weil_value,
     zeta_value,
 )
 
@@ -258,3 +263,123 @@ class TestDeletedPerm:
                 tuple(sorted((k, n - k), reverse=True)) for k in range(1, n) if gcd(k, n) == 1
             }
             assert got == want
+
+
+def reference_oracle(family, n, q, cap=weilgl.ELEMENT_SCAN_CAP):
+    """The oracle element by element: for every scanned g, walk <g> and sum
+    weil_value(...).abs2() over it for each Weil character (values memoised
+    per element), then assemble the report as ss_exhaustive_check does."""
+    group = the_group(family, n, q)
+    mode, scan = "elements", group.elements
+    if group.order > cap:
+        rng = random.Random(20260809)
+        mode = "sampled"
+        scan = [group.elements[rng.randrange(group.order)] for _ in range(min(cap // 10, 20000))]
+    hi = (1 if q == 2 else q - 1) if family == "Linear" else q + 1
+    specs = [WeilCharSpec(family, n, q, i) for i in range(hi)]
+    degrees = [int(weil_value(s, group.identity).rational()) for s in specs]
+    scalars, p, one = group_scalars(group), group.identity.F.p, group.identity
+    abs2 = {}
+    simple = {True: [{} for _ in specs], False: [{} for _ in specs]}  # keyed by "g is a p'-element"
+    pprime = {}
+    for g in scan:
+        chain, x = [one], g
+        while x != one:
+            chain.append(x)
+            x = x * g
+        order = len(chain)
+        cent = next(k for k in range(1, order + 1) if chain[k % order] in scalars)
+        p_prime = order % p != 0
+        if p_prime:
+            pprime[cent] = pprime.get(cent, 0) + 1
+        for y in chain:
+            if y not in abs2:
+                abs2[y] = [weil_value(s, y).abs2() for s in specs]
+        for i in range(len(specs)):
+            total = sum((abs2[y][i] for y in chain), Cyc.from_int(0)).rational()
+            assert total.denominator == 1
+            if total == order * degrees[i]:
+                simple[p_prime][i][cent] = simple[p_prime][i].get(cent, 0) + 1
+
+    def by_dim(per_module):
+        out = {d: {} for d in degrees}
+        for d, counts in zip(degrees, per_module):
+            for c, k in counts.items():
+                out[d][c] = out[d].get(c, 0) + k
+        return out
+
+    def as_json(table, keep_empty):
+        return {str(d): {str(c): k for c, k in sorted(v.items())} for d, v in sorted(table.items()) if v or keep_empty}
+
+    ss, ss_p = by_dim(simple[True]), by_dim(simple[False])
+    details = {
+        "order": group.order,
+        "degrees": degrees,
+        "ss_by_dim": as_json(ss, True),
+        "ss_by_dim_non_p_prime": as_json(ss_p, False),
+        "p_prime_counts_by_obar": {str(c): k for c, k in sorted(pprime.items())},
+        "modules_per_dim": {str(d): degrees.count(d) for d in set(degrees)},
+    }
+    report = {"family": family, "n": n, "q": q, "mode": mode}
+    try:
+        expected = ss_enumerate(family, n, q)
+    except ExcludedCase as exc:
+        return {**report, "agree": None, "details": {**details, "excluded": str(exc)}, "counterexamples": []}
+    allowed = {d: set() for d in degrees}
+    for cls in expected:
+        for d in cls.dims:
+            allowed.setdefault(d, set()).add(cls.central_order)
+    agree, counterexamples = True, []
+    for d, counts in ss.items():
+        extra = set(counts) - allowed.get(d, set())
+        if extra:
+            agree = False
+            counterexamples.append({"dim": d, "unexpected_central_orders": sorted(extra)})
+        details.setdefault("per_dim", {})[str(d)] = {"realized": sorted(counts), "allowed": sorted(allowed.get(d, set()))}
+    if mode == "elements":
+        for cls in expected:
+            if not any(cls.central_order in ss.get(d, {}) for d in cls.dims):
+                agree = False
+                counterexamples.append({"type": cls.label, "missing": True})
+    return {**report, "agree": agree, "details": details, "counterexamples": counterexamples}
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize(
+        "family,n,q,cap",
+        [
+            ("Linear", 3, 2, weilgl.ELEMENT_SCAN_CAP),
+            ("Unitary", 2, 3, weilgl.ELEMENT_SCAN_CAP),
+            ("Unitary", 3, 2, weilgl.ELEMENT_SCAN_CAP),
+            ("Linear", 2, 5, weilgl.ELEMENT_SCAN_CAP),  # excluded, details still compared
+            ("Unitary", 3, 2, 600),  # sampled: 60 draws, with repeats
+        ],
+        ids=["gl_3_2", "gu_2_3", "gu_3_2", "gl_2_5", "gu_3_2_sampled"],
+    )
+    def test_matches_per_element_reference(self, family, n, q, cap):
+        got = ss_exhaustive_check(family, n, q, cap).to_json()
+        assert got == reference_oracle(family, n, q, cap)
+        assert got["mode"] == ("elements" if cap > the_group(family, n, q).order else "sampled")
+
+    def test_weil_values_once_per_profile(self, monkeypatch):
+        """Weil values are evaluated once per kernel profile and module, and
+        the kernel profile once per element, not once per element and module."""
+        calls = {"weil": 0, "profile": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        group = the_group("Unitary", 3, 2)
+        profiles = {gu_kernel_profile(g, 2) for g in group.elements}
+        monkeypatch.setattr(weilgl, "tau_value", counting(weilgl.tau_value, "weil"))
+        monkeypatch.setattr(weilgl, "zeta_value", counting(weilgl.zeta_value, "weil"))
+        monkeypatch.setattr(weilgl, "gu_kernel_profile", counting(weilgl.gu_kernel_profile, "profile"))
+        rep = ss_exhaustive_check("Unitary", 3, 2)
+        n_modules = len(rep.details["degrees"])
+        assert n_modules == 3 and len(profiles) * n_modules < group.order
+        assert calls["weil"] <= len(profiles) * n_modules
+        assert calls["profile"] <= group.order
