@@ -98,11 +98,16 @@ def _check_at_least(lo: int, **values: int) -> None:
             raise CliError(EXIT_VALIDATION, f"{name} must be >= {lo}, got {v}")
 
 
-def _check_n_q(n: int, q: int, prime: bool = False) -> None:
+def _check_n_q(n: int, q: int, prime: bool = False, q_name: str = "q") -> None:
     """n >= 1 and q a prime power (a prime when q is a characteristic)."""
     _check_at_least(1, n=n)
     if not (is_prime(q) if prime else is_prime_power(q)):
-        raise CliError(EXIT_VALIDATION, f"q must be a prime{'' if prime else ' power'}, got {q}")
+        raise CliError(EXIT_VALIDATION, f"{q_name} must be a prime{'' if prime else ' power'}, got {q}")
+
+
+def _check_weil_degree(spec) -> None:
+    if spec.degree < 1:
+        raise CliError(EXIT_VALIDATION, f"no Weil module: {spec!r} has degree {spec.degree}")
 
 
 def _check_cap_env() -> None:
@@ -176,7 +181,7 @@ def cmd_splus(args) -> dict:
 
 def cmd_ss(args) -> dict:
     from .stonevn import ss_extr_enumerate, ss_sp_enumerate, ss_sp_oracle
-    from .weilgl import ExcludedCase, ss_enumerate, ss_exhaustive_check
+    from .weilgl import ExcludedCase, WeilCharSpec, ss_enumerate, ss_exhaustive_check
 
     fam = args.family.capitalize()
     _check_n_q(args.n, args.q, prime=fam == "Extraspecial")
@@ -184,6 +189,8 @@ def cmd_ss(args) -> dict:
     try:
         if fam in ("Linear", "Unitary"):
             if args.exhaustive:
+                # the index-0 module is the only one that can have degree 0 (at n = 1)
+                _check_weil_degree(WeilCharSpec(fam, args.n, args.q, 0))
                 rep = ss_exhaustive_check(fam, args.n, args.q)
                 if rep.agree is False:
                     raise CliError(EXIT_ORACLE, f"oracle mismatch: {rep.counterexamples}")
@@ -216,8 +223,7 @@ def cmd_spectrum(args) -> dict:
     fam = args.family.capitalize()
     _check_n_q(args.n, args.q)
     spec = _domain_call(WeilCharSpec, fam, args.n, args.q, args.index)
-    if spec.degree < 1:
-        raise CliError(EXIT_VALIDATION, f"no Weil module: {spec!r} has degree {spec.degree}")
+    _check_weil_degree(spec)
     if fam == LINEAR:
         g = gl_singer(args.n, args.q)
         torus_order = args.q**args.n - 1
@@ -264,6 +270,7 @@ def cmd_gates(args) -> dict:
             {"holds": ok},
         )
     if sub == "charsheaf":
+        _check_at_least(1, dim=args.dim)
         fam = _parse_family(args.args)
         try:
             dec = char_sheaf_decision(fam, args.dim)
@@ -318,6 +325,8 @@ def _load_trace_tables(path: str) -> tuple[TraceTable, TraceTable, tuple[int, in
 
 
 def _parse_family(tokens: list[str]) -> GroupFamily:
+    """A family label with n >= 1 and, for Lie type, q a prime power (p a
+    prime for the extraspecial normalizers)."""
     if not tokens:
         raise CliError(EXIT_VALIDATION, "family spec required")
     tag = tokens[0]
@@ -325,10 +334,15 @@ def _parse_family(tokens: list[str]) -> GroupFamily:
         if tag == "Sporadic":
             return GroupFamily("Sporadic", name=tokens[1])
         if tag == "Alternating":
-            return GroupFamily("Alternating", n=int(tokens[1]))
-        if tag == "ExtraspecialNormalizer":
-            return GroupFamily("ExtraspecialNormalizer", p=int(tokens[1]), n=int(tokens[2]), eps=tokens[3] if len(tokens) > 3 else None)
-        return GroupFamily(tag, n=int(tokens[1]), q=int(tokens[2]))
+            fam = GroupFamily("Alternating", n=int(tokens[1]))
+            _check_at_least(1, n=fam.n)
+        elif tag == "ExtraspecialNormalizer":
+            fam = GroupFamily("ExtraspecialNormalizer", p=int(tokens[1]), n=int(tokens[2]), eps=tokens[3] if len(tokens) > 3 else None)
+            _check_n_q(fam.n, fam.p, prime=True, q_name="p")
+        else:
+            fam = GroupFamily(tag, n=int(tokens[1]), q=int(tokens[2]))
+            _check_n_q(fam.n, fam.q)
+        return fam
     except (IndexError, ValueError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad family spec {tokens}: {exc}")
 
@@ -345,7 +359,10 @@ def cmd_construct(args) -> dict:
             extra = {"expected_group": grp, "i0_cycle_type": ct}
         elif args.kind == "special":
             params = {"N": args.N} if args.name == "F_N" else {"D": args.D, "chi": args.chi}
-            h = special_family(args.name, params, args.p)
+            missing = [f"--{k}" for k, v in params.items() if v is None]
+            if missing:
+                raise CliError(EXIT_VALIDATION, f"{args.name} needs {' and '.join(missing)}")
+            h = _domain_call(special_family, args.name, params, args.p)  # a bad --chi or --D is a ValueError
             extra = {}
         else:
             raise CliError(EXIT_VALIDATION, f"unknown construction {args.kind}")

@@ -96,6 +96,19 @@ class CycMatrix:
             t = t + self.data[i * self.n + i]
         return t
 
+    def trace_product(self, other: "CycMatrix") -> Cyc:
+        """tr(self * other) = sum of self[i][j] * other[j][i] over the nonzero
+        entries of other: O(n^2), without forming the product."""
+        n = self.n
+        a, b = self.data, other.data
+        t = Cyc.from_int(0)
+        for j in range(n):
+            for i in range(n):
+                bji = b[j * n + i]
+                if not bji.is_zero():
+                    t = t + a[i * n + j] * bji
+        return t
+
     def conj_transpose(self) -> "CycMatrix":
         n = self.n
         return CycMatrix(n, tuple(self.data[j * n + i].conj() for i in range(n) for j in range(n)))

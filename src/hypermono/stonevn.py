@@ -60,6 +60,8 @@ class HeisenbergModel:
         self.point_index = {x: i for i, x in enumerate(self.points)}
         self.half = self.F.inv[2 % p]  # 1/2 in F_p < F_q
         self.group_order = q ** (2 * n) * q
+        self._monomials = None
+        self._irreducible = None
 
     # -- field helpers -------------------------------------------------
     def _dot(self, u, v) -> int:
@@ -90,14 +92,23 @@ class HeisenbergModel:
             phase.append(self._psi_exp(F.add[base * F.q + self._dot(b, x)]))
         return perm, phase
 
-    def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
-        perm, phase = self.rho_monomial(a, b, z)
+    def monomials(self) -> dict:
+        """rho_monomial(a, b) for each of the q^(2n) labels (a, b), built on
+        first use and kept: the averaging and the certificates read it."""
+        if self._monomials is None:
+            self._monomials = {(a, b): self.rho_monomial(a, b) for a in self.points for b in self.points}
+        return self._monomials
+
+    def monomial_matrix(self, perm, phase) -> CycMatrix:
         N = self.dim
         zero = Cyc.from_int(0)
         data = [zero] * (N * N)
         for col in range(N):
             data[perm[col] * N + col] = Cyc.root(unity(phase[col], self.p))
         return CycMatrix(N, data)
+
+    def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
+        return self.monomial_matrix(*self.rho_monomial(a, b, z))
 
     def generators(self):
         """(a, b) labels of a generating set of E modulo the center."""
@@ -110,22 +121,30 @@ class HeisenbergModel:
         return out
 
     def irreducible_certificate(self) -> bool:
-        """Exact character-norm test: sum over E of |chi|^2 equals |E|."""
+        """Exact character-norm test: sum over E of |chi|^2 equals |E|.
+        Computed on first use and kept."""
+        if self._irreducible is None:
+            self._irreducible = self._character_norm_sum() == self.dim * self.dim * self.q
+        return self._irreducible  # |E| = q^(2n+1) * dim^2 / dim^2
+
+    def _character_norm_sum(self) -> Fraction:
+        """sum over (a, b, z) in E of |chi(a, b, z)|^2.  rho(a, b, z) is
+        rho(a, b, 0) with every phase moved by the absolute trace of z."""
+        p = self.p
+        shifts = [self._psi_exp(z) for z in range(self.q)]
         total = Fraction(0)
-        q, n = self.q, self.n
-        for a in itertools.product(range(q), repeat=n):
-            for b in itertools.product(range(q), repeat=n):
-                for z in range(q):
-                    perm, phase = self.rho_monomial(a, b, z)
-                    acc = [0] * self.p
-                    for col in range(self.dim):
-                        if perm[col] == col:
-                            acc[phase[col]] += 1
-                    a2 = Cyc(self.p, _reduce_zp(acc, self.p), 1).abs2()
-                    if not a2.is_rational():
-                        raise ModelError("irrational |chi|^2 (bug)")
-                    total += a2.rational()
-        return total == self.dim * self.dim * self.q  # |E| = q^(2n+1) * dim^2 / dim^2
+        for perm, phase in self.monomials().values():
+            acc = [0] * p
+            for col in range(self.dim):
+                if perm[col] == col:
+                    acc[phase[col]] += 1
+            for s in shifts:
+                moved = [acc[(e - s) % p] for e in range(p)]
+                a2 = Cyc(p, _reduce_zp(moved, p), 1).abs2()
+                if not a2.is_rational():
+                    raise ModelError("irrational |chi|^2 (bug)")
+                total += a2.rational()
+        return total
 
     def form_value(self, u, v) -> int:
         """(u, v) -> b_u . a_v - b_v . a_u on F_q^(2n)."""
@@ -173,25 +192,22 @@ def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMat
     if g.n != 2 * model.n or not model.preserves_form(g):
         raise ModelError("matrix does not preserve the symplectic structure")
     N = model.dim
-    n, q, p, F = model.n, model.q, model.p, model.F
-
-    def sigma_label(a, b):
-        img = g.apply(tuple(a) + tuple(b))
-        return img[:n], img[n:]
+    n, p = model.n, model.p
+    table = model.monomials()
+    pairs = []  # (rho(h), rho(sigma h)) as monomial data, h over E mod center
+    for (a, b), mono in table.items():
+        img = tuple(g.apply(a + b))
+        pairs.append((mono, table[(img[:n], img[n:])]))
 
     for c0 in range(N):
         accs = [[0] * p for _ in range(N * N)]
         r0 = 0
-        for a in itertools.product(range(q), repeat=n):
-            for b in itertools.product(range(q), repeat=n):
-                a2, b2 = sigma_label(a, b)
-                perm1, phase1 = model.rho_monomial(a, b)
-                perm2, phase2 = model.rho_monomial(tuple(a2), tuple(b2))
-                # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
-                # (perm2[r0], perm1[c0]) with phase phase2[r0] - phase1[c0]
-                row = perm2[r0]
-                col = perm1[c0]
-                accs[row * N + col][(phase2[r0] - phase1[c0]) % p] += 1
+        for (perm1, phase1), (perm2, phase2) in pairs:
+            # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
+            # (perm2[r0], perm1[c0]) with phase phase2[r0] - phase1[c0]
+            row = perm2[r0]
+            col = perm1[c0]
+            accs[row * N + col][(phase2[r0] - phase1[c0]) % p] += 1
         data = [Cyc(p, _reduce_zp(acc, p), 1) for acc in accs]
         M = CycMatrix(N, data)
         if any(not x.is_zero() for x in M.data):
@@ -211,16 +227,16 @@ class _OddModelAdapter:
         self.scalar_conductor = lcm(2, model.p)
 
     def coset_labels(self):
-        q, n = self.model.q, self.model.n
-        for a in itertools.product(range(q), repeat=n):
-            for b in itertools.product(range(q), repeat=n):
-                yield (a, b)
+        return list(self.model.monomials())
 
     def rho_matrix(self, lab) -> CycMatrix:
-        return self.model.rho_matrix(lab[0], lab[1])
+        return self.model.monomial_matrix(*self.model.monomials()[lab])
 
     def irreducible(self) -> bool:
         return self.model.irreducible_certificate()
+
+    def parity(self) -> CycMatrix:
+        return self.model.parity_matrix()
 
     def gauss_candidates(self):
         """delta with known abs2 for unitary normalization: p-powers and the
@@ -374,6 +390,9 @@ class _TwoModelAdapter:
     def rho_matrix(self, lab) -> CycMatrix:
         return self.model.section[lab]
 
+    def parity(self) -> None:
+        return None
+
     def irreducible(self) -> bool:
         acc = 0
         for gmat in self.model.group.elements:
@@ -440,7 +459,8 @@ class ProjectiveMatrix:
         self.adapter = adapter
         self.source = source
         self._sigma_pairs = sigma_pairs
-        self._orders: dict = {}
+        self._proj = None  # (K, c) with M^K = c * identity
+        self._walks: dict = {}  # parity (or None) -> {sign: simple?}
 
     # -- certification --------------------------------------------------
     def verify(self):
@@ -459,10 +479,11 @@ class ProjectiveMatrix:
             model = self.adapter.model
             g = self.source
             n = model.n
+            table = model.monomials()
             for a, b in model.generators():
-                img = g.apply(tuple(a) + tuple(b))
-                rho_h = model.rho_matrix(a, b)
-                rho_sh = model.rho_matrix(tuple(img[:n]), tuple(img[n:]))
+                img = tuple(g.apply(a + b))
+                rho_h = model.monomial_matrix(*table[(a, b)])
+                rho_sh = model.monomial_matrix(*table[(img[:n], img[n:])])
                 if M * rho_h != rho_sh * M:
                     raise ModelError("intertwining relation fails on a generator")
         if not self.adapter.irreducible():
@@ -472,17 +493,62 @@ class ProjectiveMatrix:
     # -- scalar data ------------------------------------------------------
     def projective_order(self, cap: int = 2048) -> tuple[int, Cyc]:
         """(k, c) with M^k = c * identity, k minimal."""
-        if "proj" in self._orders:
-            return self._orders["proj"]
+        if self._proj is None:
+            self._walk(self.adapter.parity(), cap)
+        return self._proj
+
+    def _walk(self, parity: CycMatrix | None, cap: int = 2048) -> dict:
+        """The power walk M^0, M^1, ..., M^K = c * identity, made once per parity.
+
+        It fills the projective-order cache and returns {sign: simple?}: sign 0
+        for the whole space and, when M commutes with the parity P, +1 and -1
+        for the halves (1 +- P)/2.  Every walk carries sign 0, so one without
+        a parity reuses whichever walk exists.
+        """
+        if parity in self._walks:
+            return self._walks[parity]
+        if parity is None and self._walks:
+            return next(iter(self._walks.values()))
         M = self.mat
-        x = M
-        for k in range(1, cap + 1):
-            s = x.is_scalar()
-            if s is not None:
-                self._orders["proj"] = (k, s)
-                return k, s
-            x = x * M
-        raise ModelError("projective order exceeds cap")
+        N = M.n
+        halves = parity is not None and M * parity == parity * M
+        signs = (0, 1, -1) if halves else (0,)
+        sums = dict.fromkeys(signs, Cyc.from_int(0))
+        half = Fraction(1, 2)
+        c2_inv = self.unitarity_scalar().inverse()
+        weight = Cyc.from_int(1)
+        x = CycMatrix.identity(N)
+        for K in range(cap + 1):
+            if K:
+                x = x * M if K > 1 else M
+                c = x.is_scalar()
+                if c is not None:
+                    break
+            t = x.trace()
+            sums[0] = sums[0] + t.abs2() * weight
+            if halves:
+                t_par = x.trace_product(parity)
+                sums[1] = sums[1] + ((t + t_par) * half).abs2() * weight
+                sums[-1] = sums[-1] + ((t - t_par) * half).abs2() * weight
+            weight = weight * c2_inv
+        else:
+            raise ModelError("projective order exceeds cap")
+        self._proj = (K, c)
+        dims = {0: N}
+        if halves:
+            # dimension of a half: trace of the projector (1 +- P)/2
+            for sign in (1, -1):
+                dims[sign] = int(((Cyc.from_int(N) + sign * parity.trace()) * half).rational())
+        verdicts = {}
+        for sign, acc in sums.items():
+            if not acc.is_rational():
+                raise ModelError("autocorrelation sum is irrational (bug)")
+            total = acc.rational() / K
+            if total.denominator != 1:
+                raise ModelError("autocorrelation sum is non-integral (bug)")
+            verdicts[sign] = int(total) == dims[sign]
+        self._walks[parity] = verdicts
+        return verdicts
 
     def unitarity_scalar(self) -> Cyc:
         """c2 with M* M = c2 * identity (Schur: M* M centralizes the model)."""
@@ -549,41 +615,19 @@ class ProjectiveMatrix:
         Uses the exact autocorrelation identity: for eigenvalues of common
         squared modulus c2, (1/K) sum_k |tr(M^k)|^2 / c2^k counts coincident
         eigenvalue pairs, and equals the dimension iff the spectrum is simple.
+        The sums for the whole space and for both halves come from one shared
+        walk over the powers of M (the one projective_order makes, which covers
+        the model's own parity): tr(M^k P) is read off P's nonzero entries,
+        and later calls, with either sign, read the stored verdicts.
         """
-        K, _ = self.projective_order()
-        c2 = self.unitarity_scalar()
-        M = self.mat
-        if parity is not None and M * parity != parity * M:
+        if parity is None:
+            sign = 0
+        elif sign not in (1, -1):
+            raise ValueError("a parity half needs sign +1 or -1")
+        verdicts = self._walk(parity)
+        if sign not in verdicts:
             raise ModelError("matrix does not preserve the parity halves")
-        acc = Cyc.from_int(0)
-        x = CycMatrix.identity(M.n)
-        half = Fraction(1, 2)
-        c2_inv = c2.inverse()
-        weight = Cyc.from_int(1)
-        for k in range(K):
-            if parity is None:
-                tr = x.trace()
-                d = M.n
-            else:
-                t_full = x.trace()
-                t_par = (x * parity).trace()
-                tr = (t_full + sign * t_par) * half
-                d = None
-            acc = acc + tr.abs2() * weight
-            weight = weight * c2_inv
-            x = x * M
-        if parity is not None:
-            # dimension of the half: trace of the projector (1 +- P)/2
-            d_val = (Cyc.from_int(M.n) + sign * parity.trace()) * half
-            d = int(d_val.rational())
-        else:
-            d = M.n
-        total = acc.rational() / K if acc.is_rational() else None
-        if total is None:
-            raise ModelError("autocorrelation sum is irrational (bug)")
-        if total.denominator != 1:
-            raise ModelError("autocorrelation sum is non-integral (bug)")
-        return int(total) == d
+        return verdicts[sign]
 
     def odd_projective_rep(self) -> "ProjectiveMatrix":
         """A coset representative M * rho(e) of odd projective order.
@@ -642,7 +686,7 @@ def sp_halves(model: HeisenbergModel, pm: ProjectiveMatrix) -> tuple[Cyc, Cyc]:
     M = pm.mat.scale(delta.inverse())
     P = model.parity_matrix()
     t_full = M.trace()
-    t_par = (M * P).trace()
+    t_par = M.trace_product(P)
     half = Fraction(1, 2)
     return (t_full + t_par) * half, (t_full - t_par) * half
 
@@ -651,7 +695,7 @@ def sp_mod1_check(model: HeisenbergModel, pm: ProjectiveMatrix) -> bool:
     """abs2(even trace - odd trace) equals the unitarity scalar: the exact,
     scale-invariant form of 'even and odd Weil characters differ by 1'."""
     P = model.parity_matrix()
-    diff = (pm.mat * P).trace()
+    diff = pm.mat.trace_product(P)
     return diff.abs2() == pm.unitarity_scalar()
 
 

@@ -107,6 +107,17 @@ class TestExitCodes:
             ["gates", "bounds", "-5", "-3"],
             ["gates", "bounds", "10", "-1"],
             ["gates", "bounds", "10", "11", "--index", "0"],
+            ["gates", "meo", "Alternating", "-3"],
+            ["gates", "meo", "Linear", "0", "3"],
+            ["gates", "meo", "Linear", "3", "6"],
+            ["gates", "charsheaf", "-4", "Symplectic", "2", "5"],
+            ["gates", "charsheaf", "12", "ExtraspecialNormalizer", "6", "2"],
+            ["construct", "special", "F_N", "3"],
+            ["construct", "special", "G_D", "3"],
+            ["construct", "special", "G_D", "3", "--D", "2"],
+            ["construct", "special", "G_D", "5", "--D", "7", "--chi", "x"],
+            ["ss", "linear", "1", "2", "--exhaustive"],
+            ["ss", "unitary", "1", "3", "--exhaustive"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )

@@ -67,6 +67,13 @@ class TestClosure:
         with pytest.raises(ValueError):  # determinant w * w - 1 * w^2 = 0
             closure([CycMatrix.from_rows([[w, 1], [w * w, w]])], cap=100)
 
+    def test_trace_product(self):
+        w = zeta(3)
+        a = CycMatrix.from_rows([[w, 1, 0], [2, w * w, 1], [0, w, 3]])
+        b = CycMatrix.from_rows([[0, w, 1], [0, 0, 0], [5, 1, w]])
+        for x, y in ((a, b), (b, a), (a, perm_matrix([2, 0, 1])), (a, a)):
+            assert x.trace_product(y) == (x * y).trace()
+
 
 class TestSpectrum:
     def test_identity(self):

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from hypermono.algebra.cyc import zeta
+from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
-from hypermono.repkit import Spectrum, closure, m4
+from hypermono.repkit import CycMatrix, Spectrum, closure, m4
 from hypermono.stonevn import (
     Extraspecial2Model,
     HeisenbergModel,
@@ -18,7 +20,13 @@ from hypermono.stonevn import (
     ss_sp_enumerate,
     ss_sp_oracle,
 )
-from hypermono.weilgl import ExcludedCase, symplectic_group
+from hypermono.weilgl import (
+    ExcludedCase,
+    _symplectic_transvection,
+    sp_torus_element,
+    symplectic_gram,
+    symplectic_group,
+)
 
 
 class TestModels:
@@ -233,6 +241,127 @@ class TestSpOracle:
     def test_cap(self):
         with pytest.raises(ModelError):
             ss_sp_oracle(3, 5)
+
+
+def reference_is_simple(pm, parity=None, sign=0):
+    """The autocorrelation test for one sign, walked on its own: a power loop
+    for K, then K full products x * parity for the half traces."""
+    M = pm.mat
+    x, K = M, 1
+    while x.is_scalar() is None:
+        x, K = x * M, K + 1
+    if parity is not None and M * parity != parity * M:
+        raise ModelError("matrix does not preserve the parity halves")
+    c2_inv = pm.unitarity_scalar().inverse()
+    half = Fraction(1, 2)
+    acc, weight, x = Cyc.from_int(0), Cyc.from_int(1), CycMatrix.identity(M.n)
+    for _ in range(K):
+        tr = x.trace()
+        if parity is not None:
+            tr = (tr + sign * (x * parity).trace()) * half
+        acc = acc + tr.abs2() * weight
+        weight = weight * c2_inv
+        x = x * M
+    d = M.n if parity is None else int(((Cyc.from_int(M.n) + sign * parity.trace()) * half).rational())
+    total = acc.rational() / K
+    assert total.denominator == 1
+    return int(total) == d
+
+
+def sp4_5_intertwiners(model):
+    """T+, T-, identity, a transvection and -1 in the Sp_4(5) model."""
+    F = field(5)
+    return {
+        "T+": outer_intertwiner_odd(model, sp_torus_element(2, 5, 1)),
+        "T-": outer_intertwiner_odd(model, sp_torus_element(2, 5, -1)),
+        "identity": outer_intertwiner_odd(model, FqMatrix.identity(F, 4)),
+        "transvection": outer_intertwiner_odd(
+            model, _symplectic_transvection(F, symplectic_gram(F, 2), (1, 0, 0, 0), 1)
+        ),
+        "central": outer_intertwiner_odd(model, FqMatrix.scalar(F, 4, F.neg[1])),
+    }
+
+
+class TestSharedWalk:
+    """is_simple reads one shared power walk; a per-sign walk is the reference."""
+
+    def test_sp4_5_matches_reference(self):
+        model = HeisenbergModel(5, 2)
+        P = model.parity_matrix()
+        for label, pm in sp4_5_intertwiners(model).items():
+            for parity, sign in ((P, 1), (P, -1), (None, 0)):
+                got = pm.is_simple(parity=parity, sign=sign)
+                assert got == reference_is_simple(pm, parity, sign), (label, sign)
+
+    def test_sp2_3_odd_elements_match_reference(self):
+        model = HeisenbergModel(3, 1)
+        P = model.parity_matrix()
+        checked = 0
+        for g in symplectic_group(1, 3).elements:
+            if g.order() % 2 == 1:
+                pm = outer_intertwiner_odd(model, g)
+                for parity, sign in ((None, 0), (P, -1), (P, 1)):
+                    assert pm.is_simple(parity=parity, sign=sign) == reference_is_simple(pm, parity, sign)
+                checked += 1
+        assert checked == 9
+
+    def test_extraspecial_matches_reference(self):
+        minus = Extraspecial2Model(2, "-")
+        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5)).odd_projective_rep()
+        assert pm.is_simple() == reference_is_simple(pm) is True
+
+    def test_parity_moved_by_matrix_is_refused(self):
+        model = HeisenbergModel(3, 1)
+        pm = outer_intertwiner_odd(model, FqMatrix.from_rows(field(3), [[1, 0], [1, 1]]))
+        swap = CycMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        with pytest.raises(ModelError):
+            reference_is_simple(pm, swap, 1)
+        with pytest.raises(ModelError):
+            pm.is_simple(parity=swap, sign=1)
+
+    def test_one_walk_per_intertwiner(self, monkeypatch):
+        """T- of Sp_4(5): projective order and both halves cost K + 2 products
+        (K - 1 for the walk, 2 for the parity check), not one walk per call."""
+        model = HeisenbergModel(5, 2)
+        P = model.parity_matrix()
+        pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
+        products = 0
+        mul = CycMatrix.__mul__
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
+        K, _ = pm.projective_order()
+        even, odd = pm.is_simple(P, +1), pm.is_simple(P, -1)
+        assert (K, even, odd) == (26, True, True)
+        assert products <= K + 2
+
+    def test_one_certificate_and_table_per_model(self, monkeypatch):
+        model = HeisenbergModel(5, 2)
+        bodies = 0
+        monomials = 0
+        body = HeisenbergModel._character_norm_sum
+        rho = HeisenbergModel.rho_monomial
+
+        def counting_body(self):
+            nonlocal bodies
+            bodies += 1
+            return body(self)
+
+        def counting_rho(self, *args):
+            nonlocal monomials
+            monomials += 1
+            return rho(self, *args)
+
+        monkeypatch.setattr(HeisenbergModel, "_character_norm_sum", counting_body)
+        monkeypatch.setattr(HeisenbergModel, "rho_monomial", counting_rho)
+        for eps in (1, -1, 1):
+            assert outer_intertwiner_odd(model, sp_torus_element(2, 5, eps)).verify()
+        assert bodies == 1
+        assert monomials == 5**4  # one table entry per label (a, b)
 
 
 class TestExtensionToFiniteGroup:
