@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: Q/Z residues, cyclotomic numbers, finite fields."""
 
-from .cyc import Cyc, cyc_eval, cyclotomic_poly, zeta
+from .cyc import Cyc, cyclotomic_poly, zeta
 from .fq import FieldSpec, FqMatrix, companion_matrix, field, kernel_dim
 from .numth import (
     divisors,
@@ -19,7 +19,6 @@ from .unity import UnityClass, unity
 
 __all__ = [
     "Cyc",
-    "cyc_eval",
     "cyclotomic_poly",
     "zeta",
     "FieldSpec",

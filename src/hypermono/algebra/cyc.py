@@ -490,11 +490,6 @@ ZERO = Cyc(1, (0,), 1, _normalized=True)
 ONE = Cyc(1, (1,), 1, _normalized=True)
 
 
-def cyc_eval(u: UnityClass, m: int | None = None) -> Cyc:
-    """Exact embedding of a Q/Z class as a root of unity in Q(zeta_m)."""
-    return Cyc.root(u, m)
-
-
 def zeta(m: int, k: int = 1) -> Cyc:
     return Cyc.root(UnityClass(k, m), m)
 

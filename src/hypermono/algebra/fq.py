@@ -258,10 +258,6 @@ class FqMatrix:
     def map_entries(self, table) -> "FqMatrix":
         return FqMatrix(self.F, self.n, tuple(table[x] for x in self.data))
 
-    def conj_transpose(self, e: int) -> "FqMatrix":
-        """Transpose composed with the field power map x -> x^(p^e)."""
-        return self.transpose().map_entries(self.F.subfield_power_map(e))
-
     def inverse(self) -> "FqMatrix":
         F, n, q = self.F, self.n, self.F.q
         mul, add, neg, inv = F.mul, F.add, F.neg, F.inv

@@ -297,14 +297,16 @@ def cmd_gates(args) -> dict:
             tabs = m11_trace_tables()
             t1, t2 = tabs["deg11"], tabs["deg10_rational"]
             type1 = (11, 3)
+            echo = {"table1": t1.label, "table2": t2.label}  # the built-in tables, by name
         elif args.tables is None:
             raise CliError(EXIT_VALIDATION, "brauerp needs --tables FILE or --m11")
         else:
             t1, t2, type1 = _load_trace_tables(args.tables)
+            echo = {"table1": t1.to_json(), "table2": t2.to_json()}
         out = _domain_call(brauerp_transfer, t1, t2, type1)
         return _report(
             "gates/brauerp",
-            {"table1": t1.label, "table2": t2.label, "type1": list(type1)},
+            {**echo, "type1": list(type1)},
             {"type2": None if out is None else list(out)},
         )
     raise CliError(EXIT_VALIDATION, f"unknown gate {sub}")
@@ -362,6 +364,7 @@ def cmd_construct(args) -> dict:
             missing = [f"--{k}" for k, v in params.items() if v is None]
             if missing:
                 raise CliError(EXIT_VALIDATION, f"{args.name} needs {' and '.join(missing)}")
+            _check_at_least(1, **{f"--{k}": v for k, v in params.items() if k != "chi"})
             h = _domain_call(special_family, args.name, params, args.p)  # a bad --chi or --D is a ValueError
             extra = {}
         else:
@@ -436,6 +439,8 @@ def _load_generators(path: str) -> list[CycMatrix]:
 
 
 def cmd_m4(args) -> dict:
+    if args.cap is not None:
+        _check_at_least(1, **{"--cap": args.cap})
     gens = _load_generators(args.generators)
     G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
     echo = [[[_entry_json(g.data[i * g.n + j]) for j in range(g.n)] for i in range(g.n)] for g in gens]

@@ -118,11 +118,15 @@ def special_family(name: str, params: dict, p: int) -> HypDescriptor:
         raise DescriptorError(f"{p} is not prime")
     if name == "F_N":
         n = int(params["N"])
+        if n < 1:
+            raise DescriptorError(f"F_N needs N >= 1, got {n}")
         if n % p == 0:
             raise DescriptorError(f"F_N needs N={n} prime to p={p}")
         return HypDescriptor(p, [unity(k, n) for k in range(1, n)])
     if name == "G_D":
         d = int(params["D"])
+        if d < 1:
+            raise DescriptorError(f"G_D needs D >= 1, got {d}")
         if d % p == 0:
             raise DescriptorError(f"G_D needs D={d} prime to p={p}")
         chi = params["chi"]

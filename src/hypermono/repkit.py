@@ -109,10 +109,6 @@ class CycMatrix:
                     t = t + a[i * n + j] * bji
         return t
 
-    def conj_transpose(self) -> "CycMatrix":
-        n = self.n
-        return CycMatrix(n, tuple(self.data[j * n + i].conj() for i in range(n) for j in range(n)))
-
     def scale(self, s: Cyc) -> "CycMatrix":
         return CycMatrix(self.n, tuple(s * x for x in self.data))
 
@@ -193,9 +189,6 @@ class MatGroup:
             x = x * g
             k += 1
         return k
-
-    def inverse(self, g):
-        return g ** (self.element_order(g) - 1) if hasattr(g, "__pow__") else None
 
     def conjugacy_classes(self) -> list[list]:
         if self._classes is not None:

@@ -3,7 +3,8 @@
 For odd p the q^n-dimensional Schroedinger model of the Heisenberg group
 (symmetrized cocycle, so every form-preserving map induces an automorphism
 fixing the center); for p = 2 the tensor model of the extraspecial groups
-2^(1+2n) of either type.  Intertwiners for outer actions are produced by
+2^(1+2n) of either type.  Both models are tables of unitary monomials, one
+per coset of the center.  Intertwiners for outer actions are produced by
 exact group averaging against a matrix unit and certified by re-checking
 the intertwining relation on generators; uniqueness is Schur's lemma on top
 of an exact irreducibility certificate.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebra.cyc import Cyc, zeta
 from .algebra.fq import FqMatrix, field
@@ -33,23 +34,94 @@ class NormalizationError(ModelError):
 
 
 # ---------------------------------------------------------------------------
+# the shared model shape: a table of unitary monomials
+# ---------------------------------------------------------------------------
+
+
+class _MonomialModel:
+    """A model whose matrices rho(label), one per coset of the center, are
+    monomial: (perm, phase) with rho delta_x = zeta_m^phase[x] delta_perm[x].
+
+    A subclass sets p, m, dim and _irreducible = None, and provides
+    monomials() (label -> (perm, phase)), generators() (labels generating
+    the group modulo its center), parity_matrix() and gauss_candidates().
+    """
+
+    def monomial_matrix(self, perm, phase) -> CycMatrix:
+        N = self.dim
+        zero = Cyc.from_int(0)
+        data = [zero] * (N * N)
+        for col in range(N):
+            data[perm[col] * N + col] = Cyc.root(unity(phase[col], self.m))
+        return CycMatrix(N, data)
+
+    def irreducible_certificate(self) -> bool:
+        """Exact character-norm test: sum over E of |chi|^2 equals |E|, read
+        on one element per coset of the center (|chi| is constant on a coset)
+        as a sum of dim^2.  Computed on first use and kept."""
+        if self._irreducible is None:
+            self._irreducible = self._character_norm_sum() == self.dim * self.dim
+        return self._irreducible
+
+    def _character_norm_sum(self) -> Fraction:
+        """sum over the coset labels of |tr rho(label)|^2."""
+        m = self.m
+        accs = []
+        for perm, phase in self.monomials().values():
+            acc = [0] * m
+            for col in range(self.dim):
+                if perm[col] == col:
+                    acc[phase[col]] += 1
+            accs.append(acc)
+        total = Fraction(0)
+        for t in _zeta_sums(accs, m):
+            a2 = t.abs2()
+            if not a2.is_rational():
+                raise ModelError("irrational |chi|^2 (bug)")
+            total += a2.rational()
+        return total
+
+
+def _zeta_sums(accs, m) -> list[Cyc]:
+    """Each accumulator [c_0, ..., c_(m-1)] as the cyclotomic sum of c_k zeta_m^k."""
+    basis = [zeta(m, k).num for k in range(m)]
+    out = []
+    for acc in accs:
+        coeffs = [0] * len(basis[0])
+        for c, row in zip(acc, basis):
+            if c:
+                for i, r in enumerate(row):
+                    coeffs[i] += c * r
+        out.append(Cyc(m, tuple(coeffs), 1))
+    return out
+
+
+def _monomial_product(a, b, m):
+    """(perm, phase) of the product a * b of two monomials with phases mod m."""
+    (perm_a, phase_a), (perm_b, phase_b) = a, b
+    return [perm_a[y] for y in perm_b], [(f + phase_a[y]) % m for y, f in zip(perm_b, phase_b)]
+
+
+# ---------------------------------------------------------------------------
 # odd p: Schroedinger model over F_q
 # ---------------------------------------------------------------------------
 
 
-class HeisenbergModel:
+class HeisenbergModel(_MonomialModel):
     """Delta-function model of the exponent-p Heisenberg group over F_q.
 
     Elements (a, b, z) with (a,b,z)(a',b',z') = (a+a', b+b', z+z'+(ba'-b'a)/2)
     act by rho(a,b,z) delta_x = psi(z + b.x + b.a/2) delta_(x+a); every matrix
     preserving the form (u,v) -> b_u.a_v - b_v.a_u induces an automorphism
-    fixing the center.
+    fixing the center.  The coset labels are the pairs (a, b), and phases are
+    exponents of zeta_p.
     """
 
     def __init__(self, p: int, n: int, f: int = 1):
         if not is_prime(p) or p == 2:
             raise ModelError("odd p required (use extraspecial2 for p = 2)")
         self.p, self.n, self.f = p, n, f
+        self.m = p
         self.F = field(p, f)
         q = self.F.q
         self.q = q
@@ -99,14 +171,6 @@ class HeisenbergModel:
             self._monomials = {(a, b): self.rho_monomial(a, b) for a in self.points for b in self.points}
         return self._monomials
 
-    def monomial_matrix(self, perm, phase) -> CycMatrix:
-        N = self.dim
-        zero = Cyc.from_int(0)
-        data = [zero] * (N * N)
-        for col in range(N):
-            data[perm[col] * N + col] = Cyc.root(unity(phase[col], self.p))
-        return CycMatrix(N, data)
-
     def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
         return self.monomial_matrix(*self.rho_monomial(a, b, z))
 
@@ -119,32 +183,6 @@ class HeisenbergModel:
             out.append((e, zero))
             out.append((zero, e))
         return out
-
-    def irreducible_certificate(self) -> bool:
-        """Exact character-norm test: sum over E of |chi|^2 equals |E|.
-        Computed on first use and kept."""
-        if self._irreducible is None:
-            self._irreducible = self._character_norm_sum() == self.dim * self.dim * self.q
-        return self._irreducible  # |E| = q^(2n+1) * dim^2 / dim^2
-
-    def _character_norm_sum(self) -> Fraction:
-        """sum over (a, b, z) in E of |chi(a, b, z)|^2.  rho(a, b, z) is
-        rho(a, b, 0) with every phase moved by the absolute trace of z."""
-        p = self.p
-        shifts = [self._psi_exp(z) for z in range(self.q)]
-        total = Fraction(0)
-        for perm, phase in self.monomials().values():
-            acc = [0] * p
-            for col in range(self.dim):
-                if perm[col] == col:
-                    acc[phase[col]] += 1
-            for s in shifts:
-                moved = [acc[(e - s) % p] for e in range(p)]
-                a2 = Cyc(p, _reduce_zp(moved, p), 1).abs2()
-                if not a2.is_rational():
-                    raise ModelError("irrational |chi|^2 (bug)")
-                total += a2.rational()
-        return total
 
     def form_value(self, u, v) -> int:
         """(u, v) -> b_u . a_v - b_v . a_u on F_q^(2n)."""
@@ -173,77 +211,28 @@ class HeisenbergModel:
             data[self.point_index[tuple(F.neg[c] for c in x)] * N + col] = one
         return CycMatrix(N, data)
 
-
-def _reduce_zp(acc, p):
-    """Coefficients over zeta_p^0..zeta_p^(p-1) -> power basis mod Phi_p."""
-    top = acc[p - 1]
-    return tuple(acc[k] - top for k in range(p - 1))
-
-
-def _zp_sum(pairs, p) -> Cyc:
-    acc = [0] * p
-    for expo, coeff in pairs:
-        acc[expo % p] += coeff
-    return Cyc(p, _reduce_zp(acc, p), 1)
+    def gauss_candidates(self):
+        """delta with known abs2 for unitary normalization: p-powers and the
+        quadratic Gauss sum (abs2 = p)."""
+        p = self.p
+        acc = [0] * p
+        for t in range(p):
+            acc[t * t % p] += 1
+        return [(Cyc.from_int(1), 1), (_zeta_sums([acc], p)[0], p)]
 
 
 def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMatrix":
     """Intertwiner M with M rho(h) = rho(sigma_g h) M, by exact averaging."""
     if g.n != 2 * model.n or not model.preserves_form(g):
         raise ModelError("matrix does not preserve the symplectic structure")
-    N = model.dim
-    n, p = model.n, model.p
+    n = model.n
     table = model.monomials()
-    pairs = []  # (rho(h), rho(sigma h)) as monomial data, h over E mod center
-    for (a, b), mono in table.items():
-        img = tuple(g.apply(a + b))
-        pairs.append((mono, table[(img[:n], img[n:])]))
 
-    for c0 in range(N):
-        accs = [[0] * p for _ in range(N * N)]
-        r0 = 0
-        for (perm1, phase1), (perm2, phase2) in pairs:
-            # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
-            # (perm2[r0], perm1[c0]) with phase phase2[r0] - phase1[c0]
-            row = perm2[r0]
-            col = perm1[c0]
-            accs[row * N + col][(phase2[r0] - phase1[c0]) % p] += 1
-        data = [Cyc(p, _reduce_zp(acc, p), 1) for acc in accs]
-        M = CycMatrix(N, data)
-        if any(not x.is_zero() for x in M.data):
-            pm = ProjectiveMatrix(M, _OddModelAdapter(model), g)
-            pm.verify()
-            return pm
-    raise ModelError("averaging produced zero for every matrix unit (bug)")
+    def image(label):  # the symmetrized cocycle makes sigma(rho(a, b)) = rho(g(a, b))
+        img = tuple(g.apply(label[0] + label[1]))
+        return table[(img[:n], img[n:])]
 
-
-class _OddModelAdapter:
-    """Uniform surface the ProjectiveMatrix needs from an odd-p model."""
-
-    def __init__(self, model: HeisenbergModel):
-        self.model = model
-        self.p = model.p
-        self.dim = model.dim
-        self.scalar_conductor = lcm(2, model.p)
-
-    def coset_labels(self):
-        return list(self.model.monomials())
-
-    def rho_matrix(self, lab) -> CycMatrix:
-        return self.model.monomial_matrix(*self.model.monomials()[lab])
-
-    def irreducible(self) -> bool:
-        return self.model.irreducible_certificate()
-
-    def parity(self) -> CycMatrix:
-        return self.model.parity_matrix()
-
-    def gauss_candidates(self):
-        """delta with known abs2 for unitary normalization: p-powers and the
-        quadratic Gauss sum (abs2 = p)."""
-        p = self.p
-        gauss = _zp_sum([((t * t) % p, 1) for t in range(p)], p)
-        return [(Cyc.from_int(1), 1), (gauss, p)]
+    return _average(model, image)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +240,15 @@ class _OddModelAdapter:
 # ---------------------------------------------------------------------------
 
 
-class Extraspecial2Model:
-    """2^(1+2n)_eps acting on (C^2)^(tensor n) via signed Pauli generators."""
+class Extraspecial2Model(_MonomialModel):
+    """2^(1+2n)_eps acting on (C^2)^(tensor n) via signed Pauli generators.
+
+    Generator k < n is X on tensor slot k, generator n + k is Z on slot k;
+    for the minus type both generators on the last slot carry a factor i.
+    The coset label v in F_2^(2n) stands for the section s(v), the product
+    of the generators k with v[k] = 1 in ascending k, and phases are
+    exponents of zeta_4.
+    """
 
     def __init__(self, n: int, eps: str):
         if eps not in ("+", "-"):
@@ -262,62 +258,55 @@ class Extraspecial2Model:
         self.n = n
         self.eps = eps
         self.p = 2
-        self.dim = 2**n
-        i_unit = zeta(4)
-        X = CycMatrix.from_rows([[0, 1], [1, 0]])
-        Z = CycMatrix.from_rows([[1, 0], [0, -1]])
+        self.m = 4
+        self.dim = N = 2**n
+        self._irreducible = None
         gens = []
-        self.gen_labels = []
-        for slot in range(n):
-            minus = eps == "-" and slot == n - 1
-            for base, kind in ((X, 0), (Z, 1)):
-                mats = []
-                for j in range(n):
-                    mats.append(base if j == slot else CycMatrix.identity(2))
-                m = _kron_all(mats)
-                if minus:
-                    m = m.scale(i_unit)
-                gens.append(m)
-                lab = [0] * (2 * n)
-                lab[slot if kind == 0 else n + slot] = 1
-                self.gen_labels.append(tuple(lab))
-        self.generators = gens
-        grp = closure(gens, cap=2 ** (2 * n + 2))
+        for kind in ("X", "Z"):
+            for slot in range(n):
+                bit = 1 << (n - 1 - slot)  # slot 0 is the leftmost tensor factor
+                twist = 1 if eps == "-" and slot == n - 1 else 0
+                if kind == "X":
+                    gens.append(([x ^ bit for x in range(N)], [twist] * N))
+                else:
+                    gens.append((list(range(N)), [(2 if x & bit else 0) + twist for x in range(N)]))
+        grp = closure([self.monomial_matrix(*gen) for gen in gens], cap=2 ** (2 * n + 2))
         if grp.order != 2 ** (2 * n + 1):
             raise ModelError(f"extraspecial closure has order {grp.order}")
         self.group = grp
-        # label each element by its image in F_2^(2n)
-        lab_map = {grp.identity: tuple([0] * (2 * n))}
-        frontier = [grp.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gmat, glab in zip(gens, self.gen_labels):
-                    y = x * gmat
-                    if y not in lab_map:
-                        lab_map[y] = tuple((u + v) % 2 for u, v in zip(lab_map[x], glab))
-                        nxt.append(y)
-            frontier = nxt
-        self.label = lab_map
-        # canonical sections s(v) and the quadratic form Q(v): s(v)^2 = (-1)^Q
-        self.section: dict[tuple, CycMatrix] = {}
-        for v in itertools.product(range(2), repeat=2 * n):
-            m = CycMatrix.identity(self.dim)
-            for idx, bit in enumerate(self._word_order(v)):
-                if bit:
-                    m = m * gens[self._word_gen(idx)]
-            self.section[v] = m
+        self._monomials = {v: self.word(v, gens) for v in itertools.product(range(2), repeat=2 * n)}
+        # the quadratic form Q(v): s(v)^2 = (-1)^Q
         self.Q = {}
-        for v, m in self.section.items():
-            sq = (m * m).is_scalar()
-            if sq is None:
-                raise ModelError("section square is not scalar (bug)")
-            if sq == Cyc.from_int(1):
-                self.Q[v] = 0
-            elif sq == Cyc.from_int(-1):
-                self.Q[v] = 1
-            else:
+        for v, mono in self._monomials.items():
+            perm, phase = _monomial_product(mono, mono, self.m)
+            if perm != list(range(N)) or len(set(phase)) != 1 or phase[0] not in (0, 2):
                 raise ModelError("section square is not +-1 (bug)")
+            self.Q[v] = phase[0] // 2
+
+    def word(self, v, gens):
+        """The monomial product of gens[k] over the k with v[k] = 1, ascending."""
+        out = (list(range(self.dim)), [0] * self.dim)
+        for bit, gen in zip(v, gens):
+            if bit:
+                out = _monomial_product(out, gen, self.m)
+        return out
+
+    def monomials(self) -> dict:
+        """The section s(v) for each label v in F_2^(2n)."""
+        return self._monomials
+
+    def generators(self):
+        """Labels of the generators: the unit vectors of F_2^(2n)."""
+        n2 = 2 * self.n
+        return [tuple(1 if j == k else 0 for j in range(n2)) for k in range(n2)]
+
+    def parity_matrix(self) -> None:
+        """-1 is the identity on F_2^(2n): there are no parity halves."""
+        return None
+
+    def gauss_candidates(self):
+        """delta with known abs2 for unitary normalization: 1 and 1 + i (abs2 = 2)."""
+        return [(Cyc.from_int(1), 1), (Cyc.from_int(1) + zeta(4), 2)]
 
     def form_value(self, u, v) -> int:
         """Symplectic form: a_u.b_v + b_u.a_v mod 2."""
@@ -325,18 +314,6 @@ class Extraspecial2Model:
         return (
             sum(u[i] * v[n + i] for i in range(n)) + sum(u[n + i] * v[i] for i in range(n))
         ) % 2
-
-    def _word_order(self, v):
-        # multiply all X-type generators first, then all Z-type: label v has
-        # a-part v[:n] matching generator slots 2*i, b-part v[n:] slots 2*i+1
-        n = self.n
-        return [v[i] for i in range(n)] + [v[n + i] for i in range(n)]
-
-    def _word_gen(self, word_idx):
-        n = self.n
-        if word_idx < n:
-            return 2 * word_idx  # X_slot
-        return 2 * (word_idx - n) + 1  # Z_slot
 
     def preserves_structure(self, g: FqMatrix) -> bool:
         n2 = 2 * self.n
@@ -353,96 +330,42 @@ class Extraspecial2Model:
         return True
 
 
-def _kron_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = _kron(out, m)
-    return out
-
-
-def _kron(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    na, nb = a.n, b.n
-    N = na * nb
-    data = [Cyc.from_int(0)] * (N * N)
-    for i in range(na):
-        for j in range(na):
-            aij = a.data[i * na + j]
-            if aij.is_zero():
-                continue
-            for k in range(nb):
-                for l in range(nb):
-                    bkl = b.data[k * nb + l]
-                    if not bkl.is_zero():
-                        data[(i * nb + k) * N + (j * nb + l)] = aij * bkl
-    return CycMatrix(N, data)
-
-
-class _TwoModelAdapter:
-    def __init__(self, model: Extraspecial2Model):
-        self.model = model
-        self.p = 2
-        self.dim = model.dim
-        self.scalar_conductor = 4
-
-    def coset_labels(self):
-        return list(self.model.section)
-
-    def rho_matrix(self, lab) -> CycMatrix:
-        return self.model.section[lab]
-
-    def parity(self) -> None:
-        return None
-
-    def irreducible(self) -> bool:
-        acc = 0
-        for gmat in self.model.group.elements:
-            t = gmat.trace()
-            a2 = t.abs2()
-            acc += int(a2.rational())
-        return acc == self.model.group.order
-
-    def gauss_candidates(self):
-        one_plus_i = Cyc.from_int(1) + zeta(4)
-        return [(Cyc.from_int(1), 1), (one_plus_i, 2)]
-
-
 def outer_intertwiner_2(model: Extraspecial2Model, g: FqMatrix) -> "ProjectiveMatrix":
     """Intertwiner for an automorphism over an orthogonal outer element g."""
     if not model.preserves_structure(g):
         raise ModelError("matrix does not preserve the quadratic structure")
-    N = model.dim
-    # generator images: sigma(gen_i) = section(g . label_i); relations are
-    # preserved exactly because g preserves both forms (checked above)
-    gen_imgs = [model.section[tuple(g.apply(lab))] for lab in model.gen_labels]
-    # sigma on a coset section via its label word: rebuild as product of
-    # generator images with the same canonical exponents
-    def sigma_section(v):
-        img = CycMatrix.identity(N)
-        for idx, bit in enumerate(model._word_order(v)):
-            if bit:
-                img = img * gen_imgs[model._word_gen(idx)]
-        return img
+    table = model.monomials()
+    # generator images: sigma(gen_k) = s(g . e_k); relations are preserved
+    # exactly because g preserves both forms (checked above), so sigma(s(v))
+    # is the product of the images over the word of v
+    gen_imgs = [table[tuple(g.apply(lab))] for lab in model.generators()]
+    return _average(model, lambda v: model.word(v, gen_imgs))
 
+
+# ---------------------------------------------------------------------------
+# averaging
+# ---------------------------------------------------------------------------
+
+
+def _average(model, image) -> "ProjectiveMatrix":
+    """sum over the coset labels h of rho(sigma h) E_(0,c0) rho(h)^-1, for the
+    first c0 that gives a nonzero matrix, where image(h) is the monomial of
+    rho(sigma h).  By Schur's lemma the sum is a multiple of the intertwiner."""
+    N, m = model.dim, model.m
+    table = model.monomials()
+    pairs = [(mono, image(label)) for label, mono in table.items()]
     for c0 in range(N):
-        for r0 in range(N):
-            acc = CycMatrix(N, [Cyc.from_int(0)] * (N * N))
-            for v, smat in model.section.items():
-                left = sigma_section(v)
-                sinv = smat ** (smat.order() - 1)
-                # term = left * E_(r0,c0) * s(v)^-1: column r0 of left times row c0 of sinv
-                col = [left.data[i * N + r0] for i in range(N)]
-                row = [sinv.data[c0 * N + j] for j in range(N)]
-                data = list(acc.data)
-                for i in range(N):
-                    if not col[i].is_zero():
-                        for j in range(N):
-                            if not row[j].is_zero():
-                                data[i * N + j] = data[i * N + j] + col[i] * row[j]
-                acc = CycMatrix(N, data)
-            if any(not x.is_zero() for x in acc.data):
-                pm = ProjectiveMatrix(acc, _TwoModelAdapter(model), g, sigma_pairs=list(zip(model.generators, gen_imgs)))
-                pm.verify()
-                return pm
+        accs = [[0] * m for _ in range(N * N)]
+        r0 = 0
+        for (perm1, phase1), (perm2, phase2) in pairs:
+            # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
+            # (perm2[r0], perm1[c0]) with phase phase2[r0] - phase1[c0]
+            accs[perm2[r0] * N + perm1[c0]][(phase2[r0] - phase1[c0]) % m] += 1
+        M = CycMatrix(N, _zeta_sums(accs, m))
+        if any(not x.is_zero() for x in M.data):
+            pm = ProjectiveMatrix(M, model, [(table[label], image(label)) for label in model.generators()])
+            pm.verify()
+            return pm
     raise ModelError("averaging produced zero for every matrix unit (bug)")
 
 
@@ -452,13 +375,17 @@ def outer_intertwiner_2(model: Extraspecial2Model, g: FqMatrix) -> "ProjectiveMa
 
 
 class ProjectiveMatrix:
-    """An intertwiner, well defined up to the declared scalar group."""
+    """An intertwiner, well defined up to the declared scalar group.
 
-    def __init__(self, mat: CycMatrix, adapter, source, sigma_pairs=None):
+    pairs holds the monomials (rho(h), rho(sigma h)) of the model's
+    generators h, for the intertwining relation verify re-checks; the coset
+    candidates of odd_projective_rep have none.
+    """
+
+    def __init__(self, mat: CycMatrix, model: _MonomialModel, pairs=()):
         self.mat = mat
-        self.adapter = adapter
-        self.source = source
-        self._sigma_pairs = sigma_pairs
+        self.model = model
+        self.pairs = pairs
         self._proj = None  # (K, c) with M^K = c * identity
         self._walks: dict = {}  # parity (or None) -> {sign: simple?}
 
@@ -466,27 +393,23 @@ class ProjectiveMatrix:
     def verify(self):
         """Exact checks: intertwining on generators; nonzero; irreducibility.
 
+        M rho(h) = rho(sigma h) M is read entry by entry off the monomials:
+        zeta^phase_h[x] M[perm_sh[y], perm_h[x]] = zeta^phase_sh[y] M[y, x].
         With both representations irreducible and of equal (central)
         character, a nonzero intertwiner is invertible and the solution
         space is one-dimensional, which is the uniqueness guard.
         """
-        M = self.mat
-        if self._sigma_pairs is not None:
-            for rho_h, rho_sh in self._sigma_pairs:
-                if M * rho_h != rho_sh * M:
-                    raise ModelError("intertwining relation fails on a generator")
-        else:
-            model = self.adapter.model
-            g = self.source
-            n = model.n
-            table = model.monomials()
-            for a, b in model.generators():
-                img = tuple(g.apply(a + b))
-                rho_h = model.monomial_matrix(*table[(a, b)])
-                rho_sh = model.monomial_matrix(*table[(img[:n], img[n:])])
-                if M * rho_h != rho_sh * M:
-                    raise ModelError("intertwining relation fails on a generator")
-        if not self.adapter.irreducible():
+        if not self.pairs:
+            raise ModelError("no intertwining relation to check (a coset candidate, not an intertwiner)")
+        M, N, m = self.mat.data, self.mat.n, self.model.m
+        roots = [zeta(m, k) for k in range(m)]
+        for (perm_h, phase_h), (perm_sh, phase_sh) in self.pairs:
+            for y in range(N):
+                row = perm_sh[y] * N
+                for x in range(N):
+                    if M[row + perm_h[x]] * roots[(phase_h[x] - phase_sh[y]) % m] != M[y * N + x]:
+                        raise ModelError("intertwining relation fails on a generator")
+        if not self.model.irreducible_certificate():
             raise ModelError("model representation is not irreducible")
         return True
 
@@ -494,7 +417,7 @@ class ProjectiveMatrix:
     def projective_order(self, cap: int = 2048) -> tuple[int, Cyc]:
         """(k, c) with M^k = c * identity, k minimal."""
         if self._proj is None:
-            self._walk(self.adapter.parity(), cap)
+            self._walk(self.model.parity_matrix(), cap)
         return self._proj
 
     def _walk(self, parity: CycMatrix | None, cap: int = 2048) -> dict:
@@ -560,8 +483,7 @@ class ProjectiveMatrix:
         return acc
 
     def rescale(self, s: Cyc) -> "ProjectiveMatrix":
-        out = ProjectiveMatrix(self.mat.scale(s), self.adapter, self.source, self._sigma_pairs)
-        return out
+        return ProjectiveMatrix(self.mat.scale(s), self.model, self.pairs)
 
     # -- normalization to a finite-order matrix ---------------------------
     def finite_order_form(self) -> CycMatrix:
@@ -573,19 +495,9 @@ class ProjectiveMatrix:
             c2 = self.unitarity_scalar()
             if not c2.is_rational():
                 raise NormalizationError("unitarity scalar is irrational")
-            target = c2.rational()
-            delta = _magnitude_delta(self.adapter, target)
+            delta = _magnitude_delta(self.model, c2.rational())
             M = M.scale(delta.inverse())
-            x = M
-            c = None
-            for j in range(1, k + 1):
-                s = x.is_scalar()
-                if s is not None:
-                    k, c = j, s
-                    break
-                x = x * M
-            if c is None:
-                raise NormalizationError("rescaled matrix lost finite projective order")
+            c = c / delta**k  # (M / delta)^k, from the stored walk
         u = c.as_root_of_unity()
         if u is None:
             raise NormalizationError(f"projective scalar {c!r} is not a root of unity")
@@ -637,16 +549,17 @@ class ProjectiveMatrix:
         canonical spectrum is well defined.
         """
         k, _ = self.projective_order()
-        if k % 2 == 1 and k % self.adapter.p != 0:
+        p = self.model.p
+        if k % 2 == 1 and k % p != 0:
             return self
         best = None
-        for lab in self.adapter.coset_labels():
-            cand = ProjectiveMatrix(self.mat * self.adapter.rho_matrix(lab), self.adapter, self.source, None)
+        for mono in self.model.monomials().values():
+            cand = ProjectiveMatrix(self.mat * self.model.monomial_matrix(*mono), self.model)
             try:
                 kk, _ = cand.projective_order(cap=256)
             except ModelError:
                 continue
-            if kk % 2 == 1 and (self.adapter.p == 2 or kk % self.adapter.p != 0):
+            if kk % 2 == 1 and (p == 2 or kk % p != 0):
                 if best is None or kk < best[0]:
                     best = (kk, cand)
         if best is None:
@@ -654,14 +567,14 @@ class ProjectiveMatrix:
         return best[1]
 
 
-def _magnitude_delta(adapter, target: Fraction) -> Cyc:
+def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
     """A cyclotomic delta with abs2(delta) == target: r * g^e with r rational
     and g a fixed element of known abs2 (a Gauss sum, or 1 + i at p = 2)."""
     from math import isqrt
 
     if target <= 0:
         raise NormalizationError("non-positive unitarity scalar")
-    for g, gn in adapter.gauss_candidates():
+    for g, gn in model.gauss_candidates():
         for e in (0, 1):
             rem = target / (gn**e)
             rn, rd = rem.numerator, rem.denominator
@@ -681,8 +594,7 @@ def sp_halves(model: HeisenbergModel, pm: ProjectiveMatrix) -> tuple[Cyc, Cyc]:
     c2 = pm.unitarity_scalar()
     if not c2.is_rational():
         raise NormalizationError("unitarity scalar is irrational")
-    adapter = pm.adapter
-    delta = _magnitude_delta(adapter, c2.rational())
+    delta = _magnitude_delta(model, c2.rational())
     M = pm.mat.scale(delta.inverse())
     P = model.parity_matrix()
     t_full = M.trace()

@@ -317,14 +317,6 @@ def weil_spectrum(spec: WeilCharSpec, g: FqMatrix) -> Spectrum:
     return s
 
 
-def central_order(group: MatGroup, g: FqMatrix, scalars: set[FqMatrix]) -> int:
-    k, x = 1, g
-    while x not in scalars:
-        x = x * g
-        k += 1
-    return k
-
-
 def group_scalars(group: MatGroup) -> set[FqMatrix]:
     g0 = group.identity
     out = set()

@@ -118,14 +118,22 @@ class TestExitCodes:
             ["construct", "special", "G_D", "5", "--D", "7", "--chi", "x"],
             ["ss", "linear", "1", "2", "--exhaustive"],
             ["ss", "unitary", "1", "3", "--exhaustive"],
+            ["construct", "special", "G_D", "3", "--D", "-1", "--chi", "1/2"],
+            ["construct", "special", "F_N", "3", "--N", "-2"],
+            ["m4", "monomial_q3.json", "--cap", "0"],
+            ["m4", "monomial_q3.json", "--cap", "-3"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )
     def test_bad_argument_is_2(self, capsys, argv):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+        for option, value in zip(argv, argv[1:]):
+            if option in ("--N", "--D", "--cap") and int(value) < 1:
+                assert option in out.err  # the message names the option at fault
 
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
@@ -240,3 +248,16 @@ class TestBrauerpTables:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+    def test_report_echoes_the_tables(self, tmp_path):
+        """Two files that differ in one trace give different inputs."""
+        reports = []
+        for trace in (1, -1):
+            path = tmp_path / f"tables_{trace}.json"
+            path.write_text(json.dumps(_trace_tables(trace=trace)))
+            code, out = run_cli(["gates", "brauerp", "--tables", str(path)])
+            assert code == 0
+            reports.append(json.loads(out))
+        echoed = [r["input"]["table2"]["classes"][1]["trace"] for r in reports]
+        assert echoed == [1, -1]
+        assert reports[0]["input"]["table1"] == _trace_tables()["table1"] | {"label": ""}

@@ -10,6 +10,7 @@ from hypermono.stonevn import (
     Extraspecial2Model,
     HeisenbergModel,
     ModelError,
+    ProjectiveMatrix,
     find_orthogonal_element,
     outer_intertwiner_2,
     outer_intertwiner_odd,
@@ -377,3 +378,81 @@ class TestExtensionToFiniteGroup:
         J = closure([X, Z, M0])
         assert J.order == 108
         assert m4(J) == 3
+
+
+def count_products(monkeypatch):
+    """A counter of CycMatrix products made from now on."""
+    counter = {"products": 0}
+    mul = CycMatrix.__mul__
+
+    def counting_mul(a, b):
+        counter["products"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
+    return counter
+
+
+class TestMonomialModels:
+    """Both models are monomial tables: averaging, verify and the certificate
+    read the table and make no dense product."""
+
+    def test_odd_intertwiner_makes_no_product(self, monkeypatch):
+        model = HeisenbergModel(5, 2)
+        g = sp_torus_element(2, 5, -1)
+        counter = count_products(monkeypatch)
+        outer_intertwiner_odd(model, g)
+        assert counter["products"] == 0
+
+    def test_extraspecial_intertwiner_makes_no_product(self, monkeypatch):
+        minus = Extraspecial2Model(2, "-")
+        g = find_orthogonal_element(minus, 5)
+        counter = count_products(monkeypatch)
+        outer_intertwiner_2(minus, g)
+        assert counter["products"] == 0
+
+    def test_finite_order_form_reuses_the_walk(self, monkeypatch):
+        pm = outer_intertwiner_odd(HeisenbergModel(5, 2), sp_torus_element(2, 5, -1))
+        K, _ = pm.projective_order()
+        counter = count_products(monkeypatch)
+        M0 = pm.finite_order_form()
+        assert counter["products"] == 0
+        assert M0.is_scalar() is None and (M0**K).is_scalar().as_root_of_unity() is not None
+
+    def test_one_extraspecial_certificate_per_model(self, monkeypatch):
+        minus = Extraspecial2Model(2, "-")
+        elements = [find_orthogonal_element(minus, k) for k in (5, 3)] + [FqMatrix.identity(field(2), 4)]
+        bodies = 0
+        body = Extraspecial2Model._character_norm_sum
+
+        def counting_body(self):
+            nonlocal bodies
+            bodies += 1
+            return body(self)
+
+        monkeypatch.setattr(Extraspecial2Model, "_character_norm_sum", counting_body)
+        for g in elements:
+            assert outer_intertwiner_2(minus, g).verify()
+        assert bodies == 1
+
+    @pytest.mark.parametrize("eps", ["+", "-"])
+    def test_sections_match_the_pauli_products(self, eps):
+        """s(v)^2 = (-1)^Q(v), and the closure is the sections times +-1."""
+        model = Extraspecial2Model(2, eps)
+        sections = {model.monomial_matrix(*mono) for mono in model.monomials().values()}
+        negated = {s.scale(Cyc.from_int(-1)) for s in sections}
+        assert sections | negated == set(model.group.elements)
+        for v, mono in model.monomials().items():
+            s = model.monomial_matrix(*mono)
+            assert s * s == CycMatrix.scalar(4, Cyc.from_int((-1) ** model.Q[v]))
+
+    def test_verify_rejects_a_non_intertwiner(self):
+        odd = outer_intertwiner_odd(HeisenbergModel(3, 1), FqMatrix.from_rows(field(3), [[0, 2], [1, 0]]))
+        minus = Extraspecial2Model(2, "-")
+        two = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5))
+        for pm in (odd, two):
+            wrong = ProjectiveMatrix(CycMatrix.identity(pm.mat.n), pm.model, pm.pairs)
+            with pytest.raises(ModelError):
+                wrong.verify()
+            with pytest.raises(ModelError):
+                ProjectiveMatrix(pm.mat, pm.model).verify()  # nothing to check is no pass
