@@ -372,12 +372,10 @@ class Cyc:
             cols.append(_mul_vec(ctx, self.num, tuple(e)))
         mat = [[Fraction(cols[k][i]) for k in range(phi)] for i in range(phi)]
         rhs = [Fraction(self.den if i == 0 else 0) for i in range(phi)]
-        sol = _solve_rational(mat, rhs)
-        if sol is None:
+        y = _solve(mat, rhs, self.m)
+        if y is None:
             raise ZeroDivisionError("Cyc is a zero divisor (cannot happen in a field)")
-        den = lcm(*[f.denominator for f in sol]) if sol else 1
-        num = tuple(int(f * den) for f in sol)
-        return Cyc(self.m, num, den)
+        return y
 
     def __truediv__(self, other) -> "Cyc":
         other = _coerce(other)
@@ -399,32 +397,40 @@ def _coerce(x) -> "Cyc":
     return NotImplemented
 
 
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    col = 0
+def rref(rows: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan over an exact field (Fraction or Cyc entries), in place:
+    reduce rows to reduced row echelon form, pivoting in the first ncols
+    columns (later columns ride along).  Returns the pivot columns."""
     pivots = []
-    for col in range(n):
-        piv = next((r for r in range(len(pivots), n) if aug[r][col] != 0), None)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        r = len(pivots)
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for rr in range(n):
-            if rr != r and aug[rr][col] != 0:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        prow = rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
         pivots.append(col)
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    # verify (system may be singular)
-    for i in range(n):
-        if sum(mat[i][j] * sol[j] for j in range(n)) != rhs[i]:
-            return None
-    return sol
+    return pivots
+
+
+def _solve(mat: list[list[Fraction]], rhs: list[Fraction], m: int) -> Cyc | None:
+    """The Cyc of conductor m whose power-basis coefficients x solve
+    mat x = rhs (at least as many rows as columns), or None when none does."""
+    ncols = len(mat[0])
+    aug = [row + [b] for row, b in zip(mat, rhs)]
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(rref(aug, ncols)):
+        sol[col] = aug[r][ncols]
+    # verify: the system may be singular or inconsistent
+    if any(sum(a * x for a, x in zip(row, sol)) != b for row, b in zip(mat, rhs)):
+        return None
+    den = lcm(*[x.denominator for x in sol])
+    return Cyc(m, tuple(int(x * den) for x in sol), den)
 
 
 def _fixed_by_gal_subfield(x: Cyc, d: int) -> bool:
@@ -445,45 +451,8 @@ def _express_in_subfield(x: Cyc, d: int) -> Cyc | None:
     phi_d = euler_phi(d)
     cols = [ctx.power[(step * j) % m] for j in range(phi_d)]
     mat = [[Fraction(cols[j][i]) for j in range(phi_d)] for i in range(ctx.phi)]
-    # overdetermined; solve the square top part then verify all rows
-    rhs = [Fraction(c, x.den) for c in x.num]
-    sol = _solve_overdetermined(mat, rhs)
-    if sol is None:
-        return None
-    den = lcm(*[f.denominator for f in sol]) if sol else 1
-    num = tuple(int(f * den) for f in sol)
-    if len(num) < phi_d:
-        num = num + (0,) * (phi_d - len(num))
-    return Cyc(d, num, den)
-
-
-def _solve_overdetermined(mat, rhs):
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    for i in range(rows):
-        if sum(mat[i][j] * sol[j] for j in range(cols)) != rhs[i]:
-            return None
-    return sol
+    # phi(m) equations in phi(d) unknowns; _solve checks every row
+    return _solve(mat, [Fraction(c, x.den) for c in x.num], d)
 
 
 ZERO = Cyc(1, (0,), 1, _normalized=True)

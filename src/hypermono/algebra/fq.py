@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
-from .numth import factor
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -34,44 +33,15 @@ def _poly_mul_mod(a, b, mod, p):
     return out[:deg]
 
 
-def _poly_pow_x_mod(e, mod, p):
-    """x^e mod (mod) over F_p."""
-    result = [1]
-    base = [0, 1]
-    deg = len(mod) - 1
-    base = (base + [0] * deg)[:deg] if deg > 1 else _poly_mul_mod([1], base, mod, p)
-    result = (result + [0] * deg)[:deg]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(coeffs, p):
-    """coeffs: monic, low-to-high, over F_p."""
-    f = len(coeffs) - 1
-    if f == 1:
-        return True
-    # x^(p^f) == x mod g, and x^(p^(f/l)) != x for prime l | f
-    xq = _poly_pow_x_mod(p**f, coeffs, p)
-    if xq != [0, 1] + [0] * (f - 2):
-        return False
-    for l in factor(f):
-        d = f // l
-        xd = _poly_pow_x_mod(p**d, coeffs, p)
-        if xd == [0, 1] + [0] * (f - 2):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _defining_poly(p: int, f: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree f over F_p.
 
     Least under reading (a_{f-1}, ..., a_1, a_0) as a base-p integer.
     """
+    if f == 1:
+        return (0, 1)  # x; field(p) is built on it, so it cannot test itself
+    Fp = field(p)
     for code in range(p**f):
         coeffs = []
         c = code
@@ -79,9 +49,7 @@ def _defining_poly(p: int, f: int) -> tuple[int, ...]:
             coeffs.append(c % p)
             c //= p
         poly = coeffs + [1]  # low-to-high, monic
-        if poly[0] == 0 and f > 1:
-            continue  # reducible (x divides)
-        if _is_irreducible(poly, p):
+        if poly_is_irreducible_fq(Fp, poly):
             return tuple(poly)
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
@@ -259,23 +227,10 @@ class FqMatrix:
         return FqMatrix(self.F, self.n, tuple(table[x] for x in self.data))
 
     def inverse(self) -> "FqMatrix":
-        F, n, q = self.F, self.n, self.F.q
-        mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
+        F, n = self.F, self.n
         m = [list(self.data[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, n) if m[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            m[rank], m[piv] = m[piv], m[rank]
-            pivinv = inv[m[rank][col]]
-            if pivinv != 1:
-                m[rank] = [mul[pivinv * q + v] for v in m[rank]]
-            for r in range(n):
-                if r != rank and m[r][col]:
-                    f_ = neg[m[r][col]]
-                    m[r] = [add[a * q + mul[f_ * q + b]] for a, b in zip(m[r], m[rank])]
-            rank += 1
+        if len(rref(F, m, n)) < n:
+            raise ZeroDivisionError("singular matrix")
         return FqMatrix(F, n, tuple(m[i][n + j] for i in range(n) for j in range(n)))
 
     def __pow__(self, e: int) -> "FqMatrix":
@@ -376,6 +331,44 @@ def _polymul_fq(F, a, b):
                 if y:
                     out[i + j] = F.add[out[i + j] * F.q + F.mul[x * F.q + y]]
     return tuple(out)
+
+
+def rref(F: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan over F_q, in place: reduce rows to reduced row echelon
+    form, pivoting in the first ncols columns (later columns ride along, as
+    in an augmented matrix).  Returns the pivot columns."""
+    q, mul, add, neg, inv = F.q, F.mul, F.add, F.neg, F.inv
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivinv = inv[rows[r][col]]
+        if pivinv != 1:
+            rows[r] = [mul[pivinv * q + v] for v in rows[r]]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = neg[row[col]]
+                rows[i] = [add[a * q + mul[f * q + b]] for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots
+
+
+def nullspace(F: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of {v in F_q^ncols : rows v = 0}, one vector per free column."""
+    rows = [list(r) for r in rows]
+    pivots = rref(F, rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, c in enumerate(pivots):
+            v[c] = F.neg[rows[r][fc]]
+        basis.append(v)
+    return basis
 
 
 def kernel_dim(a: FqMatrix, lam: int = 0) -> int:

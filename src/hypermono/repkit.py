@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .algebra.cyc import Cyc
+from .algebra.cyc import Cyc, rref
 from .algebra.unity import UnityClass
 
 DEFAULT_CAP = 2_000_000
@@ -112,9 +112,6 @@ class CycMatrix:
     def scale(self, s: Cyc) -> "CycMatrix":
         return CycMatrix(self.n, tuple(s * x for x in self.data))
 
-    def add(self, other: "CycMatrix") -> "CycMatrix":
-        return CycMatrix(self.n, tuple(a + b for a, b in zip(self.data, other.data)))
-
     def __pow__(self, e: int) -> "CycMatrix":
         if e < 0:
             raise ValueError("negative powers unsupported for CycMatrix (use order)")
@@ -128,22 +125,9 @@ class CycMatrix:
         return out
 
     def rank(self) -> int:
-        """Rank by Gaussian elimination over the cyclotomic field."""
+        """Rank by Gauss-Jordan over the cyclotomic field."""
         n = self.n
-        m = [list(self.data[i * n : (i + 1) * n]) for i in range(n)]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pivinv = m[rank][col].inverse()
-            for r in range(rank + 1, n):
-                if not m[r][col].is_zero():
-                    f = m[r][col] * pivinv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
+        return len(rref([list(self.data[i * n : (i + 1) * n]) for i in range(n)], n))
 
     def is_scalar(self) -> Cyc | None:
         n = self.n

@@ -20,6 +20,7 @@ from .algebra.cyc import Cyc, zeta
 from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
+from .gates import partitions
 from .repkit import CycMatrix, Spectrum, closure
 
 DESK_CAP = 32
@@ -434,7 +435,7 @@ class ProjectiveMatrix:
             return next(iter(self._walks.values()))
         M = self.mat
         N = M.n
-        halves = parity is not None and M * parity == parity * M
+        halves = parity is not None and _commutes_with_permutation(M, parity)
         signs = (0, 1, -1) if halves else (0,)
         sums = dict.fromkeys(signs, Cyc.from_int(0))
         half = Fraction(1, 2)
@@ -567,6 +568,23 @@ class ProjectiveMatrix:
         return best[1]
 
 
+def _commutes_with_permutation(M: CycMatrix, P: CycMatrix) -> bool:
+    """M P == P M for a permutation matrix P, without a product: with
+    P[r, pi(r)] = 1 this reads M[pi(r), pi(c)] == M[r, c] for all r, c."""
+    N = P.n
+    pi = []
+    for r in range(N):
+        row = P.data[r * N : (r + 1) * N]
+        cols = [c for c, x in enumerate(row) if not x.is_zero()]
+        if len(cols) != 1 or row[cols[0]] != 1:
+            raise ValueError("parity is not a permutation matrix")
+        pi.append(cols[0])
+    if len(set(pi)) != N:
+        raise ValueError("parity is not a permutation matrix")
+    a = M.data
+    return all(a[pi[r] * N + pi[c]] == a[r * N + c] for r in range(N) for c in range(N))
+
+
 def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
     """A cyclotomic delta with abs2(delta) == target: r * g^e with r rational
     and g a fixed element of known abs2 (a Gauss sum, or 1 + i at p = 2)."""
@@ -623,16 +641,9 @@ def ss_extr_enumerate(p: int, n: int, override: bool = False) -> list[int]:
     if p != 2:
         return [p**n + 1]
     out = []
-
-    def distinct_partitions(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, max_part), 0, -1):
-            for rest in distinct_partitions(total - part, part - 1):
-                yield (part,) + rest
-
-    for parts in distinct_partitions(n, n):
+    for parts in partitions(n):
+        if len(set(parts)) < len(parts):
+            continue
         vals = [2**a + 1 for a in parts]
         if all(gcd(x, y) == 1 for i, x in enumerate(vals) for y in vals[i + 1 :]):
             prod = 1
@@ -743,18 +754,9 @@ def ss_extr_oracle(n: int = 2) -> dict:
     }
     plus = Extraspecial2Model(n, "+")
     # the split torus of order 2^n - 1: diag(A, A^-T) on the two Lagrangians
-    from .weilgl import gl_singer
+    from .weilgl import sp_torus_element
 
-    A = gl_singer(n, 2)
-    F2 = field(2)
-    Ait = A.inverse().transpose()
-    dim = 2 * n
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = A.data[i * n + j]
-            rows[n + i][n + j] = Ait.data[i * n + j]
-    g3 = FqMatrix.from_rows(F2, rows)
+    g3 = sp_torus_element(n, 2, 1)
     pm2 = outer_intertwiner_2(plus, g3).odd_projective_rep()
     spec2 = pm2.projective_spectrum()
     want2 = Spectrum.from_multiset(

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra.cyc import Cyc
-from .algebra.fq import FieldSpec, FqMatrix, companion_matrix, field, kernel_dim, poly_is_irreducible_fq
+from .algebra.fq import FieldSpec, FqMatrix, companion_matrix, field, kernel_dim, nullspace, poly_is_irreducible_fq
 from .algebra.numth import is_prime_power
 from .algebra.unity import unity
 from .repkit import MatGroup, Spectrum, closure
@@ -353,38 +353,6 @@ def gl_singer(n: int, q: int) -> FqMatrix:
     raise RuntimeError("no Singer companion found (unreachable)")
 
 
-def _fp_linear_nullspace(p: int, rows: list[list[int]]) -> list[list[int]]:
-    """Nullspace basis of a matrix over F_p (rows of length ncols)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [r[:] for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f0 = mat[i][c]
-                mat[i] = [(a - f0 * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for c, rr in pivots.items():
-            v[c] = (-mat[rr][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _invariant_forms(g: FqMatrix, conj_table=None, shape: str | None = None) -> list[FqMatrix]:
     """Basis of the space of Gram matrices G with g^T G sigma(g) = G.
 
@@ -437,7 +405,7 @@ def _invariant_forms(g: FqMatrix, conj_table=None, shape: str | None = None) -> 
     nrows = len(cols[0])
     mat = [[cols[j][i] for j in range(dimc)] for i in range(nrows)]
     out = []
-    for v in _fp_linear_nullspace(p, mat):
+    for v in nullspace(field(p), mat, dimc):
         data = []
         for e_idx in range(n * n):
             data.append(coords_to_field(v[e_idx * f : (e_idx + 1) * f]))

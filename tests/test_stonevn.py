@@ -365,6 +365,37 @@ class TestSharedWalk:
         assert monomials == 5**4  # one table entry per label (a, b)
 
 
+class TestParityCheck:
+    """Whether M commutes with the parity is read off the permutation."""
+
+    def test_parity_check_makes_no_product(self, monkeypatch):
+        """T- of Sp_4(5): projective order and both halves cost the K - 1
+        products of the walk alone."""
+        model = HeisenbergModel(5, 2)
+        P = model.parity_matrix()
+        pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
+        products = 0
+        mul = CycMatrix.__mul__
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
+        K, _ = pm.projective_order()
+        assert (pm.is_simple(P, +1), pm.is_simple(P, -1)) == (True, True)
+        assert K == 26 and products <= K - 1
+
+    def test_parity_that_is_not_a_permutation_is_refused(self):
+        model = HeisenbergModel(3, 1)
+        pm = outer_intertwiner_odd(model, FqMatrix.from_rows(field(3), [[1, 0], [1, 1]]))
+        for rows in ([[0, 2, 0], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                     [[1, 0, 0], [1, 0, 0], [0, 0, 1]]):
+            with pytest.raises(ValueError):
+                pm.is_simple(parity=CycMatrix.from_rows(rows), sign=1)
+
+
 class TestExtensionToFiniteGroup:
     def test_p_c4_closure_m4(self):
         """The 3-dim extraspecial representation extends to an order-4 outer
