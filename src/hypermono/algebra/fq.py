@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
+from .numth import is_prime, prime_divisors
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -58,8 +59,6 @@ class FieldSpec:
     """F_q with q = p^f and full arithmetic lookup tables (desk-scale q)."""
 
     def __init__(self, p: int, f: int = 1):
-        from .numth import is_prime
-
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if f < 1:
@@ -69,43 +68,47 @@ class FieldSpec:
         self.q = p**f
         self.poly = _defining_poly(p, f)
         q = self.q
-        # element i encodes sum_j digit_j(i) * x^j
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(a, q):
-                db = self._digits(b)
-                s = self._encode([(x + y) % p for x, y in zip(da, db)])
-                add[a * q + b] = s
-                add[b * q + a] = s
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(a, q):
-                db = self._digits(b)
-                pr = self._encode(_poly_mul_mod(da, db, list(self.poly), p))
-                mul[a * q + b] = pr
-                mul[b * q + a] = pr
-        self.add = add
-        self.mul = mul
+        # element i encodes sum_j digit_j(i) * x^j, digit_0 = i mod p; addition
+        # is digit-wise, so the table for p^k comes from the one for p^(k-1)
+        prime_rows = [[(a + b) % p for b in range(p)] for a in range(p)]
+        rows = prime_rows
+        for _ in range(f - 1):
+            rows = [[p * hi + lo for hi in rows[a // p] for lo in prime_rows[a % p]] for a in range(len(rows) * p)]
+        self.add = [s for row in rows for s in row]
         self.neg = [self._encode([(-x) % p for x in self._digits(a)]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
-        self.frob = [self.pow(a, p) for a in range(q)]  # x -> x^p
-        # element orders and a fixed primitive element (least generator)
-        self.gen = next(a for a in range(2, q) if self.element_order(a) == q - 1) if q > 2 else 1
-        # discrete log base gen: dlog[a] = k with gen^k = a (a != 0)
-        dlog = [0] * q
-        x = 1
-        for k in range(q - 1):
-            dlog[x] = k
-            x = mul[x * q + self.gen]
+        # gen: the least element of order q - 1, found by powering candidates in
+        # polynomial arithmetic; then mul, inv and dlog come from its exp/log tables
+        poly = list(self.poly)
+        one = [1] + [0] * (f - 1)
+
+        def power(a, e):
+            out, base = one, self._digits(a)
+            while e:
+                if e & 1:
+                    out = _poly_mul_mod(out, base, poly, p)
+                base = _poly_mul_mod(base, base, poly, p)
+                e >>= 1
+            return out
+
+        self.gen = next(a for a in range(1, q) if all(power(a, (q - 1) // r) != one for r in prime_divisors(q - 1)))
+        exp, x, g = [1], one, self._digits(self.gen)
+        for _ in range(q - 2):
+            x = _poly_mul_mod(x, g, poly, p)
+            exp.append(self._encode(x))
+        dlog = [0] * q  # dlog[a] = k with gen^k = a (a != 0)
+        for k, a in enumerate(exp):
+            dlog[a] = k
         self.dlog = dlog
+        exp2 = exp + exp
+        logs = dlog[1:]
+        mul = [0] * q
+        for a in range(1, q):
+            row = exp2[dlog[a] : dlog[a] + q - 1]  # row[k] = a * gen^k
+            mul.append(0)
+            mul.extend([row[k] for k in logs])
+        self.mul = mul
+        self.inv = [0] + [exp[-k] for k in logs]
+        self.frob = [self.pow(a, p) for a in range(q)]  # x -> x^p
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -254,6 +257,12 @@ class FqMatrix:
             if k > cap:
                 raise RuntimeError("matrix order exceeds cap (non-invertible input?)")
         return k
+
+    def has_order(self, N: int) -> bool:
+        """Whether the order is exactly N: g^N = 1 and g^(N/r) != 1 for each
+        prime r dividing N, by binary powering."""
+        ident = FqMatrix.identity(self.F, self.n)
+        return self**N == ident and all(self ** (N // r) != ident for r in prime_divisors(N))
 
     def apply(self, v):
         F = self.F

@@ -1,8 +1,10 @@
 """Generic finite matrix-group engine.
 
-Closure from generators with a hard cap, element orders, conjugacy classes by
-orbit partition, exact spectra via the character-sum (discrete Fourier)
-formula, class-function inner products, and the fourth moment M4.
+Closure from generators with a hard cap by Dimino's coset enumeration, which
+keeps only the irredundant generators; element orders; conjugacy classes by
+orbit partition under those kept generators; exact spectra via the
+character-sum (discrete Fourier) formula; class-function inner products; and
+the fourth moment M4.
 Works for matrices over a FieldSpec or over Cyc; elements only need ``*``,
 equality and hashing.
 """
@@ -207,7 +209,18 @@ class MatGroup:
 
 
 def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
-    """Full element enumeration of the group generated by the given matrices."""
+    """Full element enumeration of the group generated by the given matrices.
+
+    Dimino's coset enumeration (G. Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991, ch. 3).  The generators are taken in
+    input order; one already in the group built so far is dropped, and the
+    returned group's ``generators`` are the kept, irredundant ones.  For a
+    kept generator g, with H the group built so far, <H, g> grows as a union
+    of right cosets H*t: for each coset rep r and kept generator s, a product
+    t = r*s outside the group so far starts a new coset.  Each element is
+    formed once.  CapExceeded is raised exactly when the order exceeds cap,
+    before the coset that would pass it is formed.
+    """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -223,20 +236,34 @@ def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
     for g in generators:
         if g.rank() != g.n:
             raise ValueError("singular generator")
+    elements = [identity]
     seen = {identity}
-    order_list = [identity]
-    frontier = deque([identity])
-    while frontier:
-        x = frontier.popleft()
-        for g in generators:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}")
-                seen.add(y)
-                order_list.append(y)
-                frontier.append(y)
-    return MatGroup(generators, order_list, identity)
+    kept = []
+    for g in generators:
+        if g in seen:
+            continue
+        kept.append(g)
+        size = len(elements)  # |H|; elements[:size] is H, with the identity first
+        reps = [identity]
+        for r in reps:  # grows by one rep per new coset
+            for s in kept:
+                t = r * s
+                if t in seen:
+                    continue
+                if len(elements) + size > cap:
+                    raise CapExceeded(
+                        f"closure exceeded cap {cap}: {len(elements)} elements reached, "
+                        f"{len(kept)} of {len(generators)} generators kept"
+                    )
+                seen.add(t)
+                elements.append(t)
+                for i in range(1, size):
+                    x = elements[i] * t
+                    seen.add(x)
+                    elements.append(x)
+                reps.append(t)
+    del seen  # freed before MatGroup builds its index, so the two never coexist
+    return MatGroup(kept, elements, identity)
 
 
 class Spectrum:

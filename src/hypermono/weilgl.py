@@ -348,7 +348,7 @@ def gl_singer(n: int, q: int) -> FqMatrix:
             continue
         if poly_is_irreducible_fq(F, poly):
             C = companion_matrix(F, poly)
-            if C.order() == target:
+            if C.has_order(target):
                 return C
     raise RuntimeError("no Singer companion found (unreachable)")
 
@@ -428,26 +428,15 @@ def _hermitian_standardize(G: FqMatrix, f: int) -> FqMatrix:
         return acc
 
     def solve_complement(basis_vecs, constraints):
-        # vectors x with B(c, x) = 0 for all c in constraints, inside the space
-        # spanned by basis_vecs; returns a spanning list
-        out = []
-        import itertools
-
-        space = set()
-        for coeffs in itertools.product(range(F2.q), repeat=len(basis_vecs)):
-            x = [0] * n
-            for co, bv in zip(coeffs, basis_vecs):
-                if co:
-                    for idx in range(n):
-                        x[idx] = F2.add[x[idx] * F2.q + F2.mul[co * F2.q + bv[idx]]]
-            tx = tuple(x)
-            if any(tx) and all(B(c, tx) == 0 for c in constraints):
-                space.add(tx)
-        return sorted(space)
+        # the nonzero vectors x with B(c, x) = 0 for all c in constraints,
+        # inside the space spanned by basis_vecs, sorted
+        span = [(0,) * n]
+        for bv in basis_vecs:
+            multiples = [tuple(F2.mul[co * F2.q + y] for y in bv) for co in range(1, F2.q)]
+            span += [tuple(F2.add[a * F2.q + b] for a, b in zip(x, m)) for x in span for m in multiples]
+        return sorted(x for x in set(span) if any(x) and all(B(c, x) == 0 for c in constraints))
 
     # work with explicit vector lists (desk scale)
-    import itertools
-
     ambient = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     pairs = []  # hyperbolic pairs (v, w) with B(v,v)=B(w,w)=0, B(v,w)=1
     middle = None
@@ -535,7 +524,7 @@ def _gu_split_torus(n: int, q: int) -> FqMatrix:
             rows[i][j] = A.data[i * k + j]
             rows[k + i][k + j] = B.data[i * k + j]
     g = FqMatrix.from_rows(F2, rows)
-    assert is_unitary(g, f) and g.order() == q**n - 1
+    assert is_unitary(g, f) and g.has_order(q**n - 1)
     return g
 
 
@@ -552,7 +541,7 @@ def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
         if not poly_is_irreducible_fq(F2, poly):
             continue
         C = companion_matrix(F2, poly)
-        if C.order() != order:
+        if not C.has_order(order):
             continue
         conj = F2.subfield_power_map(f)
         forms = _invariant_forms(C, conj, shape="hermitian")
@@ -561,7 +550,7 @@ def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
                 continue
             S = _hermitian_standardize(Gf, f)
             h = S.inverse() * C * S
-            if is_unitary(h, f) and h.order() == order:
+            if is_unitary(h, f) and h.has_order(order):
                 return h
     raise ExcludedCase(f"no GU_{n}({q}) torus element of order {order} found")
 
@@ -613,7 +602,7 @@ def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
                 rows[i][j] = A.data[i * n + j]
                 rows[n + i][n + j] = Ait.data[i * n + j]
         g = FqMatrix.from_rows(F, rows)
-        assert is_symplectic(g) and g.order() == q**n - 1
+        assert is_symplectic(g) and g.has_order(q**n - 1)
         return g
     target = q**n + 1
     for poly in _monic_polys(F, 2 * n):
@@ -622,14 +611,14 @@ def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
         if not poly_is_irreducible_fq(F, poly):
             continue
         C = companion_matrix(F, poly)
-        if C.order() != target:
+        if not C.has_order(target):
             continue
         for Gf in _invariant_forms(C, shape="antisymmetric"):
             if Gf.rank() != 2 * n:
                 continue
             S = _symplectic_standardize(Gf)
             h = S.inverse() * C * S
-            if is_symplectic(h) and h.order() == target:
+            if is_symplectic(h) and h.has_order(target):
                 return h
     raise ExcludedCase(f"no Sp_{2*n}({q}) torus element of order {target} found")
 

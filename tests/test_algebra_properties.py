@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermono.algebra.cyc import Cyc
-from hypermono.algebra.fq import FqMatrix, _defining_poly, field, nullspace
+from hypermono.algebra.fq import FqMatrix, _defining_poly, _poly_mul_mod, field, nullspace
 from hypermono.algebra.numth import euler_phi, is_prime_power
 
 PROPS = settings(
@@ -82,6 +82,21 @@ class TestFqLinearAlgebra:
             apply_rows(F, rows, v) == zero for v in itertools.product(range(F.q), repeat=ncols)
         )
         assert solutions == F.q ** len(basis)
+
+    @PROPS
+    @given(st.sampled_from((2, 4, 8, 9, 25, 27, 49, 64, 81, 128, 243, 729)), st.data())
+    def test_tables_are_polynomial_arithmetic(self, q, data):
+        """add and mul agree with digit-wise sums and products mod the
+        defining polynomial; gen is the least element of order q - 1 and
+        dlog inverts its powers."""
+        F = field(*is_prime_power(q))
+        a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+        da, db = F._digits(a), F._digits(b)
+        assert F.add[a * q + b] == F._encode([x + y for x, y in zip(da, db)])
+        assert F.mul[a * q + b] == F._encode(_poly_mul_mod(da, db, list(F.poly), F.p))
+        assert all(F.element_order(c) < q - 1 for c in range(1, F.gen)) and F.element_order(F.gen) == q - 1
+        k = data.draw(st.integers(0, q - 2))
+        assert F.dlog[F.pow(F.gen, k)] == k
 
     def test_every_prime_power_up_to_64_gives_a_field(self):
         for q in range(2, 65):

@@ -1,5 +1,10 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypermono import weilgl
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
@@ -59,6 +64,17 @@ class TestClosure:
         with pytest.raises(CapExceeded):
             closure([a, b], cap=10)
 
+    def test_cap_message_names_cap_and_size(self):
+        F3 = field(3)
+        a = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
+        b = FqMatrix.from_rows(F3, [[1, 1], [0, 1]])
+        with pytest.raises(CapExceeded) as exc:
+            closure([a, b], cap=10)
+        msg = str(exc.value)
+        assert msg.startswith("closure exceeded cap 10: ")
+        reached = int(re.search(r"(\d+) elements reached", msg).group(1))
+        assert 1 <= reached <= 10 and "of 2 generators kept" in msg
+
     def test_singular_generator_rejected(self):
         F3 = field(3)
         with pytest.raises(ValueError):
@@ -73,6 +89,111 @@ class TestClosure:
         b = CycMatrix.from_rows([[0, w, 1], [0, 0, 0], [5, 1, w]])
         for x, y in ((a, b), (b, a), (a, perm_matrix([2, 0, 1])), (a, a)):
             assert x.trace_product(y) == (x * y).trace()
+
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+def bfs_closure(gens, identity):
+    """Reference: breadth-first closure under right multiplication."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@st.composite
+def fq_generator_lists(draw):
+    """1-4 invertible matrices, each drawn as P * L * U (every one arises)."""
+    F = field(draw(st.sampled_from((2, 3))))
+    n = draw(st.sampled_from((3, 2, 1)))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        perm = draw(st.permutations(range(n)))
+        low = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+        up = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+        diag = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
+        P = FqMatrix(F, n, [int(perm[j] == i) for i, j in cells])
+        L = FqMatrix(F, n, [low[i * n + j] if i > j else int(i == j) for i, j in cells])
+        U = FqMatrix(F, n, [up[i * n + j] if i < j else (diag[i] if i == j else 0) for i, j in cells])
+        gens.append(P * L * U)
+    return gens, FqMatrix.identity(F, n)
+
+
+@st.composite
+def monomial_generator_lists(draw):
+    e = draw(st.sampled_from((3, 4)))
+    n = draw(st.sampled_from((3, 2, 1)))
+    zero, roots = Cyc.from_int(0), [zeta(e) ** k for k in range(e)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        perm = draw(st.permutations(range(n)))
+        exps = draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))
+        gens.append(CycMatrix(n, [roots[exps[j]] if perm[j] == i else zero for i in range(n) for j in range(n)]))
+    return gens, CycMatrix.identity(n)
+
+
+def check_closure(gens, identity):
+    G = closure(gens)
+    assert set(G.elements) == bfs_closure(gens, identity)
+    assert len(G.elements) == len(set(G.elements)) == G.order
+    assert G.elements[0] == identity
+    rest = iter(gens)
+    assert all(any(k == g for g in rest) for k in G.generators)  # a subsequence
+    for i, k in enumerate(G.generators):
+        assert k not in bfs_closure(G.generators[:i], identity)
+    assert closure(gens, cap=G.order).order == G.order
+    if G.order > 1:  # the identity alone is never checked against the cap
+        with pytest.raises(CapExceeded):
+            closure(gens, cap=G.order - 1)
+
+
+def count_fq_products(monkeypatch):
+    calls = [0]
+    mul = FqMatrix.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(FqMatrix, "__mul__", counted)
+    return calls
+
+
+class TestDimino:
+    """Coset enumeration: the same group as breadth-first closure, each
+    element formed once, and only irredundant generators kept."""
+
+    @PROPS
+    @given(fq_generator_lists())
+    def test_fq_matches_bfs(self, case):
+        check_closure(*case)
+
+    @PROPS
+    @given(monomial_generator_lists())
+    def test_monomial_matches_bfs(self, case):
+        check_closure(*case)
+
+    def test_gl33_forms_each_element_about_once(self, monkeypatch):
+        calls = count_fq_products(monkeypatch)
+        G = weilgl.general_linear_group.__wrapped__(3, 3)  # uncached: the closure runs here
+        assert G.order == 11232
+        assert calls[0] <= 2 * G.order  # breadth-first closure made 7 * |G|
+
+    def test_gu32_classes_search_kept_generators(self, monkeypatch):
+        G = weilgl.unitary_group.__wrapped__(3, 2)
+        assert len(G.generators) <= 6  # of 32 input generators
+        orders = sum(G.element_order(g) for g in G.generators)
+        calls = count_fq_products(monkeypatch)
+        assert len(G.conjugacy_classes()) == 24
+        # two products per element per generator, plus each generator's inverse
+        assert calls[0] <= 2 * len(G.generators) * G.order + 2 * orders
 
 
 class TestSpectrum:
