@@ -264,6 +264,10 @@ class FqMatrix:
         ident = FqMatrix.identity(self.F, self.n)
         return self**N == ident and all(self ** (N // r) != ident for r in prime_divisors(N))
 
+    def is_scalar(self) -> bool:
+        s = self.data[0]
+        return all(x == (s if k % (self.n + 1) == 0 else 0) for k, x in enumerate(self.data))
+
     def apply(self, v):
         F = self.F
         return _kernel.mat_vec(self.data, tuple(v), self.n, F.q, F.mul, F.add)
@@ -297,7 +301,7 @@ class FqMatrix:
                     continue
                 minor = [[rows[i][jj] for jj in range(k) if jj != j] for i in range(1, k)]
                 sub = det_poly(minor)
-                term = _polymul_fq(F, entry, sub)
+                term = poly_mul_fq(F, entry, sub)
                 if j % 2 == 1:
                     term = tuple(F.neg[c] for c in term)
                 out = term if out is None else _polyadd_fq(F, out, term)
@@ -332,7 +336,8 @@ def _polyadd_fq(F, a, b):
     return tuple(out)
 
 
-def _polymul_fq(F, a, b):
+def poly_mul_fq(F: FieldSpec, a, b) -> tuple[int, ...]:
+    """Product of two polynomials (low-to-high coeffs over F_q)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

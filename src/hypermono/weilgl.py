@@ -2,7 +2,8 @@
 
 Character values are computed from the closed kernel-dimension formulas, so
 spectra never require constructing the Weil representations themselves; the
-exhaustive oracles enumerate the groups at desk scale and compare the
+exhaustive oracles run over one representative per conjugacy class of
+GL_n(q), or over the elements of GU_n(q) at desk scale, and compare the
 simple-spectrum elements they find with the classified torus types.
 """
 
@@ -13,10 +14,19 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra.cyc import Cyc
-from .algebra.fq import FieldSpec, FqMatrix, companion_matrix, field, kernel_dim, nullspace, poly_is_irreducible_fq
+from .algebra.fq import (
+    FieldSpec,
+    FqMatrix,
+    companion_matrix,
+    field,
+    kernel_dim,
+    nullspace,
+    poly_is_irreducible_fq,
+    poly_mul_fq,
+)
 from .algebra.numth import is_prime_power
 from .algebra.unity import unity
-from .repkit import MatGroup, Spectrum, closure
+from .repkit import CapExceeded, MatGroup, Spectrum, _cap, closure
 
 LINEAR = "Linear"
 UNITARY = "Unitary"
@@ -102,6 +112,11 @@ def unitary_group(n: int, q: int) -> MatGroup:
     pq = is_prime_power(q)
     if pq is None:
         raise ValueError(f"{q} is not a prime power")
+    # the unipotent generators below number q^(n(n-1)) or so: refuse a group
+    # the closure would refuse anyway before listing them
+    order, cap = _gu_order(n, q), _cap(None)
+    if order > cap:
+        raise CapExceeded(f"GU_{n}({q}) has order {order}, above cap {cap}")
     p, f = pq
     F2 = field(p, 2 * f)
     gram = hermitian_gram(F2, n)
@@ -145,7 +160,7 @@ def unitary_group(n: int, q: int) -> MatGroup:
             if g.data != FqMatrix.identity(F2, n).data and is_unitary(g, f, gram):
                 gens.append(g)
     G = closure(gens)
-    assert G.order == _gu_order(n, q), f"GU_{n}({q}) closure has wrong order {G.order}"
+    assert G.order == order, f"GU_{n}({q}) closure has wrong order {G.order}"
     return G
 
 
@@ -178,6 +193,17 @@ def symplectic_group(n: int, q: int) -> MatGroup:
     G = closure(gens)
     assert G.order == _sp_order(n, q), f"Sp_{2*n}({q}) closure has wrong order {G.order}"
     return G
+
+
+def _block_diagonal(F: FieldSpec, blocks) -> FqMatrix:
+    n = sum(b.n for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.n):
+            rows[off + i][off : off + b.n] = b.data[i * b.n : (i + 1) * b.n]
+        off += b.n
+    return FqMatrix.from_rows(F, rows)
 
 
 def _symplectic_transvection(F: FieldSpec, gram: FqMatrix, v, lam: int) -> FqMatrix:
@@ -518,12 +544,7 @@ def _gu_split_torus(n: int, q: int) -> FqMatrix:
     conj = F2.subfield_power_map(f)
     Jk = FqMatrix.from_rows(F2, [[1 if i + j == k - 1 else 0 for j in range(k)] for i in range(k)])
     B = (Jk * A.inverse().transpose() * Jk).map_entries(conj)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][j] = A.data[i * k + j]
-            rows[k + i][k + j] = B.data[i * k + j]
-    g = FqMatrix.from_rows(F2, rows)
+    g = _block_diagonal(F2, [A, B])
     assert is_unitary(g, f) and g.has_order(q**n - 1)
     return g
 
@@ -559,21 +580,10 @@ def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
     """Block-diagonal unitary torus element; blocks = [(n_i, order_i)]."""
     p, f = is_prime_power(q)
     F2 = field(p, 2 * f)
-    n = sum(b for b, _ in blocks)
     mats = [gu_torus_element(b, q, o) if b > 1 else _gu1_element(q, o) for b, o in blocks]
     # assemble wrt the orthogonal sum of anti-diagonal forms, then standardize
-    data = [[0] * n for _ in range(n)]
-    G = [[0] * n for _ in range(n)]
-    off = 0
-    for (b, _), m in zip(blocks, mats):
-        for i in range(b):
-            for j in range(b):
-                data[off + i][off + j] = m.data[i * b + j]
-            G[off + i][off + b - 1 - i] = 1
-        off += b
-    big = FqMatrix.from_rows(F2, data)
-    Gm = FqMatrix.from_rows(F2, G)
-    S = _hermitian_standardize(Gm, f)
+    big = _block_diagonal(F2, mats)
+    S = _hermitian_standardize(_block_diagonal(F2, [hermitian_gram(F2, b) for b, _ in blocks]), f)
     h = S.inverse() * big * S
     assert is_unitary(h, f)
     return h
@@ -594,14 +604,7 @@ def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
     F = field(p, f)
     if eps == 1:
         A = gl_singer(n, q)
-        Ait = A.inverse().transpose()
-        dim = 2 * n
-        rows = [[0] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = A.data[i * n + j]
-                rows[n + i][n + j] = Ait.data[i * n + j]
-        g = FqMatrix.from_rows(F, rows)
+        g = _block_diagonal(F, [A, A.inverse().transpose()])
         assert is_symplectic(g) and g.has_order(q**n - 1)
         return g
     target = q**n + 1
@@ -737,6 +740,87 @@ def simple_cycle_types(n: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# conjugacy classes of GL_n(q)
+# ---------------------------------------------------------------------------
+
+
+def gl_class_count(n: int, q: int) -> int:
+    """k(GL_n(q)): the x^n coefficient of prod_{j >= 1} (1 - x^j)/(1 - q x^j)."""
+    series = [1] + [0] * n
+    for j in range(1, n + 1):
+        for d in range(j, n + 1):  # times 1/(1 - q x^j)
+            series[d] += q * series[d - j]
+        for d in range(n, j - 1, -1):  # times (1 - x^j)
+            series[d] -= series[d - j]
+    return series[n]
+
+
+def _centralizer_factor(lam: tuple[int, ...], Q: int) -> int:
+    """a_lam(Q) = Q^(sum lam'_i^2) prod_i prod_{k <= m_i} (1 - Q^-k), with m_i
+    the multiplicity of the part i, as an exact integer."""
+    conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+    exponent = sum(c * c for c in conj)
+    out = 1
+    for i in set(lam):
+        m = lam.count(i)
+        exponent -= m * (m + 1) // 2
+        for k in range(1, m + 1):
+            out *= Q**k - 1
+    return out * Q**exponent
+
+
+def gl_classes(n: int, q: int) -> list[tuple[FqMatrix, int]]:
+    """One representative of each conjugacy class of GL_n(q), with the order
+    of its centraliser.
+
+    A class is a map f -> lam_f from the monic irreducibles f != x over F_q
+    to partitions, with sum deg(f) |lam_f| = n (the primary rational
+    canonical form).  Its representative is the block diagonal of
+    companion_matrix(f^k), one block for each part k of each lam_f, and
+    |C(g)| = prod_f a_{lam_f}(q^deg f) (Macdonald, Symmetric Functions and
+    Hall Polynomials, 2nd ed., IV.2; Green, Trans. AMS 80, 1955).  The count
+    is checked against gl_class_count and the sizes against the class
+    equation.
+    """
+    from .gates import partitions
+
+    pq = is_prime_power(q)
+    if pq is None:
+        raise ValueError(f"{q} is not a prime power")
+    F = field(*pq)
+    irreducibles = [f for d in range(1, n + 1) for f in _monic_polys(F, d) if f[0] and poly_is_irreducible_fq(F, f)]
+
+    def types(start: int, rest: int):
+        # the maps on irreducibles[start:] of total degree rest, as (f, lam) lists
+        if rest == 0:
+            yield []
+            return
+        for j in range(start, len(irreducibles)):
+            f = irreducibles[j]
+            d = len(f) - 1
+            if d > rest:
+                return
+            for size in range(1, rest // d + 1):
+                for lam in partitions(size):
+                    for tail in types(j + 1, rest - d * size):
+                        yield [(f, lam)] + tail
+
+    out = []
+    for cls in types(0, n):
+        blocks, cent = [], 1
+        for f, lam in cls:
+            cent *= _centralizer_factor(lam, q ** (len(f) - 1))
+            power = (1,)
+            for k in range(1, lam[0] + 1):
+                power = poly_mul_fq(F, power, f)
+                blocks.extend(companion_matrix(F, power) for _ in range(lam.count(k)))
+        out.append((_block_diagonal(F, blocks), cent))
+    assert len(out) == gl_class_count(n, q), f"GL_{n}({q}): {len(out)} classes enumerated"
+    assert sum(Fraction(1, c) for _, c in out) == 1, f"GL_{n}({q}): class sizes do not sum to the order"
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exhaustive oracles
 # ---------------------------------------------------------------------------
 
@@ -778,11 +862,18 @@ def the_group(family: str, n: int, q: int) -> MatGroup:
 
 
 def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP) -> OracleReport:
-    """Enumerate the group; find every simple-spectrum element on each Weil
-    module; compare the realized torus data against the classified list.
+    """Find every simple-spectrum element of the group on each Weil module;
+    compare the realized torus data against the classified list.
 
-    Above the element-scan cap a fixed-seed sample of elements is used and
-    the report is labeled "sampled" (one-directional comparison only).
+    Every count is a class function summed over the group, so the scan runs
+    over weighted elements (g, weight).  Linear is exact per conjugacy class
+    at any size: one representative of each class of GL_n(q) (gl_classes),
+    weighted by the class size |G|/|C(g)|, with no closure.  Only its total
+    power-walk length, at most k(GL_n(q)) (q^n - 1), is held to the
+    HYPERMONO_CAP cap.  Unitary scans the elements of the closure of GU_n(q),
+    each of weight 1; ``cap`` and sampling apply to that element scan only:
+    above ``cap`` a fixed-seed sample of elements is used and the report is
+    labeled "sampled" (one-directional comparison only).
 
     Weil values depend only on the kernel profile, so |chi_i|^2 is evaluated
     once per distinct profile.  Order, central order and the Parseval sums
@@ -791,16 +882,27 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
     """
     import random
 
-    group = the_group(family, n, q)
     mode = "elements"
-    scan = group.elements
-    if group.order > cap:
-        mode = "sampled"
-        rng = random.Random(20260809)
-        scan = [group.elements[rng.randrange(group.order)] for _ in range(min(cap // 10, 20000))]
-    scalars = group_scalars(group)
-    profile_of = gl_kernel_profile if family == LINEAR else gu_kernel_profile
-    one = group.identity
+    if family == LINEAR:
+        order, classes, walk_cap = _gl_order(n, q), gl_class_count(n, q), _cap(None)
+        if classes * (q**n - 1) > walk_cap:
+            raise CapExceeded(
+                f"GL_{n}({q}) has {classes} conjugacy classes: "
+                f"{classes} x {q**n - 1} power-walk steps exceed cap {walk_cap}"
+            )
+        scan = [(g, order // c) for g, c in gl_classes(n, q)]
+        one = FqMatrix.identity(scan[0][0].F, n)
+        profile_of = gl_kernel_profile
+    else:
+        group = unitary_group(n, q)
+        order, elements = group.order, group.elements
+        if order > cap:
+            mode = "sampled"
+            rng = random.Random(20260809)
+            elements = [elements[rng.randrange(order)] for _ in range(min(cap // 10, 20000))]
+        scan = [(g, 1) for g in elements]
+        one = group.identity
+        profile_of = gu_kernel_profile
     profiles: dict[FqMatrix, tuple[int, ...]] = {one: profile_of(one, q)}
     identity_values = _weil_values_all(family, n, q, profiles[one])
     n_modules = len(identity_values)
@@ -815,7 +917,7 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
             chain.append(x)
             x = x * g
         order = len(chain)
-        cent = next(k for k in range(1, order + 1) if chain[k % order] in scalars)
+        cent = next(k for k in range(1, order + 1) if chain[k % order].is_scalar())
         counts: dict[tuple[int, ...], int] = {}
         for y in chain:
             prof = profiles.get(y)
@@ -845,14 +947,14 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
     ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
     ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
     pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
-    for g in scan:
-        order, cent, simple = verdicts.get(g) or decide(g)
-        if order % p != 0:
-            pprime_counts[cent] = pprime_counts.get(cent, 0) + 1
-        target = ss_central if order % p != 0 else ss_central_p
+    for g, weight in scan:
+        g_order, cent, simple = verdicts.get(g) or decide(g)
+        if g_order % p != 0:
+            pprime_counts[cent] = pprime_counts.get(cent, 0) + weight
+        target = ss_central if g_order % p != 0 else ss_central_p
         for i in range(n_modules):
             if simple[i]:
-                target[i][cent] = target[i].get(cent, 0) + 1
+                target[i][cent] = target[i].get(cent, 0) + weight
 
     # merge modules of equal degree
     def merge(per_module):
@@ -866,7 +968,7 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
     by_dim = merge(ss_central)
     by_dim_p = merge(ss_central_p)
     details = {
-        "order": group.order,
+        "order": order,
         "degrees": degrees,
         "ss_by_dim": {str(d): {str(c): cnt for c, cnt in sorted(v.items())} for d, v in sorted(by_dim.items())},
         "ss_by_dim_non_p_prime": {

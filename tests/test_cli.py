@@ -122,6 +122,7 @@ class TestExitCodes:
             ["construct", "special", "F_N", "3", "--N", "-2"],
             ["m4", "monomial_q3.json", "--cap", "0"],
             ["m4", "monomial_q3.json", "--cap", "-3"],
+            ["ss", "symplectic", "2", "7", "--exhaustive"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )
@@ -147,6 +148,34 @@ class TestExitCodes:
     def test_cap_variable_is_honoured(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMONO_CAP", "10")
         assert main(["m4", str(DATA / "monomial_q3.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "argv,cap,named",
+        [
+            (["ss", "linear", "4", "3", "--exhaustive"], "1000", "78 conjugacy classes"),
+            (["ss", "linear", "6", "5", "--exhaustive"], None, "conjugacy classes"),
+            (["ss", "unitary", "4", "3", "--exhaustive"], None, "order 52254720"),
+        ],
+        ids=["linear_small_cap", "linear_default_cap", "unitary_default_cap"],
+    )
+    def test_oracle_cap_is_3_before_any_work(self, capsys, monkeypatch, argv, cap, named):
+        if cap is None:
+            monkeypatch.delenv("HYPERMONO_CAP", raising=False)
+        else:
+            monkeypatch.setenv("HYPERMONO_CAP", cap)
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and named in out.err
+
+
+def test_linear_oracle_past_the_closure():
+    """GL_4(3) (order 24,261,120) is checked per conjugacy class, with no closure."""
+    code, out = run_cli(["ss", "linear", "4", "3", "--exhaustive"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mode"] == "elements" and result["agree"] is True
+    assert result["details"]["order"] == 24261120
 
 
 class TestM4Input:

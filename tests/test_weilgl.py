@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
+from hypermono import repkit
 from hypermono.repkit import CycMatrix, spectrum as mat_spectrum
 from hypermono import weilgl
 from hypermono.weilgl import (
@@ -13,6 +16,8 @@ from hypermono.weilgl import (
     WeilCharSpec,
     deleted_perm_spectrum,
     general_linear_group,
+    gl_class_count,
+    gl_classes,
     gl_kernel_profile,
     gl_singer,
     gu_block_torus,
@@ -353,8 +358,10 @@ class TestExhaustiveOracle:
             ("Unitary", 3, 2, weilgl.ELEMENT_SCAN_CAP),
             ("Linear", 2, 5, weilgl.ELEMENT_SCAN_CAP),  # excluded, details still compared
             ("Unitary", 3, 2, 600),  # sampled: 60 draws, with repeats
+            ("Linear", 4, 2, weilgl.ELEMENT_SCAN_CAP),
+            ("Linear", 3, 3, weilgl.ELEMENT_SCAN_CAP),
         ],
-        ids=["gl_3_2", "gu_2_3", "gu_3_2", "gl_2_5", "gu_3_2_sampled"],
+        ids=["gl_3_2", "gu_2_3", "gu_3_2", "gl_2_5", "gu_3_2_sampled", "gl_4_2", "gl_3_3"],
     )
     def test_matches_per_element_reference(self, family, n, q, cap):
         got = ss_exhaustive_check(family, n, q, cap).to_json()
@@ -383,3 +390,107 @@ class TestExhaustiveOracle:
         assert n_modules == 3 and len(profiles) * n_modules < group.order
         assert calls["weil"] <= len(profiles) * n_modules
         assert calls["profile"] <= group.order
+
+    def test_linear_needs_no_closure(self, monkeypatch):
+        """The Linear oracle runs per conjugacy class: it never builds GL_n(q)."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure called")
+
+        monkeypatch.setattr(weilgl, "general_linear_group", refuse)
+        monkeypatch.setattr(weilgl, "closure", refuse)
+        monkeypatch.setattr(repkit, "closure", refuse)
+        rep = ss_exhaustive_check("Linear", 3, 3)
+        assert rep.mode == "elements" and rep.agree is True and rep.details["order"] == 11232
+
+    @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2)], ids=["gl_4_3", "gl_3_5", "gl_5_2"])
+    def test_full_verdict_past_the_closure(self, n, q):
+        """Full verdicts for groups of order 24,261,120, 1,488,000 and
+        9,999,360 (78, 120 and 27 classes), beyond the default closure cap or
+        the element-scan cap.  One run each on a 2-vCPU host took 0.10 s,
+        0.29 s and 0.015 s."""
+        rep = ss_exhaustive_check("Linear", n, q)
+        assert rep.mode == "elements" and rep.agree is True, rep.counterexamples
+        singer = (q**n - 1) // (q - 1)
+        top = max(rep.details["degrees"])
+        per_dim = rep.details["per_dim"][str(top)]
+        assert per_dim["realized"] == [singer] == per_dim["allowed"]
+        n_top = rep.details["degrees"].count(top)
+        pprime = rep.details["p_prime_counts_by_obar"][str(singer)]
+        assert rep.details["ss_by_dim"][str(top)][str(singer)] == n_top * pprime
+
+
+class TestClassData:
+    """GL_n(q) classes from the primary rational canonical form."""
+
+    CASES = [(3, 2), (2, 5), (3, 3), (4, 2), (2, 4), (4, 3), (5, 2), (3, 5)]
+
+    @pytest.mark.parametrize("n,q", CASES)
+    def test_class_equation(self, n, q):
+        order = weilgl._gl_order(n, q)
+        classes = gl_classes(n, q)
+        assert all(order % c == 0 for _, c in classes)
+        assert sum(order // c for _, c in classes) == order
+        assert len(classes) == gl_class_count(n, q)
+
+    def test_class_counts(self):
+        counts = {(3, 3): 24, (4, 3): 78, (5, 2): 27, (3, 5): 120}
+        counts.update({(2, q): q * q - 1 for q in (2, 3, 4, 5, 7, 8, 9)})
+        for (n, q), k in counts.items():
+            assert gl_class_count(n, q) == k, (n, q)
+        for (n, q) in [(3, 3), (5, 2), (2, 9)]:
+            assert len(gl_classes(n, q)) == counts[(n, q)]
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (2, 5), (3, 3)])
+    def test_class_sizes_match_the_closure(self, n, q):
+        order = weilgl._gl_order(n, q)
+        got = Counter(order // c for _, c in gl_classes(n, q))
+        want = Counter(len(cls) for cls in general_linear_group(n, q).conjugacy_classes())
+        assert got == want
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (2, 5), (3, 3), (4, 2), (2, 4)])
+    def test_characteristic_polynomials(self, n, q):
+        """Each representative's char_poly is prod_f f^|lam_f|: a polynomial
+        chi = prod_f f^(e_f) with chi(0) != 0 is the char_poly of exactly
+        prod_f p(e_f) representatives, p the partition count, and of none
+        when chi(0) = 0."""
+        from hypermono.gates import partitions
+
+        F = field(*weilgl.is_prime_power(q))
+        got = Counter(g.char_poly() for g, _ in gl_classes(n, q))
+        assert len(got) == (q - 1) * q ** (n - 1)  # every monic chi of degree n with chi(0) != 0
+        for chi, count in got.items():
+            want = 1
+            for e in _factor_exponents(F, chi):
+                want *= len(list(partitions(e)))
+            assert count == want, chi
+
+
+def _factor_exponents(F, poly):
+    """The exponents e_f of the monic irreducible factors f of a monic poly
+    over F_q, by trial division by monic polynomials of increasing degree."""
+    poly, exps = list(poly), []
+    for d in range(1, len(poly)):
+        for f in weilgl._monic_polys(F, d):
+            e = 0
+            while len(poly) > d:
+                quotient, rem = _divmod(F, poly, f)
+                if any(rem):
+                    break
+                poly, e = quotient, e + 1
+            if e:
+                exps.append(e)
+    assert poly == [1]
+    return exps
+
+
+def _divmod(F, a, b):
+    """(quotient, remainder) of a by the monic b, low-to-high coeffs."""
+    a, db = list(a), len(b) - 1
+    quotient = [0] * (len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        lead = a[shift + db]
+        quotient[shift] = lead
+        for i, c in enumerate(b):
+            a[shift + i] = F.sub(a[shift + i], F.mul[lead * F.q + c])
+    return quotient, a[:db]
