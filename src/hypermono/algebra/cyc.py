@@ -79,23 +79,8 @@ class _Ctx:
                     nxt[i] -= top * poly[i]
             cur = nxt[:phi]
         self.power = power
-        # reduction rows for x^j, j in [phi, 2*phi-2]
-        red: list[tuple[int, ...]] = []
-        cur = list(power[phi % m]) if phi < m else None
-        if phi < m:
-            j = phi
-            while j <= 2 * phi - 2:
-                red.append(tuple(cur))
-                nxt = [0] * (phi + 1)
-                for i, c in enumerate(cur):
-                    nxt[i + 1] = c
-                top = nxt[phi]
-                if top:
-                    for i in range(phi):
-                        nxt[i] -= top * poly[i]
-                cur = nxt[:phi]
-                j += 1
-        self.red = red
+        # reduction rows for x^j, j in [phi, 2*phi-2]: x^m = 1 mod Phi_m
+        self.red = [power[j % m] for j in range(phi, 2 * phi - 1)]
         # conj rows: zeta^k -> zeta^(m-k) for basis k
         self.conj_rows = [power[(m - k) % m] for k in range(phi)]
 

@@ -282,10 +282,7 @@ class FqMatrix:
     def char_poly(self) -> tuple[int, ...]:
         """Characteristic polynomial coefficients (low to high, monic) over F_q."""
         F, n, q = self.F, self.n, self.F.q
-        # Hessenberg-free direct expansion via exact Gaussian elimination on
-        # x*I - A over F_q[x] is overkill at desk scale; use Leverrier-type
-        # recursion only in char 0, so here: brute interpolation-free minor
-        # expansion for small n.
+        # cofactor expansion of x*I - A over F_q[x], kept to n <= 6
         if n > 6:
             raise NotImplementedError("char_poly implemented for n <= 6")
 

@@ -723,13 +723,8 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
     for bits in range(2 ** (dim * dim)):
         data = tuple((bits >> k) & 1 for k in range(dim * dim))
         g = FqMatrix(F2, dim, data)
-        if g.rank() != dim or not model.preserves_structure(g):
-            continue
-        try:
-            if g.order(cap=64) == order:
-                return g
-        except RuntimeError:
-            continue
+        if g.rank() == dim and model.preserves_structure(g) and g.has_order(order):
+            return g
     raise ModelError(f"no structure-preserving element of order {order}")
 
 

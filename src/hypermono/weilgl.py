@@ -4,11 +4,15 @@ Character values are computed from the closed kernel-dimension formulas, so
 spectra never require constructing the Weil representations themselves; the
 exhaustive oracles run over one representative per conjugacy class of
 GL_n(q), or over the elements of GU_n(q) at desk scale, and compare the
-simple-spectrum elements they find with the classified torus types.
+simple-spectrum elements they find with the classified torus types.  The
+torus generators of GU_n(q) and Sp_2n(q) are irreducible companion matrices
+carried to the standard form by a Witt basis of an invariant form, built by
+linear algebra alone (no vector of F^n is listed).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -124,8 +128,6 @@ def unitary_group(n: int, q: int) -> MatGroup:
     gens: list[FqMatrix] = []
     # monomial unitary matrices: flip-compatible permutation pi with
     # diagonal d_j, d_j * d_(n-1-j)^q = 1 and middle entry of norm 1
-    import itertools
-
     conj = F2.subfield_power_map(f)
     half = [j for j in range(n) if j < n - 1 - j]
     norm_one = [x for x in range(1, q2) if F2.mul[x * F2.q + conj[x]] == 1]
@@ -358,180 +360,122 @@ def group_scalars(group: MatGroup) -> set[FqMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _monic_polys(F: FieldSpec, deg: int):
-    import itertools
+def _irreducibles(F: FieldSpec, d: int):
+    """The monic irreducibles of degree d over F other than x, as low-to-high
+    coefficient lists, the constant term varying slowest."""
+    for coeffs in itertools.product(range(F.q), repeat=d):
+        poly = list(coeffs) + [1]
+        if poly[0] and poly_is_irreducible_fq(F, poly):
+            yield poly
 
-    for coeffs in itertools.product(range(F.q), repeat=deg):
-        yield list(coeffs) + [1]
+
+def _companions(F: FieldSpec, d: int, order: int):
+    """The companion matrices of order ``order`` of the irreducibles of degree d."""
+    for poly in _irreducibles(F, d):
+        C = companion_matrix(F, poly)
+        if C.has_order(order):
+            yield C
 
 
 def gl_singer(n: int, q: int) -> FqMatrix:
     """Companion matrix of order q^n - 1 acting irreducibly (Singer cycle)."""
-    F = field(*is_prime_power(q))
-    target = q**n - 1
-    for poly in _monic_polys(F, n):
-        if poly[0] == 0:
-            continue
-        if poly_is_irreducible_fq(F, poly):
-            C = companion_matrix(F, poly)
-            if C.has_order(target):
-                return C
-    raise RuntimeError("no Singer companion found (unreachable)")
+    return next(_companions(field(*is_prime_power(q)), n, q**n - 1))
 
 
-def _invariant_forms(g: FqMatrix, conj_table=None, shape: str | None = None) -> list[FqMatrix]:
-    """Basis of the space of Gram matrices G with g^T G sigma(g) = G.
+def _invariant_forms(g: FqMatrix, conj=None) -> list[FqMatrix]:
+    """Basis of the space of Gram matrices G with g^T G conj(g) = G.
 
-    sigma is entrywise conj_table when given (Hermitian case) else identity
-    (bilinear case).  shape 'hermitian' adds G^T = conj(G), 'antisymmetric'
-    adds G^T = -G with zero diagonal.  Solved F_p-linearly in the entries.
+    With conj (a field automorphism as a table) G is also Hermitian,
+    G^T = conj(G); without, conj is the identity and G is alternating,
+    G^T = -G with zero diagonal.  Solved F_p-linearly in the entries.
     """
     F, n = g.F, g.n
     p, f = F.p, F.f
-    sg = g.map_entries(conj_table) if conj_table is not None else g
-    # entries of G: n*n field elements = n*n*f F_p coordinates
-    def field_to_coords(x):
-        out = []
-        for _ in range(f):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def coords_to_field(cs):
-        x = 0
-        for c in reversed(cs):
-            x = x * p + c % p
-        return x
-
-    dimc = n * n * f
+    gt, sg = g.transpose(), g.map_entries(conj) if conj is not None else g
+    dimc = n * n * f  # entries of G: n*n field elements = n*n*f F_p coordinates
     cols = []
     # image of each basis Gram matrix under all constraints, stacked
     for basis_idx in range(dimc):
         entry_idx, coord = divmod(basis_idx, f)
-        val = p**coord
         data = [0] * (n * n)
-        data[entry_idx] = val
+        data[entry_idx] = p**coord
         G = FqMatrix(F, n, data)
-        R = g.transpose() * G * sg
-        img = []
-        for e_idx in range(n * n):
-            img.extend(field_to_coords(F.sub(R.data[e_idx], G.data[e_idx])))
-        if shape == "hermitian":
-            H = G.transpose()
-            Gc = G.map_entries(conj_table)
-            for e_idx in range(n * n):
-                img.extend(field_to_coords(F.sub(H.data[e_idx], Gc.data[e_idx])))
-        elif shape == "antisymmetric":
-            H = G.transpose()
-            for e_idx in range(n * n):
-                img.extend(field_to_coords(F.add[H.data[e_idx] * F.q + G.data[e_idx]]))
-            for i in range(n):
-                img.extend(field_to_coords(G.data[i * n + i]))
-        cols.append(img)
-    nrows = len(cols[0])
-    mat = [[cols[j][i] for j in range(dimc)] for i in range(nrows)]
-    out = []
-    for v in nullspace(field(p), mat, dimc):
-        data = []
-        for e_idx in range(n * n):
-            data.append(coords_to_field(v[e_idx * f : (e_idx + 1) * f]))
-        out.append(FqMatrix(F, n, data))
-    return out
-
-
-def _hermitian_standardize(G: FqMatrix, f: int) -> FqMatrix:
-    """S with S^T G conj(S) = anti-diagonal (all ones), by basis construction."""
-    F2 = G.F
-    n = G.n
-    conj = F2.subfield_power_map(f)
-    q = F2.p**f
-
-    def B(u, v):
-        Gv = G.apply(tuple(conj[x] for x in v))
-        acc = 0
-        for a, b in zip(u, Gv):
-            acc = F2.add[acc * F2.q + F2.mul[a * F2.q + b]]
-        return acc
-
-    def solve_complement(basis_vecs, constraints):
-        # the nonzero vectors x with B(c, x) = 0 for all c in constraints,
-        # inside the space spanned by basis_vecs, sorted
-        span = [(0,) * n]
-        for bv in basis_vecs:
-            multiples = [tuple(F2.mul[co * F2.q + y] for y in bv) for co in range(1, F2.q)]
-            span += [tuple(F2.add[a * F2.q + b] for a, b in zip(x, m)) for x in span for m in multiples]
-        return sorted(x for x in set(span) if any(x) and all(B(c, x) == 0 for c in constraints))
-
-    # work with explicit vector lists (desk scale)
-    ambient = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    pairs = []  # hyperbolic pairs (v, w) with B(v,v)=B(w,w)=0, B(v,w)=1
-    middle = None
-    current = ambient
-    remaining = n
-    while remaining > 0:
-        vectors = solve_complement(current, [u for p_ in pairs for u in p_] + ([middle] if middle else []))
-        if remaining == 1:
-            v = next(x for x in vectors if B(x, x) != 0)
-            c = B(v, v)  # lies in F_q
-            alpha = next(a for a in range(1, F2.q) if F2.mul[a * F2.q + conj[a]] == F2.inv[c])
-            middle = tuple(F2.mul[alpha * F2.q + x] for x in v)
-            remaining -= 1
-            continue
-        iso = next((x for x in vectors if B(x, x) == 0), None)
-        if iso is None:
-            raise RuntimeError("no isotropic vector found")
-        w0 = next(x for x in vectors if B(iso, x) != 0)
-        c = B(iso, w0)
-        w0 = tuple(F2.mul[F2.inv[c] * F2.q + x] for x in w0)  # B(iso, w0) = 1
-        d = B(w0, w0)
-        if d != 0:
-            t = next(t0 for t0 in range(F2.q) if F2.add[t0 * F2.q + conj[t0]] == d)
-            # w = w0 - conj(t) * iso makes B(w, w) = 0 while keeping B(iso, w) = 1
-            w = tuple(F2.sub(a, F2.mul[conj[t] * F2.q + b]) for a, b in zip(w0, iso))
+        H = G.transpose()
+        img = [F.sub(r, x) for r, x in zip((gt * G * sg).data, data)]
+        if conj is not None:
+            img += [F.sub(h, conj[x]) for h, x in zip(H.data, data)]
         else:
-            w = w0
-        assert B(iso, w) == 1 and B(w, w) == 0 and B(iso, iso) == 0
-        pairs.append((iso, w))
-        remaining -= 2
-    # assemble columns: v_1 .. v_k, middle?, w_k .. w_1 -> anti-diagonal ones
-    cols = [v for v, _ in pairs]
-    if middle is not None:
-        cols.append(middle)
-    cols.extend(w for _, w in reversed(pairs))
-    S = FqMatrix(F2, n, tuple(cols[j][i_] for i_ in range(n) for j in range(n)))
-    return S
+            img += [F.add[h * F.q + x] for h, x in zip(H.data, data)] + data[:: n + 1]
+        cols.append([c for x in img for c in F._digits(x)])
+    mat = [list(row) for row in zip(*cols)]
+    return [
+        FqMatrix(F, n, [F._encode(v[e * f : (e + 1) * f]) for e in range(n * n)])
+        for v in nullspace(field(p), mat, dimc)
+    ]
 
 
-def _symplectic_standardize(G: FqMatrix) -> FqMatrix:
-    """S with S^T G S the standard symplectic Gram matrix."""
-    F = G.F
-    n = G.n
+def _standardize(G: FqMatrix, conj=None) -> FqMatrix:
+    """S with S^T G conj(S) the standard Gram matrix, from a Witt basis.
 
-    def B(u, v):
-        Gv = G.apply(v)
+    With conj (the q-power table of F_(q^2)) G is a nondegenerate Hermitian
+    Gram matrix and the standard one is hermitian_gram; without, G is
+    alternating and it is symplectic_gram.  Each step takes an isotropic u
+    and a partner w with B(u, w) = 1 and B(w, w) = 0 from the current
+    subspace W, then passes to the orthogonal complement of u and w in W,
+    the nullspace of the linear constraints B(., u) = B(., w) = 0 (Taylor,
+    The Geometry of the Classical Groups, ch. 7 and 10).  An odd Hermitian
+    dimension leaves one vector, scaled to norm 1, for the middle column.
+    """
+    F, n = G.F, G.n
+    q, add, mul = F.q, F.add, F.mul
+    bar = conj if conj is not None else range(q)
+
+    def B(u, v):  # u^T G conj(v)
         acc = 0
-        for a, b in zip(u, Gv):
-            acc = F.add[acc * F.q + F.mul[a * F.q + b]]
+        for a, b in zip(u, G.apply([bar[x] for x in v])):
+            acc = add[acc * q + mul[a * q + b]]
         return acc
 
-    import itertools
+    def combine(coeffs, vecs):  # sum_i coeffs[i] * vecs[i]
+        out = [0] * n
+        for c, v in zip(coeffs, vecs):
+            out = [add[x * q + mul[c * q + y]] for x, y in zip(out, v)]
+        return out
 
-    all_vecs = [v for v in itertools.product(range(F.q), repeat=n) if any(v)]
-    pairs = []
-    used = []
+    W = [[int(i == j) for i in range(n)] for j in range(n)]
+    us, ws = [], []
+    while len(W) > 1:
+        u = W[0]
+        if B(u, u):  # Hermitian only: span{W[0], W[1]} holds an isotropic a W[0] + W[1]
+            u = next(x for x in (combine((a, 1), W) for a in range(q)) if B(x, x) == 0)
+        w = next(x for x in W if B(u, x))
+        u = combine((F.inv[B(u, w)],), (u,))  # B(u, w) = 1
+        d = B(w, w)  # Hermitian only; B(w + s u, w + s u) = d + s + conj(s)
+        if d:
+            s = next(s for s in range(q) if add[s * q + bar[s]] == F.neg[d])
+            w = combine((1, s), (w, u))
+        us.append(u)
+        ws.append(w)
+        W = [combine(c, W) for c in nullspace(F, [[B(x, u) for x in W], [B(x, w) for x in W]], len(W))]
+    if W:  # the middle vector m: scale by a with a conj(a) B(m, m) = 1
+        c = F.inv[B(W[0], W[0])]
+        W = [combine((next(a for a in range(q) if mul[a * q + bar[a]] == c),), W)]
+    cols = us + W + (ws[::-1] if conj is not None else ws)
+    return FqMatrix(F, n, [cols[j][i] for i in range(n) for j in range(n)])
 
-    def orthogonal(x):
-        return all(B(u, x) == 0 and B(x, u) == 0 for u in used)
 
-    while 2 * len(pairs) < n:
-        e = next(v for v in all_vecs if orthogonal(v))
-        fv = next(v for v in all_vecs if orthogonal(v) and B(e, v) != 0)
-        c = B(e, fv)
-        fv = tuple(F.mul[F.inv[c] * F.q + x] for x in fv)
-        pairs.append((e, fv))
-        used.extend([e, fv])
-    cols = [e for e, _ in pairs] + [fv for _, fv in pairs]
-    return FqMatrix(F, n, tuple(cols[j][i_] for i_ in range(n) for j in range(n)))
+def _form_torus(F: FieldSpec, deg: int, order: int, conj=None) -> FqMatrix:
+    """An element of order ``order`` of GU_deg (with conj, the q-power table)
+    or of Sp_deg (without) for the standard form: the first irreducible
+    companion of that order with a nondegenerate invariant form, carried to
+    the standard form by _standardize."""
+    for C in _companions(F, deg, order):
+        for G in _invariant_forms(C, conj):
+            if G.rank() == deg:
+                S = _standardize(G, conj)
+                return S.inverse() * C * S
+    group = f"GU_{deg}({F.p ** (F.f // 2)})" if conj is not None else f"Sp_{deg}({F.q})"
+    raise ExcludedCase(f"no {group} torus element of order {order} found")
 
 
 def _gu_split_torus(n: int, q: int) -> FqMatrix:
@@ -551,29 +495,14 @@ def _gu_split_torus(n: int, q: int) -> FqMatrix:
 
 def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
     """An element of GU_n(q) (anti-diagonal form) of the given order, built
-    from an irreducible companion block and an exact change of basis."""
+    from an irreducible companion block and a Witt-basis change of basis."""
     p, f = is_prime_power(q)
-    F2 = field(p, 2 * f)
     if n % 2 == 0 and order == q**n - 1:
         return _gu_split_torus(n, q)
-    for poly in _monic_polys(F2, n):
-        if poly[0] == 0:
-            continue
-        if not poly_is_irreducible_fq(F2, poly):
-            continue
-        C = companion_matrix(F2, poly)
-        if not C.has_order(order):
-            continue
-        conj = F2.subfield_power_map(f)
-        forms = _invariant_forms(C, conj, shape="hermitian")
-        for Gf in forms:
-            if Gf.rank() != n:
-                continue
-            S = _hermitian_standardize(Gf, f)
-            h = S.inverse() * C * S
-            if is_unitary(h, f) and h.has_order(order):
-                return h
-    raise ExcludedCase(f"no GU_{n}({q}) torus element of order {order} found")
+    F2 = field(p, 2 * f)
+    h = _form_torus(F2, n, order, F2.subfield_power_map(f))
+    assert is_unitary(h, f) and h.has_order(order)
+    return h
 
 
 def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
@@ -583,7 +512,8 @@ def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
     mats = [gu_torus_element(b, q, o) if b > 1 else _gu1_element(q, o) for b, o in blocks]
     # assemble wrt the orthogonal sum of anti-diagonal forms, then standardize
     big = _block_diagonal(F2, mats)
-    S = _hermitian_standardize(_block_diagonal(F2, [hermitian_gram(F2, b) for b, _ in blocks]), f)
+    gram = _block_diagonal(F2, [hermitian_gram(F2, b) for b, _ in blocks])
+    S = _standardize(gram, F2.subfield_power_map(f))
     h = S.inverse() * big * S
     assert is_unitary(h, f)
     return h
@@ -607,23 +537,9 @@ def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
         g = _block_diagonal(F, [A, A.inverse().transpose()])
         assert is_symplectic(g) and g.has_order(q**n - 1)
         return g
-    target = q**n + 1
-    for poly in _monic_polys(F, 2 * n):
-        if poly[0] == 0:
-            continue
-        if not poly_is_irreducible_fq(F, poly):
-            continue
-        C = companion_matrix(F, poly)
-        if not C.has_order(target):
-            continue
-        for Gf in _invariant_forms(C, shape="antisymmetric"):
-            if Gf.rank() != 2 * n:
-                continue
-            S = _symplectic_standardize(Gf)
-            h = S.inverse() * C * S
-            if is_symplectic(h) and h.has_order(target):
-                return h
-    raise ExcludedCase(f"no Sp_{2*n}({q}) torus element of order {target} found")
+    h = _form_torus(F, 2 * n, q**n + 1)
+    assert is_symplectic(h) and h.has_order(q**n + 1)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +704,7 @@ def gl_classes(n: int, q: int) -> list[tuple[FqMatrix, int]]:
     if pq is None:
         raise ValueError(f"{q} is not a prime power")
     F = field(*pq)
-    irreducibles = [f for d in range(1, n + 1) for f in _monic_polys(F, d) if f[0] and poly_is_irreducible_fq(F, f)]
+    irreducibles = [f for d in range(1, n + 1) for f in _irreducibles(F, d)]
 
     def types(start: int, rest: int):
         # the maps on irreducibles[start:] of total degree rest, as (f, lam) lists

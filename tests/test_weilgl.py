@@ -4,6 +4,8 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, field
@@ -24,12 +26,14 @@ from hypermono.weilgl import (
     gu_kernel_profile,
     gu_torus_element,
     group_scalars,
+    hermitian_gram,
     is_symplectic,
     is_unitary,
     simple_cycle_types,
     sp_torus_element,
     ss_enumerate,
     ss_exhaustive_check,
+    symplectic_gram,
     symplectic_group,
     tau_value,
     the_group,
@@ -185,6 +189,63 @@ class TestTori:
         h = gu_block_torus(3, [(2, 8), (1, 4)])
         assert weil_spectrum(WeilCharSpec("Unitary", 3, 3, 0), h).is_simple()
         assert not weil_spectrum(WeilCharSpec("Unitary", 3, 3, 1), h).is_simple()
+
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+
+
+def _invertible(draw, F, n):
+    P = FqMatrix(F, n, draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n)))
+    assume(P.rank() == n)
+    return P
+
+
+@st.composite
+def hermitian_forms(draw):
+    """(G, f): G = P^T J conj(P) over F_(q^2), q = p^f in {2, 3, 4}, n <= 4."""
+    p, f = PRIME_POWERS[draw(st.sampled_from((2, 3, 4)))]
+    F2, n = field(p, 2 * f), draw(st.integers(1, 4))
+    P = _invertible(draw, F2, n)
+    return P.transpose() * hermitian_gram(F2, n) * P.map_entries(F2.subfield_power_map(f)), f
+
+
+@st.composite
+def alternating_forms(draw):
+    """G = P^T Omega P over F_q, q in {2, 3, 4, 5}, of dimension 2 or 4."""
+    F, n = field(*PRIME_POWERS[draw(st.sampled_from((2, 3, 4, 5)))]), draw(st.sampled_from((1, 2)))
+    P = _invertible(draw, F, 2 * n)
+    return P.transpose() * symplectic_gram(F, n) * P
+
+
+class TestStandardize:
+    @PROPS
+    @given(hermitian_forms())
+    def test_hermitian_to_antidiagonal(self, form):
+        G, f = form
+        conj = G.F.subfield_power_map(f)
+        S = weilgl._standardize(G, conj)
+        assert S.rank() == G.n
+        assert S.transpose() * G * S.map_entries(conj) == hermitian_gram(G.F, G.n)
+
+    @PROPS
+    @given(alternating_forms())
+    def test_alternating_to_symplectic(self, G):
+        S = weilgl._standardize(G)
+        assert S.rank() == G.n
+        assert S.transpose() * G * S == symplectic_gram(G.F, G.n // 2)
+
+    def test_hermitian_dimension_6_over_f16(self):
+        """A Witt basis over F_16 in dimension 6: no listing of the 16^6 vectors."""
+        F16, n, rng = field(2, 4), 6, random.Random(6)
+        P = FqMatrix(F16, n, [rng.randrange(16) for _ in range(n * n)])
+        while P.rank() < n:
+            P = FqMatrix(F16, n, [rng.randrange(16) for _ in range(n * n)])
+        conj = F16.subfield_power_map(2)
+        G = P.transpose() * hermitian_gram(F16, n) * P.map_entries(conj)
+        S = weilgl._standardize(G, conj)
+        assert S.rank() == n and S.transpose() * G * S.map_entries(conj) == hermitian_gram(F16, n)
 
 
 class TestGaloisEquivariance:
@@ -468,10 +529,11 @@ class TestClassData:
 
 def _factor_exponents(F, poly):
     """The exponents e_f of the monic irreducible factors f of a monic poly
-    over F_q, by trial division by monic polynomials of increasing degree."""
+    over F_q with nonzero constant term, by trial division by the monic
+    irreducibles other than x of increasing degree."""
     poly, exps = list(poly), []
     for d in range(1, len(poly)):
-        for f in weilgl._monic_polys(F, d):
+        for f in weilgl._irreducibles(F, d):
             e = 0
             while len(poly) > d:
                 quotient, rem = _divmod(F, poly, f)
