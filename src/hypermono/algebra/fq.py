@@ -264,10 +264,6 @@ class FqMatrix:
         ident = FqMatrix.identity(self.F, self.n)
         return self**N == ident and all(self ** (N // r) != ident for r in prime_divisors(N))
 
-    def is_scalar(self) -> bool:
-        s = self.data[0]
-        return all(x == (s if k % (self.n + 1) == 0 else 0) for k, x in enumerate(self.data))
-
     def apply(self, v):
         F = self.F
         return _kernel.mat_vec(self.data, tuple(v), self.n, F.q, F.mul, F.add)

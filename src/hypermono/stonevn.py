@@ -768,7 +768,7 @@ def ss_extr_oracle(n: int = 2) -> dict:
     return out
 
 
-def ss_sp_oracle(n: int, q: int, mode: str = "targeted") -> dict:
+def ss_sp_oracle(n: int, q: int) -> dict:
     """Construct the enumerated symplectic torus generators in the model and
     check their projective spectra on both halves; negative controls must
     come out non-simple."""
@@ -777,7 +777,7 @@ def ss_sp_oracle(n: int, q: int, mode: str = "targeted") -> dict:
 
     p, f = is_prime_power(q)
     if q**n > DESK_CAP:
-        raise ModelError(f"model dimension {q**n} above desk cap (targeted mode only)")
+        raise ModelError(f"model dimension {q**n} above desk cap {DESK_CAP}")
     model = HeisenbergModel(p, n, f)
     P = model.parity_matrix()
     dims = ((q**n + 1) // 2, (q**n - 1) // 2)

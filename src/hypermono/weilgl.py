@@ -2,20 +2,21 @@
 
 Character values are computed from the closed kernel-dimension formulas, so
 spectra never require constructing the Weil representations themselves; the
-exhaustive oracles run over one representative per conjugacy class of
-GL_n(q), or over the elements of GU_n(q) at desk scale, and compare the
-simple-spectrum elements they find with the classified torus types.  The
-torus generators of GU_n(q) and Sp_2n(q) are irreducible companion matrices
-carried to the standard form by a Witt basis of an invariant form, built by
-linear algebra alone (no vector of F^n is listed).
+exhaustive oracles run once per conjugacy class of GL_n(q) or GU_n(q), from
+its class type (a partition for each irreducible polynomial) with no matrix,
+and compare the simple-spectrum elements they find with the classified torus
+types.  The torus generators of GU_n(q) and Sp_2n(q) are irreducible
+companion matrices carried to the standard form by a Witt basis of an
+invariant form, built by linear algebra alone (no vector of F^n is listed).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .algebra.cyc import Cyc
 from .algebra.fq import (
@@ -43,6 +44,13 @@ class ExcludedCase(ValueError):
 # ---------------------------------------------------------------------------
 # groups: GL_n(q), GU_n(q) (anti-diagonal Hermitian form), Sp_2n(q)
 # ---------------------------------------------------------------------------
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    pq = is_prime_power(q)
+    if pq is None:
+        raise ValueError(f"{q} is not a prime power")
+    return pq
 
 
 def _gl_order(n: int, q: int) -> int:
@@ -92,10 +100,7 @@ def is_symplectic(g: FqMatrix, gram: FqMatrix | None = None) -> bool:
 
 @lru_cache(maxsize=None)
 def general_linear_group(n: int, q: int) -> MatGroup:
-    pq = is_prime_power(q)
-    if pq is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = field(*pq)
+    F = field(*_prime_power(q))
     gens = []
     for i in range(n):
         for j in range(n):
@@ -113,15 +118,12 @@ def general_linear_group(n: int, q: int) -> MatGroup:
 
 @lru_cache(maxsize=None)
 def unitary_group(n: int, q: int) -> MatGroup:
-    pq = is_prime_power(q)
-    if pq is None:
-        raise ValueError(f"{q} is not a prime power")
+    p, f = _prime_power(q)
     # the unipotent generators below number q^(n(n-1)) or so: refuse a group
     # the closure would refuse anyway before listing them
     order, cap = _gu_order(n, q), _cap(None)
     if order > cap:
         raise CapExceeded(f"GU_{n}({q}) has order {order}, above cap {cap}")
-    p, f = pq
     F2 = field(p, 2 * f)
     gram = hermitian_gram(F2, n)
     q2 = q * q
@@ -169,10 +171,7 @@ def unitary_group(n: int, q: int) -> MatGroup:
 @lru_cache(maxsize=None)
 def symplectic_group(n: int, q: int) -> MatGroup:
     """Sp_2n(q) for the standard form (generated by symplectic transvections)."""
-    pq = is_prime_power(q)
-    if pq is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = field(*pq)
+    F = field(*_prime_power(q))
     gram = symplectic_gram(F, n)
     dim = 2 * n
     vecs = []
@@ -362,9 +361,9 @@ def group_scalars(group: MatGroup) -> set[FqMatrix]:
 
 def _irreducibles(F: FieldSpec, d: int):
     """The monic irreducibles of degree d over F other than x, as low-to-high
-    coefficient lists, the constant term varying slowest."""
+    coefficient tuples, the constant term varying slowest."""
     for coeffs in itertools.product(range(F.q), repeat=d):
-        poly = list(coeffs) + [1]
+        poly = coeffs + (1,)
         if poly[0] and poly_is_irreducible_fq(F, poly):
             yield poly
 
@@ -656,19 +655,26 @@ def simple_cycle_types(n: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes of GL_n(q)
+# conjugacy classes of GL_n(q) and GU_n(q) as class types
 # ---------------------------------------------------------------------------
 
 
-def gl_class_count(n: int, q: int) -> int:
-    """k(GL_n(q)): the x^n coefficient of prod_{j >= 1} (1 - x^j)/(1 - q x^j)."""
+def _class_count(family: str, n: int, q: int) -> int:
+    """k(GL_n(q)) or k(GU_n(q)): the x^n coefficient of prod_{j >= 1}
+    (1 -+ x^j)/(1 - q x^j), - for GL and + for GU (Macdonald, Bull. Austral.
+    Math. Soc. 23, 1981)."""
+    sign = -1 if family == LINEAR else 1
     series = [1] + [0] * n
     for j in range(1, n + 1):
         for d in range(j, n + 1):  # times 1/(1 - q x^j)
             series[d] += q * series[d - j]
-        for d in range(n, j - 1, -1):  # times (1 - x^j)
-            series[d] -= series[d - j]
+        for d in range(n, j - 1, -1):  # times (1 -+ x^j)
+            series[d] += sign * series[d - j]
     return series[n]
+
+
+def gl_class_count(n: int, q: int) -> int:
+    return _class_count(LINEAR, n, q)
 
 
 def _centralizer_factor(lam: tuple[int, ...], Q: int) -> int:
@@ -685,54 +691,81 @@ def _centralizer_factor(lam: tuple[int, ...], Q: int) -> int:
     return out * Q**exponent
 
 
-def gl_classes(n: int, q: int) -> list[tuple[FqMatrix, int]]:
-    """One representative of each conjugacy class of GL_n(q), with the order
-    of its centraliser.
+def _class_types(family: str, n: int, q: int):
+    """The field F and the conjugacy classes of GL_n(q) or GU_n(q) as class
+    types over F, each with the order of its centraliser.
 
-    A class is a map f -> lam_f from the monic irreducibles f != x over F_q
-    to partitions, with sum deg(f) |lam_f| = n (the primary rational
-    canonical form).  Its representative is the block diagonal of
-    companion_matrix(f^k), one block for each part k of each lam_f, and
+    A type is a map f -> lam_f from the monic irreducibles f != x over F to
+    partitions, listed as (f, lam) pairs.  For GL_n(q), F = F_q, the
+    primary rational canonical form gives sum deg(f) |lam_f| = n and
     |C(g)| = prod_f a_{lam_f}(q^deg f) (Macdonald, Symmetric Functions and
-    Hall Polynomials, 2nd ed., IV.2; Green, Trans. AMS 80, 1955).  The count
-    is checked against gl_class_count and the sizes against the class
-    equation.
+    Hall Polynomials, 2nd ed., IV.2).  For GU_n(q), F = F_(q^2) and
+    lam_f = lam_f~, f~ the monic polynomial whose roots are the alpha^(-q):
+    a self-dual f of degree d, always odd, gives |a_lam(-q^d)|, and a pair
+    {f, f~} of degree d is one unit of weight 2d giving a_lam(q^(2d)) (Wall,
+    J. Austral. Math. Soc. 3, 1963; Ennola, Ann. Acad. Sci. Fenn. 323,
+    1963).  The count and the class equation are checked on every call.
     """
     from .gates import partitions
 
-    pq = is_prime_power(q)
-    if pq is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = field(*pq)
-    irreducibles = [f for d in range(1, n + 1) for f in _irreducibles(F, d)]
+    p, e = _prime_power(q)
+    if family == LINEAR:
+        F = field(p, e)
+        units = [((f,), d, q**d) for d in range(1, n + 1) for f in _irreducibles(F, d)]
+    else:
+        F = field(p, 2 * e)
+        conj = F.subfield_power_map(e)
+        units = []
+        for d in range(1, n + 1):
+            if d % 2 == 0 and 2 * d > n:  # no self-dual f of even degree, and no pair fits
+                continue
+            for f in _irreducibles(F, d):
+                scale = F.inv[conj[f[0]]]
+                dual = tuple(F.mul[scale * F.q + conj[c]] for c in reversed(f))
+                if dual == f:
+                    units.append(((f,), d, -(q**d)))
+                elif 2 * d <= n and f < dual:
+                    units.append(((f, dual), 2 * d, q ** (2 * d)))
+        units.sort(key=lambda unit: unit[1])
 
     def types(start: int, rest: int):
-        # the maps on irreducibles[start:] of total degree rest, as (f, lam) lists
+        # the maps on units[start:] of total weight rest, as (unit, lam) lists
         if rest == 0:
             yield []
             return
-        for j in range(start, len(irreducibles)):
-            f = irreducibles[j]
-            d = len(f) - 1
-            if d > rest:
+        for j in range(start, len(units)):
+            weight = units[j][1]
+            if weight > rest:
                 return
-            for size in range(1, rest // d + 1):
+            for size in range(1, rest // weight + 1):
                 for lam in partitions(size):
-                    for tail in types(j + 1, rest - d * size):
-                        yield [(f, lam)] + tail
+                    for tail in types(j + 1, rest - weight * size):
+                        yield [(units[j], lam)] + tail
 
     out = []
     for cls in types(0, n):
-        blocks, cent = [], 1
+        cent = prod(abs(_centralizer_factor(lam, Q)) for (_, _, Q), lam in cls)
+        out.append(([(f, lam) for (fs, _, _), lam in cls for f in fs], cent))
+    group = f"{'GL' if family == LINEAR else 'GU'}_{n}({q})"
+    assert len(out) == _class_count(family, n, q), f"{group}: {len(out)} classes enumerated"
+    assert sum(Fraction(1, c) for _, c in out) == 1, f"{group}: class sizes do not sum to the order"
+    return F, out
+
+
+def gl_classes(n: int, q: int) -> list[tuple[FqMatrix, int]]:
+    """One representative of each conjugacy class of GL_n(q), with the order
+    of its centraliser: for the class type f -> lam_f (_class_types), the block
+    diagonal of companion_matrix(f^k), one block for each part k of each lam_f."""
+    F, classes = _class_types(LINEAR, n, q)
+    out = []
+    for cls, cent in classes:
+        blocks = []
         for f, lam in cls:
-            cent *= _centralizer_factor(lam, q ** (len(f) - 1))
             power = (1,)
             for k in range(1, lam[0] + 1):
                 power = poly_mul_fq(F, power, f)
                 blocks.extend(companion_matrix(F, power) for _ in range(lam.count(k)))
         out.append((_block_diagonal(F, blocks), cent))
-    assert len(out) == gl_class_count(n, q), f"GL_{n}({q}): {len(out)} classes enumerated"
-    assert sum(Fraction(1, c) for _, c in out) == 1, f"GL_{n}({q}): class sizes do not sum to the order"
     return out
 
 
@@ -744,11 +777,11 @@ ELEMENT_SCAN_CAP = 500_000
 
 
 class OracleReport:
-    def __init__(self, family, n, q, mode, agree, details, counterexamples):
+    def __init__(self, family, n, q, agree, details, counterexamples):
         self.family = family
         self.n = n
         self.q = q
-        self.mode = mode
+        self.mode = "elements"
         self.agree = agree
         self.details = details
         self.counterexamples = counterexamples
@@ -777,99 +810,92 @@ def the_group(family: str, n: int, q: int) -> MatGroup:
     return general_linear_group(n, q) if family == LINEAR else unitary_group(n, q)
 
 
-def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP) -> OracleReport:
-    """Find every simple-spectrum element of the group on each Weil module;
-    compare the realized torus data against the classified list.
+def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
+    """Find every simple-spectrum element of GL_n(q) or GU_n(q) on each Weil
+    module; compare the realized torus data against the classified list.
 
-    Every count is a class function summed over the group, so the scan runs
-    over weighted elements (g, weight).  Linear is exact per conjugacy class
-    at any size: one representative of each class of GL_n(q) (gl_classes),
-    weighted by the class size |G|/|C(g)|, with no closure.  Only its total
-    power-walk length, at most k(GL_n(q)) (q^n - 1), is held to the
-    HYPERMONO_CAP cap.  Unitary scans the elements of the closure of GU_n(q),
-    each of weight 1; ``cap`` and sampling apply to that element scan only:
-    above ``cap`` a fixed-seed sample of elements is used and the report is
-    labeled "sampled" (one-directional comparison only).
-
-    Weil values depend only on the kernel profile, so |chi_i|^2 is evaluated
-    once per distinct profile.  Order, central order and the Parseval sums
-    sum_{y in <g>} |chi_i(y)|^2 depend only on <g>, so they are decided once
-    per cyclic subgroup and shared by its phi(|g|) generators.
+    Every count is a class function, so the oracle runs once per class type
+    f -> lam_f (_class_types), weighted by the class size |G|/|C(g)|, with
+    no matrix.  dim ker(g^j - s) is the sum, over the f with x^j = s mod f,
+    of deg f * sum_{k in lam_f} min(k, gcd(j, p^n)); so each f needs only
+    ord(x mod f) and the residues r with x^r mod f constant, from one walk
+    on x mod f.  The walk over j stops at g^j = 1 (the order of g), and the
+    central order is the least j with g^j scalar.  |chi_i|^2 is evaluated
+    once per distinct kernel profile.  The walks take at most k(G) B steps,
+    B = q^n - 1 for GL_n(q) and p^ceil(log_p n) (q^n + 1) for GU_n(q), a
+    bound on the element orders; above the HYPERMONO_CAP cap, CapExceeded
+    is raised before any class is listed.
     """
-    import random
-
-    mode = "elements"
+    p = _prime_power(q)[0]
     if family == LINEAR:
-        order, classes, walk_cap = _gl_order(n, q), gl_class_count(n, q), _cap(None)
-        if classes * (q**n - 1) > walk_cap:
-            raise CapExceeded(
-                f"GL_{n}({q}) has {classes} conjugacy classes: "
-                f"{classes} x {q**n - 1} power-walk steps exceed cap {walk_cap}"
-            )
-        scan = [(g, order // c) for g, c in gl_classes(n, q)]
-        one = FqMatrix.identity(scan[0][0].F, n)
-        profile_of = gl_kernel_profile
+        name, order, bound = f"GL_{n}({q})", _gl_order(n, q), q**n - 1
     else:
-        group = unitary_group(n, q)
-        order, elements = group.order, group.elements
-        if order > cap:
-            mode = "sampled"
-            rng = random.Random(20260809)
-            elements = [elements[rng.randrange(order)] for _ in range(min(cap // 10, 20000))]
-        scan = [(g, 1) for g in elements]
-        one = group.identity
-        profile_of = gu_kernel_profile
-    profiles: dict[FqMatrix, tuple[int, ...]] = {one: profile_of(one, q)}
-    identity_values = _weil_values_all(family, n, q, profiles[one])
+        unipotent = next(p**e for e in range(n + 1) if p**e >= n)  # p^ceil(log_p n)
+        name, order, bound = f"GU_{n}({q})", _gu_order(n, q), unipotent * (q**n + 1)
+    classes, walk_cap = _class_count(family, n, q), _cap(None)
+    if classes * bound > walk_cap:
+        raise CapExceeded(
+            f"{name} has {classes} conjugacy classes: "
+            f"{classes} x {bound} power-walk steps exceed cap {walk_cap}"
+        )
+    F, types = _class_types(family, n, q)
+    scalars = _gl_scalars(F) if family == LINEAR else _gu_scalars(F, q)
+    index = {s: k for k, s in enumerate(scalars)}
+
+    def residue_walk(f):  # ord(x mod f), and {r: c} for the r < ord with x^r = c mod f
+        start = [1] + [0] * (len(f) - 2)
+        y, r, consts = start, 0, {}
+        while r == 0 or y != start:
+            if not any(y[1:]):
+                consts[r] = y[0]
+            top = y[-1]  # y x mod f: shift up, then x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+            y = [F.sub(a, F.mul[top * F.q + c]) for a, c in zip([0] + y[:-1], f)]
+            r += 1
+        return r, consts
+
+    walks = {f: residue_walk(f) for f in {f for cls, _ in types for f, _ in cls}}
+
+    def profile(cls, j: int) -> tuple[int, ...]:
+        prof = [0] * len(scalars)
+        u = gcd(j, p**n)
+        for f, lam in cls:
+            ord_f, consts = walks[f]
+            k = index.get(consts.get(j % ord_f))
+            if k is not None:
+                prof[k] += (len(f) - 1) * sum(min(part, u) for part in lam)
+        return tuple(prof)
+
+    one = (n,) + (0,) * (len(scalars) - 1)
+    identity_values = _weil_values_all(family, n, q, one)
     n_modules = len(identity_values)
     degrees = [int(v.rational()) for v in identity_values]
-    abs2_rows: dict[tuple[int, ...], list[Cyc]] = {profiles[one]: [v.abs2() for v in identity_values]}
-    verdicts: dict[FqMatrix, tuple[int, int, list[bool]]] = {}  # element -> (order, cent, simple per module)
+    abs2_rows: dict[tuple[int, ...], list[Cyc]] = {one: [v.abs2() for v in identity_values]}
 
-    def decide(g: FqMatrix) -> tuple[int, int, list[bool]]:
+    ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
+    ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
+    pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
+    for cls, cent_order in types:
         chain = [one]
-        x = g
-        while x != one:
-            chain.append(x)
-            x = x * g
-        order = len(chain)
-        cent = next(k for k in range(1, order + 1) if chain[k % order].is_scalar())
-        counts: dict[tuple[int, ...], int] = {}
-        for y in chain:
-            prof = profiles.get(y)
-            if prof is None:
-                prof = profiles[y] = profile_of(y, q)
-            counts[prof] = counts.get(prof, 0) + 1
+        while (prof := profile(cls, len(chain))) != one:
+            chain.append(prof)
+        g_order, weight = len(chain), order // cent_order
+        assert g_order <= bound, f"{name}: element order {g_order} above the bound {bound}"
+        cent = next(k for k in range(1, g_order + 1) if n in chain[k % g_order])
         sums = [Cyc.from_int(0)] * n_modules
-        for prof, cnt in counts.items():
+        for prof, cnt in Counter(chain).items():
             row = abs2_rows.get(prof)
             if row is None:
                 row = abs2_rows[prof] = [v.abs2() for v in _weil_values_all(family, n, q, prof)]
             for i in range(n_modules):
                 sums[i] = sums[i] + row[i] * cnt
-        simple = []
-        for i in range(n_modules):
-            total = sums[i].rational()
-            if total.denominator != 1:
-                raise RuntimeError("non-integral Parseval sum")
-            simple.append(int(total) == order * degrees[i])
-        verdict = (order, cent, simple)
-        for j in range(order):
-            if gcd(j, order) == 1:
-                verdicts[chain[j]] = verdict
-        return verdict
-
-    p = one.F.p
-    ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
-    ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
-    pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
-    for g, weight in scan:
-        g_order, cent, simple = verdicts.get(g) or decide(g)
         if g_order % p != 0:
             pprime_counts[cent] = pprime_counts.get(cent, 0) + weight
         target = ss_central if g_order % p != 0 else ss_central_p
         for i in range(n_modules):
-            if simple[i]:
+            total = sums[i].rational()
+            if total.denominator != 1:
+                raise RuntimeError("non-integral Parseval sum")
+            if total == g_order * degrees[i]:
                 target[i][cent] = target[i].get(cent, 0) + weight
 
     # merge modules of equal degree
@@ -898,7 +924,7 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
     try:
         expected = ss_enumerate(family, n, q)
     except ExcludedCase as exc:
-        return OracleReport(family, n, q, mode, None, {**details, "excluded": str(exc)}, [])
+        return OracleReport(family, n, q, None, {**details, "excluded": str(exc)}, [])
 
     expected_by_dim: dict[int, set[int]] = {d: set() for d in degrees}
     for cls in expected:
@@ -913,11 +939,9 @@ def ss_exhaustive_check(family: str, n: int, q: int, cap: int = ELEMENT_SCAN_CAP
             counterexamples.append({"dim": d, "unexpected_central_orders": sorted(got - want)})
         details.setdefault("per_dim", {})[str(d)] = {"realized": sorted(got), "allowed": sorted(want)}
     # every enumerated type must be realized on at least one of its dims
-    # (one-directional in sampled mode: a sample may simply miss a type)
-    if mode == "elements":
-        for cls in expected:
-            hit = any(cls.central_order in by_dim.get(d, {}) for d in cls.dims)
-            if not hit:
-                agree = False
-                counterexamples.append({"type": cls.label, "missing": True})
-    return OracleReport(family, n, q, mode, agree, details, counterexamples)
+    for cls in expected:
+        hit = any(cls.central_order in by_dim.get(d, {}) for d in cls.dims)
+        if not hit:
+            agree = False
+            counterexamples.append({"type": cls.label, "missing": True})
+    return OracleReport(family, n, q, agree, details, counterexamples)

@@ -154,9 +154,10 @@ class TestExitCodes:
         [
             (["ss", "linear", "4", "3", "--exhaustive"], "1000", "78 conjugacy classes"),
             (["ss", "linear", "6", "5", "--exhaustive"], None, "conjugacy classes"),
-            (["ss", "unitary", "4", "3", "--exhaustive"], None, "order 52254720"),
+            (["ss", "unitary", "3", "3", "--exhaustive"], "1000", "56 conjugacy classes"),
+            (["ss", "unitary", "2", "29", "--exhaustive"], None, "900 conjugacy classes"),
         ],
-        ids=["linear_small_cap", "linear_default_cap", "unitary_default_cap"],
+        ids=["linear_small_cap", "linear_default_cap", "unitary_small_cap", "unitary_default_cap"],
     )
     def test_oracle_cap_is_3_before_any_work(self, capsys, monkeypatch, argv, cap, named):
         if cap is None:
@@ -176,6 +177,16 @@ def test_linear_oracle_past_the_closure():
     result = json.loads(out)["result"]
     assert result["mode"] == "elements" and result["agree"] is True
     assert result["details"]["order"] == 24261120
+
+
+def test_unitary_oracle_past_the_closure():
+    """GU_4(3) (order 52,254,720), an excluded case, gets a full report per
+    conjugacy class, with no closure."""
+    code, out = run_cli(["ss", "unitary", "4", "3", "--exhaustive"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mode"] == "elements" and result["agree"] is None
+    assert result["details"]["order"] == 52254720 and "excluded" in result["details"]
 
 
 class TestM4Input:

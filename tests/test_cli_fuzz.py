@@ -30,7 +30,7 @@ CAP = "2000"
     exhaustive=st.booleans(),
 )
 @example(family="symplectic", n=2, q=7, exhaustive=True)  # model dimension above the desk cap
-@example(family="unitary", n=4, q=4, exhaustive=True)  # order above the cap, 16^6 generators
+@example(family="unitary", n=4, q=4, exhaustive=True)  # 470 classes, walks above the cap
 @example(family="linear", n=4, q=3, exhaustive=True)  # 78 classes, walks above the cap
 def test_ss_reports_or_refuses(family, n, q, exhaustive):
     argv = ["ss", family, str(n), str(q)] + (["--exhaustive"] if exhaustive else [])

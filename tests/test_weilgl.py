@@ -331,16 +331,11 @@ class TestDeletedPerm:
             assert got == want
 
 
-def reference_oracle(family, n, q, cap=weilgl.ELEMENT_SCAN_CAP):
-    """The oracle element by element: for every scanned g, walk <g> and sum
+def reference_oracle(family, n, q):
+    """The oracle element by element: for every g, walk <g> and sum
     weil_value(...).abs2() over it for each Weil character (values memoised
     per element), then assemble the report as ss_exhaustive_check does."""
     group = the_group(family, n, q)
-    mode, scan = "elements", group.elements
-    if group.order > cap:
-        rng = random.Random(20260809)
-        mode = "sampled"
-        scan = [group.elements[rng.randrange(group.order)] for _ in range(min(cap // 10, 20000))]
     hi = (1 if q == 2 else q - 1) if family == "Linear" else q + 1
     specs = [WeilCharSpec(family, n, q, i) for i in range(hi)]
     degrees = [int(weil_value(s, group.identity).rational()) for s in specs]
@@ -348,7 +343,7 @@ def reference_oracle(family, n, q, cap=weilgl.ELEMENT_SCAN_CAP):
     abs2 = {}
     simple = {True: [{} for _ in specs], False: [{} for _ in specs]}  # keyed by "g is a p'-element"
     pprime = {}
-    for g in scan:
+    for g in group.elements:
         chain, x = [one], g
         while x != one:
             chain.append(x)
@@ -386,7 +381,7 @@ def reference_oracle(family, n, q, cap=weilgl.ELEMENT_SCAN_CAP):
         "p_prime_counts_by_obar": {str(c): k for c, k in sorted(pprime.items())},
         "modules_per_dim": {str(d): degrees.count(d) for d in set(degrees)},
     }
-    report = {"family": family, "n": n, "q": q, "mode": mode}
+    report = {"family": family, "n": n, "q": q, "mode": "elements"}
     try:
         expected = ss_enumerate(family, n, q)
     except ExcludedCase as exc:
@@ -402,67 +397,70 @@ def reference_oracle(family, n, q, cap=weilgl.ELEMENT_SCAN_CAP):
             agree = False
             counterexamples.append({"dim": d, "unexpected_central_orders": sorted(extra)})
         details.setdefault("per_dim", {})[str(d)] = {"realized": sorted(counts), "allowed": sorted(allowed.get(d, set()))}
-    if mode == "elements":
-        for cls in expected:
-            if not any(cls.central_order in ss.get(d, {}) for d in cls.dims):
-                agree = False
-                counterexamples.append({"type": cls.label, "missing": True})
+    for cls in expected:
+        if not any(cls.central_order in ss.get(d, {}) for d in cls.dims):
+            agree = False
+            counterexamples.append({"type": cls.label, "missing": True})
     return {**report, "agree": agree, "details": details, "counterexamples": counterexamples}
 
 
 class TestExhaustiveOracle:
     @pytest.mark.parametrize(
-        "family,n,q,cap",
+        "family,n,q",
         [
-            ("Linear", 3, 2, weilgl.ELEMENT_SCAN_CAP),
-            ("Unitary", 2, 3, weilgl.ELEMENT_SCAN_CAP),
-            ("Unitary", 3, 2, weilgl.ELEMENT_SCAN_CAP),
-            ("Linear", 2, 5, weilgl.ELEMENT_SCAN_CAP),  # excluded, details still compared
-            ("Unitary", 3, 2, 600),  # sampled: 60 draws, with repeats
-            ("Linear", 4, 2, weilgl.ELEMENT_SCAN_CAP),
-            ("Linear", 3, 3, weilgl.ELEMENT_SCAN_CAP),
+            ("Linear", 3, 2),
+            ("Unitary", 2, 3),
+            ("Unitary", 3, 2),
+            ("Linear", 2, 5),  # excluded, details still compared
+            ("Linear", 4, 2),
+            ("Linear", 3, 3),
+            ("Unitary", 2, 4),  # excluded, details still compared
         ],
-        ids=["gl_3_2", "gu_2_3", "gu_3_2", "gl_2_5", "gu_3_2_sampled", "gl_4_2", "gl_3_3"],
+        ids=["gl_3_2", "gu_2_3", "gu_3_2", "gl_2_5", "gl_4_2", "gl_3_3", "gu_2_4"],
     )
-    def test_matches_per_element_reference(self, family, n, q, cap):
-        got = ss_exhaustive_check(family, n, q, cap).to_json()
-        assert got == reference_oracle(family, n, q, cap)
-        assert got["mode"] == ("elements" if cap > the_group(family, n, q).order else "sampled")
+    def test_matches_per_element_reference(self, family, n, q):
+        assert ss_exhaustive_check(family, n, q).to_json() == reference_oracle(family, n, q)
 
     def test_weil_values_once_per_profile(self, monkeypatch):
-        """Weil values are evaluated once per kernel profile and module, and
-        the kernel profile once per element, not once per element and module."""
-        calls = {"weil": 0, "profile": 0}
+        """Weil values are evaluated once per kernel profile and module, not
+        once per element and module."""
+        calls = 0
 
-        def counting(fn, key):
+        def counting(fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                nonlocal calls
+                calls += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
         group = the_group("Unitary", 3, 2)
         profiles = {gu_kernel_profile(g, 2) for g in group.elements}
-        monkeypatch.setattr(weilgl, "tau_value", counting(weilgl.tau_value, "weil"))
-        monkeypatch.setattr(weilgl, "zeta_value", counting(weilgl.zeta_value, "weil"))
-        monkeypatch.setattr(weilgl, "gu_kernel_profile", counting(weilgl.gu_kernel_profile, "profile"))
+        monkeypatch.setattr(weilgl, "tau_value", counting(weilgl.tau_value))
+        monkeypatch.setattr(weilgl, "zeta_value", counting(weilgl.zeta_value))
         rep = ss_exhaustive_check("Unitary", 3, 2)
         n_modules = len(rep.details["degrees"])
         assert n_modules == 3 and len(profiles) * n_modules < group.order
-        assert calls["weil"] <= len(profiles) * n_modules
-        assert calls["profile"] <= group.order
+        assert calls <= len(profiles) * n_modules
 
-    def test_linear_needs_no_closure(self, monkeypatch):
-        """The Linear oracle runs per conjugacy class: it never builds GL_n(q)."""
+    @pytest.mark.parametrize(
+        "family,order", [("Linear", 11232), ("Unitary", 24192)], ids=["gl_3_3", "gu_3_3"]
+    )
+    def test_oracle_needs_no_matrix(self, monkeypatch, family, order):
+        """The oracle runs over class types: it builds no group, takes no
+        closure or kernel dimension and calls no FqMatrix method."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("closure called")
+            raise AssertionError("matrix work in the oracle")
 
-        monkeypatch.setattr(weilgl, "general_linear_group", refuse)
-        monkeypatch.setattr(weilgl, "closure", refuse)
+        for name in ("general_linear_group", "unitary_group", "closure", "kernel_dim"):
+            monkeypatch.setattr(weilgl, name, refuse)
         monkeypatch.setattr(repkit, "closure", refuse)
-        rep = ss_exhaustive_check("Linear", 3, 3)
-        assert rep.mode == "elements" and rep.agree is True and rep.details["order"] == 11232
+        for name, value in list(vars(FqMatrix).items()):
+            if callable(value) or isinstance(value, (classmethod, staticmethod)):
+                monkeypatch.setattr(FqMatrix, name, refuse)
+        rep = ss_exhaustive_check(family, 3, 3)
+        assert rep.mode == "elements" and rep.agree is True and rep.details["order"] == order
 
     @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2)], ids=["gl_4_3", "gl_3_5", "gl_5_2"])
     def test_full_verdict_past_the_closure(self, n, q):
@@ -479,6 +477,23 @@ class TestExhaustiveOracle:
         n_top = rep.details["degrees"].count(top)
         pprime = rep.details["p_prime_counts_by_obar"][str(singer)]
         assert rep.details["ss_by_dim"][str(top)][str(singer)] == n_top * pprime
+
+    @pytest.mark.parametrize(
+        "n,q,realized",
+        [(3, 5, {"20": [21, 24], "21": [21]}), (4, 4, {"51": [51, 65], "52": [65]})],
+        ids=["gu_3_5", "gu_4_4"],
+    )
+    def test_unitary_full_verdict(self, n, q, realized):
+        """Full verdicts for GU_3(5) and GU_4(4), of order 2,268,000 and
+        5,091,840,000 (192 and 470 classes), in the classification and out of
+        reach of an element scan: every allowed central order is realized,
+        the Singer and T_(n-1),1 / T_3,1 orders."""
+        rep = ss_exhaustive_check("Unitary", n, q)
+        assert rep.mode == "elements" and rep.agree is True, rep.counterexamples
+        assert rep.details["order"] == weilgl._gu_order(n, q)
+        per_dim = rep.details["per_dim"]
+        assert {d: v["realized"] for d, v in per_dim.items()} == realized
+        assert all(v["realized"] == v["allowed"] for v in per_dim.values())
 
 
 class TestClassData:
@@ -525,6 +540,28 @@ class TestClassData:
             for e in _factor_exponents(F, chi):
                 want *= len(list(partitions(e)))
             assert count == want, chi
+
+
+class TestUnitaryClassData:
+    """GU_n(q) classes as class types over F_(q^2) (Wall, Ennola)."""
+
+    COUNTS = {(2, 2): 9, (2, 3): 16, (3, 2): 24, (3, 3): 56, (4, 2): 60}
+    COUNTS.update({(3, 4): 110, (5, 2): 141, (3, 5): 192, (4, 3): 188, (4, 4): 470})
+
+    @pytest.mark.parametrize("n,q", list(COUNTS))
+    def test_class_equation(self, n, q):
+        order = weilgl._gu_order(n, q)
+        _, classes = weilgl._class_types("Unitary", n, q)
+        assert len(classes) == weilgl._class_count("Unitary", n, q) == self.COUNTS[(n, q)]
+        assert all(order % c == 0 for _, c in classes)
+        assert sum(order // c for _, c in classes) == order
+
+    @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+    def test_class_sizes_match_the_closure(self, n, q):
+        order = weilgl._gu_order(n, q)
+        got = Counter(order // c for _, c in weilgl._class_types("Unitary", n, q)[1])
+        want = Counter(len(cls) for cls in unitary_group(n, q).conjugacy_classes())
+        assert got == want
 
 
 def _factor_exponents(F, poly):
