@@ -6,8 +6,13 @@ exhaustive oracles run once per conjugacy class of GL_n(q) or GU_n(q), from
 its class type (a partition for each irreducible polynomial) with no matrix,
 and compare the simple-spectrum elements they find with the classified torus
 types.  The torus generators of GU_n(q) and Sp_2n(q) are irreducible
-companion matrices carried to the standard form by a Witt basis of an
-invariant form, built by linear algebra alone (no vector of F^n is listed).
+companion matrices, found by polynomial powers of x and carried to the
+standard form by a Witt basis of an invariant form, built by linear algebra
+alone (no vector of F^n is listed).  GL_n(q), GU_n(q) and Sp_2n(q) are closed
+over a short fixed list of structured elements each, led by one of large
+order, of which Dimino's coset enumeration keeps two or three (R.
+Steinberg, Canad. J. Math. 14, 1962; D. E. Taylor, Pairs of generators for
+matrix groups I, Cayley Bulletin 3, 1987).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .algebra.fq import (
     poly_is_irreducible_fq,
     poly_mul_fq,
 )
-from .algebra.numth import is_prime_power
+from .algebra.numth import is_prime_power, prime_divisors
 from .algebra.unity import unity
 from .repkit import CapExceeded, MatGroup, Spectrum, _cap, closure
 
@@ -98,101 +103,72 @@ def is_symplectic(g: FqMatrix, gram: FqMatrix | None = None) -> bool:
     return g.transpose() * G * g == G
 
 
+def _matrix(F: FieldSpec, n: int, entries: dict[tuple[int, int], int], diagonal: int = 1) -> FqMatrix:
+    """The n x n matrix with the given (row, column) entries, ``diagonal``
+    elsewhere on the diagonal and 0 off it."""
+    rows = [[diagonal if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return FqMatrix.from_rows(F, rows)
+
+
 @lru_cache(maxsize=None)
 def general_linear_group(n: int, q: int) -> MatGroup:
+    """GL_n(q), closed over Taylor's pair [B, A] (Taylor 1987): B has first
+    row (-1, 0, ..., 0, 1) and -1 on the subdiagonal; A = diag(w, 1, ..., 1),
+    w the generator of F_q, or I + E_12 when q = 2."""
     F = field(*_prime_power(q))
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                rows[i][j] = 1
-                gens.append(FqMatrix.from_rows(F, rows))
-    diag = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    diag[0][0] = F.gen
-    gens.append(FqMatrix.from_rows(F, diag))
-    G = closure(gens)
+    minus = F.neg[1]
+    B = _matrix(F, n, {(0, 0): minus, (0, n - 1): 1, **{(i, i - 1): minus for i in range(1, n)}}, diagonal=0)
+    A = _matrix(F, n, {(0, 1): 1} if q == 2 and n > 1 else {(0, 0): F.gen})
+    G = closure([B, A])
     assert G.order == _gl_order(n, q), f"GL_{n}({q}) closure has wrong order {G.order}"
     return G
 
 
 @lru_cache(maxsize=None)
 def unitary_group(n: int, q: int) -> MatGroup:
+    """GU_n(q) for the anti-diagonal form J, closed over [x, z y, z J, y, J y]
+    (after Steinberg 1962 and Taylor 1987): x the torus element of order
+    q^n + 1 (n odd) or q^n - 1 (n even), y = I + c E_1n with c + c^q = 0, and
+    z = diag(w, 1, ..., 1, w^-q), w the generator of F_(q^2)."""
     p, f = _prime_power(q)
-    # the unipotent generators below number q^(n(n-1)) or so: refuse a group
-    # the closure would refuse anyway before listing them
     order, cap = _gu_order(n, q), _cap(None)
     if order > cap:
         raise CapExceeded(f"GU_{n}({q}) has order {order}, above cap {cap}")
     F2 = field(p, 2 * f)
     gram = hermitian_gram(F2, n)
-    q2 = q * q
-    gens: list[FqMatrix] = []
-    # monomial unitary matrices: flip-compatible permutation pi with
-    # diagonal d_j, d_j * d_(n-1-j)^q = 1 and middle entry of norm 1
-    conj = F2.subfield_power_map(f)
-    half = [j for j in range(n) if j < n - 1 - j]
-    norm_one = [x for x in range(1, q2) if F2.mul[x * F2.q + conj[x]] == 1]
-    for pi in itertools.permutations(range(n)):
-        if any(pi[j] + pi[n - 1 - j] != n - 1 for j in range(n)):
-            continue
-        free_choices = [range(1, q2)] * len(half) + ([norm_one] if n % 2 else [])
-        for choice in itertools.product(*free_choices):
-            d = [0] * n
-            for j, v in zip(half, choice):
-                d[j] = v
-                d[n - 1 - j] = F2.inv[conj[v]]
-            if n % 2:
-                d[n // 2] = choice[-1]
-            rows = [[0] * n for _ in range(n)]
-            for j in range(n):
-                rows[pi[j]][j] = d[j]
-            g = FqMatrix.from_rows(F2, rows)
-            assert is_unitary(g, f, gram)
-            gens.append(g)
-    # unipotent upper/lower triangular unitary matrices
-    tri_patterns = [(i, j) for i in range(n) for j in range(n) if i < j]
-    for flip in (False, True):
-        for values in itertools.product(range(q2), repeat=len(tri_patterns)):
-            rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            for (i, j), v in zip(tri_patterns, values):
-                if flip:
-                    rows[j][i] = v
-                else:
-                    rows[i][j] = v
-            g = FqMatrix.from_rows(F2, rows)
-            if g.data != FqMatrix.identity(F2, n).data and is_unitary(g, f, gram):
-                gens.append(g)
+    gens = [gu_torus_element(n, q, q**n + 1 if n % 2 else q**n - 1)]
+    if n > 1:  # GU_1(q) is the cyclic torus itself
+        q2, conj, w = F2.q, F2.subfield_power_map(f), F2.gen
+        c = next(c for c in range(1, q2) if F2.add[c * q2 + conj[c]] == 0)
+        y = _matrix(F2, n, {(0, n - 1): c})
+        z = _matrix(F2, n, {(0, 0): w, (n - 1, n - 1): F2.inv[conj[w]]})
+        gens += [z * y, z * gram, y, gram * y]
     G = closure(gens)
     assert G.order == order, f"GU_{n}({q}) closure has wrong order {G.order}"
+    assert all(is_unitary(g, f, gram) for g in G.generators)
     return G
 
 
 @lru_cache(maxsize=None)
 def symplectic_group(n: int, q: int) -> MatGroup:
-    """Sp_2n(q) for the standard form (generated by symplectic transvections)."""
+    """Sp_2n(q) for the standard form, closed over [c, t_e1, s, t_f1] (after
+    Taylor 1987): t_v the transvection x -> x + <x, v> v, c the Coxeter
+    element t_a1 ... t_a(2n+1) of the chain e_1, f_1, e_1 + e_2, f_2, ...,
+    e_(n-1) + e_n, f_n, e_n, and s the torus element of order q^n + 1.  c
+    comes first: s and t_e1 alone generate O_4^-(2) in Sp_4(2)."""
     F = field(*_prime_power(q))
     gram = symplectic_gram(F, n)
-    dim = 2 * n
-    vecs = []
-    for i in range(dim):
-        v = [0] * dim
-        v[i] = 1
-        vecs.append(tuple(v))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = [0] * dim
-            v[i] = 1
-            v[j] = 1
-            vecs.append(tuple(v))
-    gens = []
-    for v in vecs:
-        for lam in range(1, F.q):
-            g = _symplectic_transvection(F, gram, v, lam)
-            if is_symplectic(g, gram):
-                gens.append(g)
-    G = closure(gens)
+
+    def t(*support):  # t_v for the 0/1 vector v with this support; e_i is i - 1, f_i is n + i - 1
+        return _symplectic_transvection(F, gram, [int(i in support) for i in range(2 * n)], 1)
+
+    chain = [(0,), (n,)] + [v for i in range(1, n) for v in ((i - 1, i), (n + i,))] + [(n - 1,)]
+    coxeter = prod((t(*support) for support in chain), start=FqMatrix.identity(F, 2 * n))
+    G = closure([coxeter, t(0), sp_torus_element(n, q, -1), t(n)])
     assert G.order == _sp_order(n, q), f"Sp_{2*n}({q}) closure has wrong order {G.order}"
+    assert all(is_symplectic(g, gram) for g in G.generators)
     return G
 
 
@@ -368,12 +344,35 @@ def _irreducibles(F: FieldSpec, d: int):
             yield poly
 
 
+def _x_power(F: FieldSpec, f, e: int) -> list[int]:
+    """x^e mod the monic f of degree d (low-to-high coefficients) as d
+    coefficients, by binary powering."""
+    d, q, add, mul = len(f) - 1, F.q, F.add, F.mul
+    minus_f = [F.neg[c] for c in f[:d]]  # x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+
+    def mulmod(a, b):
+        out = list(poly_mul_fq(F, a, b)) + [0] * d
+        for i in range(len(out) - 1, d - 1, -1):
+            if top := out[i]:
+                for j, c in enumerate(minus_f):
+                    out[i - d + j] = add[out[i - d + j] * q + mul[top * q + c]]
+        return out[:d]
+
+    x = out = mulmod([1], [0, 1])
+    for bit in bin(e)[3:]:  # e >= 1, its leading bit is x itself
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, x)
+    return out
+
+
 def _companions(F: FieldSpec, d: int, order: int):
-    """The companion matrices of order ``order`` of the irreducibles of degree d."""
+    """The companion matrices of order ``order`` of the irreducibles f of
+    degree d: the order of x in F[x]/(f), tested by polynomial powers."""
+    one = [1] + [0] * (d - 1)
     for poly in _irreducibles(F, d):
-        C = companion_matrix(F, poly)
-        if C.has_order(order):
-            yield C
+        if _x_power(F, poly, order) == one and all(_x_power(F, poly, order // r) != one for r in prime_divisors(order)):
+            yield companion_matrix(F, poly)
 
 
 def gl_singer(n: int, q: int) -> FqMatrix:
@@ -485,10 +484,10 @@ def _gu_split_torus(n: int, q: int) -> FqMatrix:
     k = n // 2
     A = gl_singer(k, q * q) if k > 1 else FqMatrix(F2, 1, (F2.gen,))
     conj = F2.subfield_power_map(f)
-    Jk = FqMatrix.from_rows(F2, [[1 if i + j == k - 1 else 0 for j in range(k)] for i in range(k)])
+    Jk = hermitian_gram(F2, k)
     B = (Jk * A.inverse().transpose() * Jk).map_entries(conj)
     g = _block_diagonal(F2, [A, B])
-    assert is_unitary(g, f) and g.has_order(q**n - 1)
+    assert is_unitary(g, f)
     return g
 
 
@@ -500,7 +499,7 @@ def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
         return _gu_split_torus(n, q)
     F2 = field(p, 2 * f)
     h = _form_torus(F2, n, order, F2.subfield_power_map(f))
-    assert is_unitary(h, f) and h.has_order(order)
+    assert is_unitary(h, f)
     return h
 
 
@@ -529,15 +528,14 @@ def _gu1_element(q: int, order: int) -> FqMatrix:
 
 def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
     """Generator of the cyclic torus of order q^n - eps in Sp_2n(q), eps=+-1."""
-    p, f = is_prime_power(q)
-    F = field(p, f)
+    F = field(*is_prime_power(q))
     if eps == 1:
         A = gl_singer(n, q)
         g = _block_diagonal(F, [A, A.inverse().transpose()])
-        assert is_symplectic(g) and g.has_order(q**n - 1)
+        assert is_symplectic(g)
         return g
     h = _form_torus(F, 2 * n, q**n + 1)
-    assert is_symplectic(h) and h.has_order(q**n + 1)
+    assert is_symplectic(h)
     return h
 
 

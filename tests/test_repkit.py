@@ -188,12 +188,21 @@ class TestDimino:
 
     def test_gu32_classes_search_kept_generators(self, monkeypatch):
         G = weilgl.unitary_group.__wrapped__(3, 2)
-        assert len(G.generators) <= 6  # of 32 input generators
+        assert len(G.generators) <= 6  # of the 5 listed generators
         orders = sum(G.element_order(g) for g in G.generators)
         calls = count_fq_products(monkeypatch)
         assert len(G.conjugacy_classes()) == 24
         # two products per element per generator, plus each generator's inverse
         assert calls[0] <= 2 * len(G.generators) * G.order + 2 * orders
+
+    def test_gl33_classes_search_two_generators(self, monkeypatch):
+        G = weilgl.general_linear_group.__wrapped__(3, 3)
+        orders = sum(G.element_order(g) for g in G.generators)
+        calls = count_fq_products(monkeypatch)
+        assert len(G.conjugacy_classes()) == 24
+        # two kept generators: two products per element for each, plus their
+        # inverses (five kept elementary generators made 112,343)
+        assert calls[0] <= 4 * G.order + 2 * orders
 
 
 class TestSpectrum:

@@ -109,10 +109,44 @@ class TestGroups:
         assert symplectic_group(1, 3).order == 24
 
     def test_membership_forms(self):
-        for g in unitary_group(2, 3).elements[:20]:
+        for g in unitary_group(2, 3).elements:  # every element
             assert is_unitary(g, 1)
-        for g in symplectic_group(1, 3).elements[:20]:
+        for g in symplectic_group(1, 3).elements:
             assert is_symplectic(g)
+
+
+class TestFixedGenerators:
+    """Each constructor closes over a short fixed list of structured elements,
+    of which Dimino keeps two or three, and gets the whole group."""
+
+    GL = [(2, 3), (2, 4), (2, 5), (2, 7), (2, 9), (3, 2), (3, 3)]
+    GU = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
+    SP = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 9), (2, 2), (2, 3)]  # Sp_2n(q) as (n, q)
+    PAIRS = {("Linear", 3, 3), ("Unitary", 3, 2), ("Unitary", 3, 3)}
+    PAIRS |= {("Symplectic", 2, 2), ("Symplectic", 2, 3), ("Symplectic", 1, 3), ("Symplectic", 1, 5), ("Symplectic", 1, 7)}
+    CASES = [("Linear", n, q) for n, q in GL] + [("Unitary", n, q) for n, q in GU] + [("Symplectic", n, q) for n, q in SP]
+
+    @staticmethod
+    def sp_class_count(n, q):
+        # SL_2(q) has q + 4 classes for q odd and q + 1 for q even; S_6 has 11
+        return {(2, 2): 11, (2, 3): 34}.get((n, q), q + 4 if q % 2 else q + 1)
+
+    IDS = [f"GL_{n}_{q}" for n, q in GL] + [f"GU_{n}_{q}" for n, q in GU] + [f"Sp_{2 * n}_{q}" for n, q in SP]
+
+    @pytest.mark.parametrize("family,n,q", CASES, ids=IDS)
+    def test_group(self, family, n, q):
+        if family == "Linear":
+            G, order, classes = general_linear_group(n, q), weilgl._gl_order(n, q), gl_class_count(n, q)
+        elif family == "Unitary":
+            G, order, classes = unitary_group(n, q), weilgl._gu_order(n, q), weilgl._class_count("Unitary", n, q)
+            assert all(is_unitary(g, weilgl.is_prime_power(q)[1]) for g in G.generators)
+        else:
+            G, order, classes = symplectic_group(n, q), weilgl._sp_order(n, q), self.sp_class_count(n, q)
+            assert all(is_symplectic(g) for g in G.generators)
+        assert G.order == order
+        kept = len(G.generators)
+        assert (kept == 2) if (family, n, q) in self.PAIRS else (kept <= 3)
+        assert len(G.conjugacy_classes()) == classes
 
 
 class TestTotalWeilIdentities:
@@ -184,6 +218,25 @@ class TestTori:
         h = g ** 2  # order 13 still generates; use a deeper power
         s = weil_spectrum(WeilCharSpec("Linear", 3, 3, 1), g ** 13)  # order 2
         assert not s.is_simple()
+
+    # the tori that the matrix order search (FqMatrix.has_order on each
+    # companion) picked, as flat row-major entries
+    PINNED = [
+        (gl_singer, (3, 3), (0, 0, 2, 1, 0, 0, 0, 1, 1)),
+        (sp_torus_element, (2, 3, 1), (0, 1, 0, 0, 1, 2, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0)),
+        (sp_torus_element, (2, 3, -1), (0, 0, 0, 1, 1, 0, 0, 2, 0, 2, 1, 2, 0, 0, 1, 0)),
+        (gu_torus_element, (3, 2, 9), (0, 0, 1, 0, 2, 1, 1, 2, 2)),
+        (gu_torus_element, (3, 3, 28), (0, 0, 1, 0, 3, 5, 1, 5, 2)),
+        (gu_torus_element, (3, 5, 126), (0, 0, 1, 0, 7, 17, 1, 20, 14)),
+    ]
+
+    def test_companion_orders_on_polynomials(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix order test in the companion search")
+
+        monkeypatch.setattr(FqMatrix, "has_order", refuse)
+        for build, args, data in self.PINNED:
+            assert build(*args).data == data, (build.__name__, args)
 
     def test_t21_dims(self):
         h = gu_block_torus(3, [(2, 8), (1, 4)])
@@ -556,7 +609,7 @@ class TestUnitaryClassData:
         assert all(order % c == 0 for _, c in classes)
         assert sum(order // c for _, c in classes) == order
 
-    @pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3)])
     def test_class_sizes_match_the_closure(self, n, q):
         order = weilgl._gu_order(n, q)
         got = Counter(order // c for _, c in weilgl._class_types("Unitary", n, q)[1])
