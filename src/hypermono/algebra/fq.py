@@ -9,6 +9,8 @@ matrix loops (product, rank, matrix-vector) live in ``_fqcore_py``.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
@@ -41,18 +43,8 @@ def _defining_poly(p: int, f: int) -> tuple[int, ...]:
     Least under reading (a_{f-1}, ..., a_1, a_0) as a base-p integer.
     """
     if f == 1:
-        return (0, 1)  # x; field(p) is built on it, so it cannot test itself
-    Fp = field(p)
-    for code in range(p**f):
-        coeffs = []
-        c = code
-        for _ in range(f):
-            coeffs.append(c % p)
-            c //= p
-        poly = coeffs + [1]  # low-to-high, monic
-        if poly_is_irreducible_fq(Fp, poly):
-            return tuple(poly)
-    raise RuntimeError("no irreducible polynomial found (unreachable)")
+        return (0, 1)  # x; field(p) is built on it, so it cannot sieve for itself
+    return min(irreducibles(field(p), f), key=lambda poly: poly[::-1])
 
 
 class FieldSpec:
@@ -385,51 +377,37 @@ def kernel_dim(a: FqMatrix, lam: int = 0) -> int:
     return a.n - a.sub_scalar(lam).rank()
 
 
-def poly_is_irreducible_fq(F: FieldSpec, coeffs) -> bool:
-    """Monic polynomial (low-to-high int coeffs over F_q) irreducible over F_q?
+def irreducibles(F: FieldSpec, d: int):
+    """The monic irreducibles of degree d over F other than x, as low-to-high
+    coefficient tuples, in itertools.product order of the non-leading
+    coefficients (the constant term varies slowest).
 
-    Brute check by scanning for roots and low-degree factors; desk-scale only.
+    A sieve, one constant term c != 0 at a time: one flag byte per monic of
+    degree d with constant term c, at its place in that order.  Every
+    product g h of an irreducible g of degree k <= d/2 with a monic h of
+    degree d - k and constant term c/g_0 is flagged, and the unflagged
+    monics are yielded.  Each constant term's flags take q^(d-1) bytes.
     """
-    coeffs = list(coeffs)
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-
-    def eval_at(x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = F.add[F.mul[acc * F.q + x] * F.q + c]
-        return acc
-
-    if any(eval_at(x) == 0 for x in range(F.q)) and deg > 1:
-        return False
-    if deg <= 3:
-        return True
-    # trial division by monic irreducible factors of degree d <= deg // 2
-    for d in range(2, deg // 2 + 1):
-        for code in range(F.q**d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % F.q)
-                c //= F.q
-            g.append(1)
-            if _fq_poly_divides(F, g, coeffs):
-                return False
-    return True
-
-
-def _fq_poly_divides(F, g, f) -> bool:
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg:
-        lead = f[-1]
-        if lead:
-            shift = len(f) - 1 - dg
-            for i, c in enumerate(g):
-                f[shift + i] = F.sub(f[shift + i], F.mul[lead * F.q + c])
-        f.pop()
-    return not any(f)
+    q, add, mul, inv = F.q, F.add, F.mul, F.inv
+    factors = [g for k in range(1, d // 2 + 1) for g in irreducibles(F, k)]
+    place = [q ** (d - 2 - i) for i in range(d - 1)]  # of c_1, ..., c_(d-1); c_1 leads
+    for c in range(1, q):
+        composite = bytearray(q ** (d - 1))
+        for g in factors:
+            k, h0 = len(g) - 1, mul[c * q + inv[g[0]]]
+            start = [0] * (d - k) + list(g[:k])  # g x^(d-k), without its leading 1
+            start[: k + 1] = [add[x * q + mul[h0 * q + a]] for x, a in zip(start, g)]  # + h_0 g
+            products = [start]
+            for j in range(1, d - k):  # + h_j g x^j, for every h_j
+                products = [
+                    v[:j] + [add[x * q + mul[s * q + a]] for x, a in zip(v[j:], g)] + v[j + k + 1 :]
+                    for v in products
+                    for s in range(q)
+                ]
+            for v in products:
+                composite[sum(map(operator.mul, v[1:], place))] = 1
+        for rest in itertools.compress(itertools.product(range(q), repeat=d - 1), map(operator.not_, composite)):
+            yield (c,) + rest + (1,)
 
 
 def companion_matrix(F: FieldSpec, coeffs) -> FqMatrix:

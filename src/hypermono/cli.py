@@ -41,7 +41,7 @@ from .gates import (
     p_center_constraints,
     ppd,
 )
-from .repkit import CapExceeded, CycMatrix, closure, m4
+from .repkit import CapExceeded, CycMatrix, _cap, closure, m4
 from .splus import splus_verdict, tensor_induction_feasibility, indecomposability_ok
 
 SCHEMA = "hypermono/1"
@@ -226,12 +226,14 @@ def cmd_spectrum(args) -> dict:
     _check_n_q(args.n, args.q)
     spec = _domain_call(WeilCharSpec, fam, args.n, args.q, args.index)
     _check_weil_degree(spec)
-    if fam == LINEAR:
-        g = gl_singer(args.n, args.q)
-        torus_order = args.q**args.n - 1
-    else:
-        torus_order = args.q**args.n - (-1) ** args.n
-        g = gu_torus_element(args.n, args.q, torus_order)
+    n, q = args.n, args.q
+    torus_order = q**n - 1 if fam == LINEAR else q**n - (-1) ** n
+    # the inversion pairs K traces with K roots; K^2 also bounds the q^n or
+    # q^(2n) monics the torus search sieves
+    cap = _cap(None)
+    if torus_order * torus_order > cap:
+        raise CapExceeded(f"torus order {torus_order}: {torus_order} traces x {torus_order} roots exceed cap {cap}")
+    g = gl_singer(n, q) if fam == LINEAR else gu_torus_element(n, q, torus_order)
     s = weil_spectrum(spec, g)
     return _report(
         "spectrum",

@@ -156,13 +156,14 @@ class CycMatrix:
 
 
 class MatGroup:
-    """A finite matrix group given by full element enumeration."""
+    """A finite matrix group given by full element enumeration, as closure
+    returns it: index maps each element to its position in elements."""
 
-    def __init__(self, generators, elements, identity):
+    def __init__(self, generators, elements, identity, index):
         self.generators = list(generators)
         self.elements = list(elements)
         self.identity = identity
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.index = index
         self.order = len(self.elements)
         self._classes = None
 
@@ -208,7 +209,7 @@ class MatGroup:
         return [c[0] for c in self.conjugacy_classes()]
 
 
-def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
+def closure(generators, cap: int | None = None) -> MatGroup:
     """Full element enumeration of the group generated by the given matrices.
 
     Dimino's coset enumeration (G. Butler, *Fundamental Algorithms for
@@ -218,7 +219,8 @@ def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
     kept generator g, with H the group built so far, <H, g> grows as a union
     of right cosets H*t: for each coset rep r and kept generator s, a product
     t = r*s outside the group so far starts a new coset.  Each element is
-    formed once.  CapExceeded is raised exactly when the order exceeds cap,
+    formed once, and recorded once, in the position index the returned
+    group keeps.  CapExceeded is raised exactly when the order exceeds cap,
     before the coset that would pass it is formed.
     """
     generators = list(generators)
@@ -226,21 +228,20 @@ def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
         raise ValueError("need at least one generator")
     cap = _cap(cap)
     g0 = generators[0]
-    if identity is None:
-        if isinstance(g0, CycMatrix):
-            identity = CycMatrix.identity(g0.n)
-        else:
-            from .algebra.fq import FqMatrix
+    if isinstance(g0, CycMatrix):
+        identity = CycMatrix.identity(g0.n)
+    else:
+        from .algebra.fq import FqMatrix
 
-            identity = FqMatrix.identity(g0.F, g0.n)
+        identity = FqMatrix.identity(g0.F, g0.n)
     for g in generators:
         if g.rank() != g.n:
             raise ValueError("singular generator")
     elements = [identity]
-    seen = {identity}
+    index = {identity: 0}  # element -> its position in elements
     kept = []
     for g in generators:
-        if g in seen:
+        if g in index:
             continue
         kept.append(g)
         size = len(elements)  # |H|; elements[:size] is H, with the identity first
@@ -248,22 +249,21 @@ def closure(generators, cap: int | None = None, identity=None) -> MatGroup:
         for r in reps:  # grows by one rep per new coset
             for s in kept:
                 t = r * s
-                if t in seen:
+                if t in index:
                     continue
                 if len(elements) + size > cap:
                     raise CapExceeded(
                         f"closure exceeded cap {cap}: {len(elements)} elements reached, "
                         f"{len(kept)} of {len(generators)} generators kept"
                     )
-                seen.add(t)
+                index[t] = len(elements)
                 elements.append(t)
                 for i in range(1, size):
                     x = elements[i] * t
-                    seen.add(x)
+                    index[x] = len(elements)
                     elements.append(x)
                 reps.append(t)
-    del seen  # freed before MatGroup builds its index, so the two never coexist
-    return MatGroup(kept, elements, identity)
+    return MatGroup(kept, elements, identity, index)
 
 
 class Spectrum:

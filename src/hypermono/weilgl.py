@@ -17,7 +17,6 @@ matrix groups I, Cayley Bulletin 3, 1987).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -29,9 +28,9 @@ from .algebra.fq import (
     FqMatrix,
     companion_matrix,
     field,
+    irreducibles,
     kernel_dim,
     nullspace,
-    poly_is_irreducible_fq,
     poly_mul_fq,
 )
 from .algebra.numth import is_prime_power, prime_divisors
@@ -219,8 +218,6 @@ class WeilCharSpec:
     def degree(self) -> int:
         n, q, i = self.n, self.q, self.i
         if self.family == LINEAR:
-            if q == 2:
-                return 2**n - 2
             return (q**n - q) // (q - 1) if i == 0 else (q**n - 1) // (q - 1)
         s = (-1) ** n
         return (q**n + q * s) // (q + 1) if i == 0 else (q**n - s) // (q + 1)
@@ -229,48 +226,36 @@ class WeilCharSpec:
         return f"WeilCharSpec({self.family}, n={self.n}, q={self.q}, i={self.i})"
 
 
-def _gl_scalars(F: FieldSpec) -> list[int]:
-    """delta^k for k = 0..q-2, delta the fixed generator."""
+def _scalars(F: FieldSpec, Q: int) -> list[int]:
+    """xi^k for k = 0..Q-1, xi = gen^((|F| - 1)/Q) of order Q: the powers of
+    the generator itself for GL_n(q) (Q = q - 1), and those of order q + 1 in
+    F_(q^2) for GU_n(q)."""
+    xi = F.pow(F.gen, (F.q - 1) // Q)
     out, x = [], 1
-    for _ in range(F.q - 1):
+    for _ in range(Q):
         out.append(x)
-        x = F.mul[x * F.q + F.gen]
-    return out
-
-
-def _gu_scalars(F2: FieldSpec, q: int) -> list[int]:
-    """xi^k for k = 0..q, xi of order q+1 in the quadratic extension."""
-    xi = F2.pow(F2.gen, q - 1)
-    out, x = [], 1
-    for _ in range(q + 1):
-        out.append(x)
-        x = F2.mul[x * F2.q + xi]
+        x = F.mul[x * F.q + xi]
     return out
 
 
 def gl_kernel_profile(g: FqMatrix, q: int) -> tuple[int, ...]:
-    F = g.F
-    return tuple(kernel_dim(g, s) for s in _gl_scalars(F))
+    return tuple(kernel_dim(g, s) for s in _scalars(g.F, q - 1))
 
 
 def gu_kernel_profile(g: FqMatrix, q: int) -> tuple[int, ...]:
-    F2 = g.F
-    return tuple(kernel_dim(g, s) for s in _gu_scalars(F2, q))
+    return tuple(kernel_dim(g, s) for s in _scalars(g.F, q + 1))
 
 
 def tau_value(n: int, q: int, i: int, g: FqMatrix, profile: tuple[int, ...] | None = None) -> Cyc:
     """Irreducible Weil character value on GL_n(q).
 
-    For q >= 3:  (1/(q-1)) * sum_k zeta_(q-1)^(ik) q^dim ker(g - delta^k) - 2*[i=0],
+    (1/(q-1)) * sum_k zeta_(q-1)^(ik) q^dim ker(g - delta^k) - 2*[i=0],
     the twist-graded pieces of the point-count character with both trivial
-    summands removed from the i = 0 piece.  For q = 2 the single character
-    is (#fixed vectors) - 2.
+    summands removed from the i = 0 piece.  At q = 2 the sum has one term, and
+    the single character is (#fixed vectors) - 2.
     """
-    spec = WeilCharSpec(LINEAR, n, q, i)
     if profile is None:
         profile = gl_kernel_profile(g, q)
-    if q == 2:
-        return Cyc.from_int(2 ** profile[0] - 2)
     acc = Cyc.from_int(0)
     for k, d in enumerate(profile):
         acc = acc + Cyc.root(unity(i * k, q - 1)) * (q**d)
@@ -285,7 +270,6 @@ def zeta_value(n: int, q: int, i: int, g: FqMatrix, profile: tuple[int, ...] | N
 
     ((-1)^n/(q+1)) * sum_k zeta_(q+1)^(ik) (-q)^dim ker(g - xi^k).
     """
-    spec = WeilCharSpec(UNITARY, n, q, i)
     if profile is None:
         profile = gu_kernel_profile(g, q)
     acc = Cyc.from_int(0)
@@ -306,15 +290,19 @@ def weil_value(spec: WeilCharSpec, g: FqMatrix, profile=None) -> Cyc:
 
 
 def weil_spectrum(spec: WeilCharSpec, g: FqMatrix) -> Spectrum:
-    """Exact spectrum of g on the Weil module by Fourier inversion over <g>."""
-    order = g.order()
+    """Exact spectrum of g on the Weil module by Fourier inversion over <g>.
+
+    One walk g^0, g^1, ... collects the traces up to the first g^K = 1; a
+    walk past the HYPERMONO_CAP cap raises CapExceeded."""
     profile_fn = gl_kernel_profile if spec.family == LINEAR else gu_kernel_profile
-    traces = []
-    x = FqMatrix.identity(g.F, g.n)
-    for _ in range(order):
+    ident, cap = FqMatrix.identity(g.F, g.n), _cap(None)
+    traces, x = [], ident
+    while not traces or x != ident:
+        if len(traces) == cap:
+            raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
         traces.append(weil_value(spec, x, profile_fn(x, spec.q)))
         x = x * g
-    s = Spectrum.from_power_traces(order, traces)
+    s = Spectrum.from_power_traces(len(traces), traces)
     if s.dimension != spec.degree:
         raise ValueError("weil_spectrum multiplicities do not sum to the degree")
     return s
@@ -333,15 +321,6 @@ def group_scalars(group: MatGroup) -> set[FqMatrix]:
 # ---------------------------------------------------------------------------
 # torus constructors
 # ---------------------------------------------------------------------------
-
-
-def _irreducibles(F: FieldSpec, d: int):
-    """The monic irreducibles of degree d over F other than x, as low-to-high
-    coefficient tuples, the constant term varying slowest."""
-    for coeffs in itertools.product(range(F.q), repeat=d):
-        poly = coeffs + (1,)
-        if poly[0] and poly_is_irreducible_fq(F, poly):
-            yield poly
 
 
 def _x_power(F: FieldSpec, f, e: int) -> list[int]:
@@ -370,7 +349,7 @@ def _companions(F: FieldSpec, d: int, order: int):
     """The companion matrices of order ``order`` of the irreducibles f of
     degree d: the order of x in F[x]/(f), tested by polynomial powers."""
     one = [1] + [0] * (d - 1)
-    for poly in _irreducibles(F, d):
+    for poly in irreducibles(F, d):
         if _x_power(F, poly, order) == one and all(_x_power(F, poly, order // r) != one for r in prime_divisors(order)):
             yield companion_matrix(F, poly)
 
@@ -572,12 +551,8 @@ UNITARY_EXCLUSIONS = {(3, 2), (3, 4), (4, 2), (4, 3), (5, 2), (6, 2)}
 
 
 def weil_degrees(family: str, n: int, q: int) -> list[int]:
-    if family == LINEAR:
-        if q == 2:
-            return [2**n - 2]
-        return sorted({(q**n - q) // (q - 1), (q**n - 1) // (q - 1)})
-    s = (-1) ** n
-    return sorted({(q**n + q * s) // (q + 1), (q**n - s) // (q + 1)})
+    indices = range(q - 1 if family == LINEAR else q + 1)
+    return sorted({WeilCharSpec(family, n, q, i).degree for i in indices})
 
 
 def ss_enumerate(family: str, n: int, q: int) -> list[SsClass]:
@@ -709,7 +684,7 @@ def _class_types(family: str, n: int, q: int):
     p, e = _prime_power(q)
     if family == LINEAR:
         F = field(p, e)
-        units = [((f,), d, q**d) for d in range(1, n + 1) for f in _irreducibles(F, d)]
+        units = [((f,), d, q**d) for d in range(1, n + 1) for f in irreducibles(F, d)]
     else:
         F = field(p, 2 * e)
         conj = F.subfield_power_map(e)
@@ -717,7 +692,7 @@ def _class_types(family: str, n: int, q: int):
         for d in range(1, n + 1):
             if d % 2 == 0 and 2 * d > n:  # no self-dual f of even degree, and no pair fits
                 continue
-            for f in _irreducibles(F, d):
+            for f in irreducibles(F, d):
                 scale = F.inv[conj[f[0]]]
                 dual = tuple(F.mul[scale * F.q + conj[c]] for c in reversed(f))
                 if dual == f:
@@ -799,8 +774,7 @@ class OracleReport:
 def _weil_values_all(family: str, n: int, q: int, profile: tuple[int, ...]) -> list[Cyc]:
     """Every Weil character's value at an element of the given kernel profile."""
     if family == LINEAR:
-        idxs = range(1) if q == 2 else range(q - 1)
-        return [tau_value(n, q, i, None, profile) for i in idxs]
+        return [tau_value(n, q, i, None, profile) for i in range(q - 1)]
     return [zeta_value(n, q, i, None, profile) for i in range(q + 1)]
 
 
@@ -837,7 +811,7 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
             f"{classes} x {bound} power-walk steps exceed cap {walk_cap}"
         )
     F, types = _class_types(family, n, q)
-    scalars = _gl_scalars(F) if family == LINEAR else _gu_scalars(F, q)
+    scalars = _scalars(F, q - 1 if family == LINEAR else q + 1)
     index = {s: k for k, s in enumerate(scalars)}
 
     def residue_walk(f):  # ord(x mod f), and {r: c} for the r < ord with x^r = c mod f

@@ -4,7 +4,7 @@ from math import gcd, lcm
 import pytest
 
 from hypermono.algebra.cyc import Cyc, cyclotomic_poly, zeta
-from hypermono.algebra.fq import FqMatrix, companion_matrix, field, kernel_dim, poly_is_irreducible_fq
+from hypermono.algebra.fq import FqMatrix, companion_matrix, field, irreducibles, kernel_dim
 from hypermono.algebra.numth import (
     divisors,
     euler_phi,
@@ -177,8 +177,8 @@ class TestFq:
 
     def test_companion_singer(self):
         F2 = field(2)
-        poly = [1, 1, 0, 1]
-        assert poly_is_irreducible_fq(F2, poly)
+        poly = (1, 1, 0, 1)
+        assert poly in irreducibles(F2, 3)
         assert companion_matrix(F2, poly).order() == 7
 
     def test_char_poly(self):

@@ -6,12 +6,13 @@ the same cases and the file stays within a few seconds.
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermono.algebra.cyc import Cyc
-from hypermono.algebra.fq import FqMatrix, _defining_poly, _poly_mul_mod, field, nullspace
-from hypermono.algebra.numth import euler_phi, is_prime_power
+from hypermono.algebra.fq import FqMatrix, _defining_poly, _poly_mul_mod, field, irreducibles, nullspace
+from hypermono.algebra.numth import divisors, euler_phi, factor, is_prime_power
 
 PROPS = settings(
     derandomize=True,
@@ -45,6 +46,19 @@ def cycs(draw, conductors=(3, 4, 5, 7, 8, 9, 12, 15)):
     m = draw(st.sampled_from(conductors))
     num = draw(st.lists(st.integers(-5, 5), min_size=euler_phi(m), max_size=euler_phi(m)))
     return Cyc(m, tuple(num), draw(st.integers(1, 6)))
+
+
+def remainder(num, den, p):
+    """num mod the monic den over F_p, by integer trial division mod p
+    (low-to-high coefficient lists)."""
+    num = list(num)
+    while len(num) >= len(den):
+        lead = num[-1]
+        shift = len(num) - len(den)
+        for i, c in enumerate(den):
+            num[shift + i] = (num[shift + i] - lead * c) % p
+        num.pop()
+    return num
 
 
 def apply_rows(F, rows, v):
@@ -112,20 +126,44 @@ class TestFqLinearAlgebra:
         with integer arithmetic mod 3 alone."""
         poly = _defining_poly(3, 6)
         assert len(poly) == 7 and poly[-1] == 1
-
-        def remainder(num, den):
-            num = list(num)
-            while len(num) >= len(den):
-                lead = num[-1]
-                shift = len(num) - len(den)
-                for i, c in enumerate(den):
-                    num[shift + i] = (num[shift + i] - lead * c) % 3
-                num.pop()
-            return num
-
         for d in (1, 2, 3):
             for low in itertools.product(range(3), repeat=d):
-                assert any(remainder(poly, list(low) + [1])), low
+                assert any(remainder(poly, list(low) + [1], 3)), low
+
+
+def mobius(n: int) -> int:
+    exps = factor(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+
+class TestIrreducibleSieve:
+    CASES = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 16) for d in range(1, (4 if q <= 5 else 3) + 1)]
+
+    @pytest.mark.parametrize("q,d", CASES)
+    def test_gauss_count_and_order(self, q, d):
+        """The sieve lists (1/d) sum_(e | d) mu(e) q^(d/e) monic irreducibles,
+        less x in degree 1 (Lidl-Niederreiter, Finite Fields, Thm 3.25), in
+        itertools.product order, which is sorted order."""
+        polys = list(irreducibles(field(*is_prime_power(q)), d))
+        gauss = sum(mobius(e) * q ** (d // e) for e in divisors(d)) // d
+        assert len(polys) + (d == 1) == gauss
+        assert polys == sorted(polys) and all(len(f) == d + 1 and f[-1] == 1 and f[0] for f in polys)
+
+    def test_defining_polys_up_to_1024(self):
+        """field(p, f).poly is the least monic of degree f under reversed
+        coefficients with no monic factor of degree <= f/2, found by integer
+        trial division mod p."""
+        for q in range(4, 1025):
+            pf = is_prime_power(q)
+            if pf is None or pf[1] == 1:
+                continue
+            p, f = pf
+            factors = [list(low) + [1] for e in range(1, f // 2 + 1) for low in itertools.product(range(p), repeat=e)]
+            for code in range(p**f):  # a_(f-1) is the leading digit of code
+                poly = [code // p**i % p for i in range(f)] + [1]
+                if all(any(remainder(poly, g, p)) for g in factors):
+                    break
+            assert field(p, f).poly == tuple(poly), q
 
 
 class TestCycLinearAlgebra:

@@ -156,8 +156,17 @@ class TestExitCodes:
             (["ss", "linear", "6", "5", "--exhaustive"], None, "conjugacy classes"),
             (["ss", "unitary", "3", "3", "--exhaustive"], "1000", "56 conjugacy classes"),
             (["ss", "unitary", "2", "29", "--exhaustive"], None, "900 conjugacy classes"),
+            (["spectrum", "linear", "5", "16"], None, "torus order 1048575"),
+            (["spectrum", "linear", "2", "1024"], None, "torus order 1048575"),
         ],
-        ids=["linear_small_cap", "linear_default_cap", "unitary_small_cap", "unitary_default_cap"],
+        ids=[
+            "linear_small_cap",
+            "linear_default_cap",
+            "unitary_small_cap",
+            "unitary_default_cap",
+            "spectrum_linear_5_16",
+            "spectrum_linear_2_1024",
+        ],
     )
     def test_oracle_cap_is_3_before_any_work(self, capsys, monkeypatch, argv, cap, named):
         if cap is None:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermono.algebra.cyc import Cyc
-from hypermono.algebra.fq import FqMatrix, field
+from hypermono.algebra.fq import FqMatrix, field, irreducibles
 from hypermono.algebra.unity import unity
 from hypermono import repkit
 from hypermono.repkit import CycMatrix, spectrum as mat_spectrum
@@ -218,6 +218,16 @@ class TestTori:
         h = g ** 2  # order 13 still generates; use a deeper power
         s = weil_spectrum(WeilCharSpec("Linear", 3, 3, 1), g ** 13)  # order 2
         assert not s.is_simple()
+
+    def test_spectrum_walk_stops_at_the_cap(self, monkeypatch):
+        """The power walk of an order-26 Singer cycle passes a cap of 25 and
+        raises; at a cap of 26 it reaches the identity."""
+        spec, g = WeilCharSpec("Linear", 3, 3, 1), gl_singer(3, 3)
+        monkeypatch.setenv("HYPERMONO_CAP", "25")
+        with pytest.raises(repkit.CapExceeded):
+            weil_spectrum(spec, g)
+        monkeypatch.setenv("HYPERMONO_CAP", "26")
+        assert weil_spectrum(spec, g).dimension == 13
 
     # the tori that the matrix order search (FqMatrix.has_order on each
     # companion) picked, as flat row-major entries
@@ -623,7 +633,7 @@ def _factor_exponents(F, poly):
     irreducibles other than x of increasing degree."""
     poly, exps = list(poly), []
     for d in range(1, len(poly)):
-        for f in weilgl._irreducibles(F, d):
+        for f in irreducibles(F, d):
             e = 0
             while len(poly) > d:
                 quotient, rem = _divmod(F, poly, f)
