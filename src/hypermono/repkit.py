@@ -5,15 +5,17 @@ keeps only the irredundant generators; element orders; conjugacy classes by
 orbit partition under those kept generators; exact spectra via the
 character-sum (discrete Fourier) formula; class-function inner products; and
 the fourth moment M4.
-Works for matrices over a FieldSpec or over Cyc; elements only need ``*``,
-equality and hashing.
+Works for matrices over a FieldSpec or over Cyc, and for monomial matrices
+with root-of-unity entries, which closure takes as MonomialMatrix; elements
+only need ``*``, ``**``, equality and hashing.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .algebra.cyc import Cyc, rref
@@ -66,49 +68,41 @@ class CycMatrix:
         zero = Cyc.from_int(0)
         return cls(n, tuple(s if i == j else zero for i in range(n) for j in range(n)))
 
-    def __mul__(self, other: "CycMatrix") -> "CycMatrix":
+    def __mul__(self, other: "CycMatrix | MonomialMatrix") -> "CycMatrix":
+        if isinstance(other, MonomialMatrix):
+            other = other.to_cyc()
         n = self.n
         a, b = self.data, other.data
         zero = Cyc.from_int(0)
+        # each row of b as its nonzero entries (j, b_kj), listed once
+        b_rows = [[(j, x) for j, x in enumerate(b[k * n : (k + 1) * n]) if not x.is_zero()] for k in range(n)]
         out = [zero] * (n * n)
         for i in range(n):
             row = i * n
             for k in range(n):
                 aik = a[row + k]
                 if not aik.is_zero():
-                    kn = k * n
-                    for j in range(n):
-                        bkj = b[kn + j]
-                        if not bkj.is_zero():
-                            out[row + j] = out[row + j] + aik * bkj
+                    for j, bkj in b_rows[k]:
+                        out[row + j] = out[row + j] + aik * bkj
         return CycMatrix(n, out)
 
     def __eq__(self, other):
-        return isinstance(other, CycMatrix) and self.n == other.n and self.data == other.data
+        if not isinstance(other, CycMatrix):
+            return NotImplemented  # a MonomialMatrix compares itself
+        return self.n == other.n and self.data == other.data
 
     def __hash__(self):
+        """The hash of the entries' hashes, which a MonomialMatrix reproduces
+        without forming its entries."""
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.data)
+            h = self._hash = hash(tuple(map(hash, self.data)))
         return h
 
     def trace(self) -> Cyc:
         t = Cyc.from_int(0)
         for i in range(self.n):
             t = t + self.data[i * self.n + i]
-        return t
-
-    def trace_product(self, other: "CycMatrix") -> Cyc:
-        """tr(self * other) = sum of self[i][j] * other[j][i] over the nonzero
-        entries of other: O(n^2), without forming the product."""
-        n = self.n
-        a, b = self.data, other.data
-        t = Cyc.from_int(0)
-        for j in range(n):
-            for i in range(n):
-                bji = b[j * n + i]
-                if not bji.is_zero():
-                    t = t + a[i * n + j] * bji
         return t
 
     def scale(self, s: Cyc) -> "CycMatrix":
@@ -153,6 +147,167 @@ class CycMatrix:
             if k > cap:
                 raise RuntimeError("order exceeds cap")
         return k
+
+
+@lru_cache(maxsize=None)
+def _roots(e: int) -> tuple[Cyc, ...]:
+    """zeta_e^k for k < e, each at its minimal conductor."""
+    return tuple(Cyc.root(UnityClass(k, e)) for k in range(e))
+
+
+@lru_cache(maxsize=None)
+def _entry_hashes(e: int) -> tuple[int, tuple[int, ...]]:
+    """hash(0) and hash(zeta_e^k) for k < e: the entry hashes of CycMatrix.__hash__."""
+    return hash(Cyc.from_int(0)), tuple(map(hash, _roots(e)))
+
+
+@lru_cache(maxsize=4096)
+def _root_sum(e: int, exps: tuple[int, ...]) -> Cyc:
+    """The sum of zeta_e^k over k in exps."""
+    t = Cyc.from_int(0)
+    for k in exps:
+        t = t + _roots(e)[k]
+    return t
+
+
+class MonomialMatrix:
+    """A monomial matrix whose entries are roots of unity: column x holds
+    zeta_e^exps[x] in row perm[x], and every other entry is 0.
+
+    It equals and hashes like the CycMatrix it stands for (``to_cyc``), so
+    either may look the other up, but a product is two tuple comprehensions,
+    the hash reads no Cyc, and the trace depends only on ``trace_key``.
+    """
+
+    __slots__ = ("perm", "exps", "e", "_hash")
+
+    def __init__(self, perm, exps, e: int):
+        perm, exps = tuple(perm), tuple(k % e for k in exps)
+        if sorted(perm) != list(range(len(perm))) or len(exps) != len(perm):
+            raise ValueError("a monomial matrix needs a permutation and one exponent per column")
+        self.perm, self.exps, self.e = perm, exps, e
+        self._hash = None
+
+    @classmethod
+    def _make(cls, perm: tuple, exps: tuple, e: int) -> "MonomialMatrix":
+        """Unchecked constructor for tuples already reduced mod e."""
+        x = object.__new__(cls)
+        x.perm, x.exps, x.e, x._hash = perm, exps, e, None
+        return x
+
+    @classmethod
+    def identity(cls, n: int, e: int = 1) -> "MonomialMatrix":
+        return cls._make(tuple(range(n)), (0,) * n, e)
+
+    @classmethod
+    def from_cyc(cls, g: CycMatrix) -> "MonomialMatrix | None":
+        """g as a MonomialMatrix over the lcm of its entries' orders, or None
+        unless g has exactly one root-of-unity entry per row and column."""
+        n = g.n
+        perm, roots = [None] * n, [None] * n
+        for i, x in enumerate(g.data):
+            if not x.is_zero():
+                row, col = divmod(i, n)
+                if perm[col] is not None:
+                    return None
+                perm[col] = row
+                roots[col] = x.as_root_of_unity()
+        if None in perm or None in roots or len(set(perm)) != n:
+            return None
+        e = lcm(*(u.den for u in roots))
+        return cls._make(tuple(perm), tuple(u.num * (e // u.den) for u in roots), e)
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    def lift(self, e: int) -> "MonomialMatrix":
+        """The same matrix with exponents mod e, a multiple of self.e."""
+        if e == self.e:
+            return self
+        step = e // self.e
+        return MonomialMatrix._make(self.perm, tuple(k * step for k in self.exps), e)
+
+    def to_cyc(self) -> CycMatrix:
+        n, roots = self.n, _roots(self.e)
+        data = [Cyc.from_int(0)] * (n * n)
+        for col, (row, k) in enumerate(zip(self.perm, self.exps)):
+            data[row * n + col] = roots[k]
+        return CycMatrix(n, data)
+
+    def __mul__(self, other):
+        if isinstance(other, CycMatrix):
+            return self.to_cyc() * other
+        if not isinstance(other, MonomialMatrix):
+            return NotImplemented
+        if other.e != self.e:
+            e = lcm(self.e, other.e)
+            return self.lift(e) * other.lift(e)
+        pa, ea, e = self.perm, self.exps, self.e
+        pb = other.perm
+        return MonomialMatrix._make(
+            tuple([pa[y] for y in pb]), tuple([(k + ea[y]) % e for y, k in zip(pb, other.exps)]), e
+        )
+
+    def __pow__(self, k: int) -> "MonomialMatrix":
+        if k < 0:
+            raise ValueError("negative powers unsupported for MonomialMatrix (use order)")
+        out, base = MonomialMatrix.identity(self.n, self.e), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, MonomialMatrix):
+            if other.e != self.e:
+                e = lcm(self.e, other.e)
+                return self.lift(e) == other.lift(e)
+            return self.perm == other.perm and self.exps == other.exps
+        if isinstance(other, CycMatrix):
+            return self.to_cyc() == other
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            n = self.n
+            zero, roots = _entry_hashes(self.e)
+            flat = [zero] * (n * n)
+            for col, (row, k) in enumerate(zip(self.perm, self.exps)):
+                flat[row * n + col] = roots[k]
+            h = self._hash = hash(tuple(flat))
+        return h
+
+    def rank(self) -> int:
+        return self.n
+
+    def order(self) -> int:
+        ident = MonomialMatrix.identity(self.n, self.e)
+        x, k = self, 1
+        while x != ident:
+            x, k = x * self, k + 1
+        return k
+
+    def trace_key(self) -> tuple[int, tuple[int, ...]]:
+        """(e, the sorted exponents on the fixed points): the trace's data."""
+        return self.e, tuple(sorted(k for x, (row, k) in enumerate(zip(self.perm, self.exps)) if row == x))
+
+    def trace(self) -> Cyc:
+        return _root_sum(*self.trace_key())
+
+    def trace_product(self, other: CycMatrix) -> Cyc:
+        """tr(self * other) = sum of zeta_e^exps[x] * other[x, perm[x]]: O(n),
+        without forming the product."""
+        n, roots, b = self.n, _roots(self.e), other.data
+        t = Cyc.from_int(0)
+        for x, (row, k) in enumerate(zip(self.perm, self.exps)):
+            bx = b[x * n + row]
+            if not bx.is_zero():
+                t = t + roots[k] * bx
+        return t
 
 
 class MatGroup:
@@ -222,18 +377,24 @@ def closure(generators, cap: int | None = None) -> MatGroup:
     formed once, and recorded once, in the position index the returned
     group keeps.  CapExceeded is raised exactly when the order exceeds cap,
     before the coset that would pass it is formed.
+
+    Cyc generators that each have exactly one root-of-unity entry per row
+    and column are taken as MonomialMatrix over one exponent modulus, and
+    the group's elements are then MonomialMatrix; any other Cyc list stays
+    on CycMatrix.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     cap = _cap(cap)
-    g0 = generators[0]
-    if isinstance(g0, CycMatrix):
-        identity = CycMatrix.identity(g0.n)
-    else:
-        from .algebra.fq import FqMatrix
-
-        identity = FqMatrix.identity(g0.F, g0.n)
+    if all(isinstance(g, (CycMatrix, MonomialMatrix)) for g in generators):
+        monomials = [g if isinstance(g, MonomialMatrix) else MonomialMatrix.from_cyc(g) for g in generators]
+        if None in monomials:
+            generators = [g.to_cyc() if isinstance(g, MonomialMatrix) else g for g in generators]
+        else:
+            e = lcm(*(g.e for g in monomials))
+            generators = [g.lift(e) for g in monomials]
+    identity = generators[0] ** 0
     for g in generators:
         if g.rank() != g.n:
             raise ValueError("singular generator")
@@ -345,12 +506,12 @@ class Spectrum:
         return cls(out)
 
 
-def spectrum(g: CycMatrix, order: int | None = None) -> Spectrum:
+def spectrum(g: CycMatrix | MonomialMatrix, order: int | None = None) -> Spectrum:
     """Exact spectrum of a finite-order Cyc matrix via the character-sum formula."""
     if order is None:
         order = g.order()
     traces = []
-    x = CycMatrix.identity(g.n)
+    x = g**0
     for _ in range(order):
         traces.append(x.trace())
         x = x * g
@@ -378,12 +539,21 @@ def inner_product(group: MatGroup, chi1, chi2) -> Fraction:
 
 
 def m4(group: MatGroup, rep=None) -> int:
-    """Fourth moment M4 = [chi*conj(chi), chi*conj(chi)]_G, exact integer."""
+    """Fourth moment M4 = [chi*conj(chi), chi*conj(chi)]_G, exact integer.
+
+    When every image is a MonomialMatrix, |t|^4 is computed once per
+    distinct trace key, weighted by the number of elements that have it.
+    """
+    images = group.elements if rep is None else [rep(g) for g in group.elements]
+    if all(isinstance(h, MonomialMatrix) for h in images):
+        terms = [(_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
+    else:
+        terms = [(h.trace(), 1) for h in images]
     acc = Cyc.from_int(0)
-    for g in group.elements:
-        t = (rep(g) if rep is not None else g).trace()
+    for t, count in terms:
         a2 = t.abs2()
-        acc = acc + a2 * a2
+        a4 = a2 * a2
+        acc = acc + (a4 if count == 1 else a4 * count)
     if not acc.is_rational():
         raise ValueError("M4 sum is irrational")
     q = acc.rational() / group.order

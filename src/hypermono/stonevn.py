@@ -21,7 +21,7 @@ from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
 from .gates import partitions
-from .repkit import CycMatrix, Spectrum, closure
+from .repkit import CycMatrix, MonomialMatrix, Spectrum, closure
 
 DESK_CAP = 32
 
@@ -41,20 +41,13 @@ class NormalizationError(ModelError):
 
 class _MonomialModel:
     """A model whose matrices rho(label), one per coset of the center, are
-    monomial: (perm, phase) with rho delta_x = zeta_m^phase[x] delta_perm[x].
+    monomial: a MonomialMatrix over zeta_m, with rho delta_x =
+    zeta_m^exps[x] delta_perm[x].
 
     A subclass sets p, m, dim and _irreducible = None, and provides
-    monomials() (label -> (perm, phase)), generators() (labels generating
+    monomials() (label -> MonomialMatrix), generators() (labels generating
     the group modulo its center), parity_matrix() and gauss_candidates().
     """
-
-    def monomial_matrix(self, perm, phase) -> CycMatrix:
-        N = self.dim
-        zero = Cyc.from_int(0)
-        data = [zero] * (N * N)
-        for col in range(N):
-            data[perm[col] * N + col] = Cyc.root(unity(phase[col], self.m))
-        return CycMatrix(N, data)
 
     def irreducible_certificate(self) -> bool:
         """Exact character-norm test: sum over E of |chi|^2 equals |E|, read
@@ -66,17 +59,9 @@ class _MonomialModel:
 
     def _character_norm_sum(self) -> Fraction:
         """sum over the coset labels of |tr rho(label)|^2."""
-        m = self.m
-        accs = []
-        for perm, phase in self.monomials().values():
-            acc = [0] * m
-            for col in range(self.dim):
-                if perm[col] == col:
-                    acc[phase[col]] += 1
-            accs.append(acc)
         total = Fraction(0)
-        for t in _zeta_sums(accs, m):
-            a2 = t.abs2()
+        for mono in self.monomials().values():
+            a2 = mono.trace().abs2()
             if not a2.is_rational():
                 raise ModelError("irrational |chi|^2 (bug)")
             total += a2.rational()
@@ -95,12 +80,6 @@ def _zeta_sums(accs, m) -> list[Cyc]:
                     coeffs[i] += c * r
         out.append(Cyc(m, tuple(coeffs), 1))
     return out
-
-
-def _monomial_product(a, b, m):
-    """(perm, phase) of the product a * b of two monomials with phases mod m."""
-    (perm_a, phase_a), (perm_b, phase_b) = a, b
-    return [perm_a[y] for y in perm_b], [(f + phase_a[y]) % m for y, f in zip(perm_b, phase_b)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +132,8 @@ class HeisenbergModel(_MonomialModel):
         return tuple(F.add[u * F.q + v] for u, v in zip(x, a))
 
     # -- the representation as monomial data ---------------------------
-    def rho_monomial(self, a, b, z: int = 0):
-        """(perm, phase) with rho delta_x = zeta_p^phase[x] delta_perm[x]."""
+    def rho_monomial(self, a, b, z: int = 0) -> MonomialMatrix:
+        """rho(a, b, z), with rho delta_x = zeta_p^exps[x] delta_perm[x]."""
         F = self.F
         shift = F.mul[self.half * F.q + self._dot(b, a)]
         base = F.add[z * F.q + shift]
@@ -163,7 +142,7 @@ class HeisenbergModel(_MonomialModel):
         for x in self.points:
             perm.append(self.point_index[self._add_pt(x, a)])
             phase.append(self._psi_exp(F.add[base * F.q + self._dot(b, x)]))
-        return perm, phase
+        return MonomialMatrix(perm, phase, self.p)
 
     def monomials(self) -> dict:
         """rho_monomial(a, b) for each of the q^(2n) labels (a, b), built on
@@ -173,7 +152,7 @@ class HeisenbergModel(_MonomialModel):
         return self._monomials
 
     def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
-        return self.monomial_matrix(*self.rho_monomial(a, b, z))
+        return self.rho_monomial(a, b, z).to_cyc()
 
     def generators(self):
         """(a, b) labels of a generating set of E modulo the center."""
@@ -202,15 +181,11 @@ class HeisenbergModel(_MonomialModel):
                     return False
         return True
 
-    def parity_matrix(self) -> CycMatrix:
+    def parity_matrix(self) -> MonomialMatrix:
         """delta_x -> delta_(-x): the intertwiner of the central inversion."""
-        N = self.dim
-        zero, one = Cyc.from_int(0), Cyc.from_int(1)
-        data = [zero] * (N * N)
         F = self.F
-        for col, x in enumerate(self.points):
-            data[self.point_index[tuple(F.neg[c] for c in x)] * N + col] = one
-        return CycMatrix(N, data)
+        perm = [self.point_index[tuple(F.neg[c] for c in x)] for x in self.points]
+        return MonomialMatrix(perm, [0] * self.dim, 1)
 
     def gauss_candidates(self):
         """delta with known abs2 for unitary normalization: p-powers and the
@@ -268,10 +243,10 @@ class Extraspecial2Model(_MonomialModel):
                 bit = 1 << (n - 1 - slot)  # slot 0 is the leftmost tensor factor
                 twist = 1 if eps == "-" and slot == n - 1 else 0
                 if kind == "X":
-                    gens.append(([x ^ bit for x in range(N)], [twist] * N))
+                    gens.append(MonomialMatrix([x ^ bit for x in range(N)], [twist] * N, self.m))
                 else:
-                    gens.append((list(range(N)), [(2 if x & bit else 0) + twist for x in range(N)]))
-        grp = closure([self.monomial_matrix(*gen) for gen in gens], cap=2 ** (2 * n + 2))
+                    gens.append(MonomialMatrix(range(N), [(2 if x & bit else 0) + twist for x in range(N)], self.m))
+        grp = closure(gens, cap=2 ** (2 * n + 2))
         if grp.order != 2 ** (2 * n + 1):
             raise ModelError(f"extraspecial closure has order {grp.order}")
         self.group = grp
@@ -279,17 +254,17 @@ class Extraspecial2Model(_MonomialModel):
         # the quadratic form Q(v): s(v)^2 = (-1)^Q
         self.Q = {}
         for v, mono in self._monomials.items():
-            perm, phase = _monomial_product(mono, mono, self.m)
-            if perm != list(range(N)) or len(set(phase)) != 1 or phase[0] not in (0, 2):
+            square = mono * mono
+            if square.perm != tuple(range(N)) or len(set(square.exps)) != 1 or square.exps[0] not in (0, 2):
                 raise ModelError("section square is not +-1 (bug)")
-            self.Q[v] = phase[0] // 2
+            self.Q[v] = square.exps[0] // 2
 
     def word(self, v, gens):
-        """The monomial product of gens[k] over the k with v[k] = 1, ascending."""
-        out = (list(range(self.dim)), [0] * self.dim)
+        """The product of gens[k] over the k with v[k] = 1, ascending."""
+        out = MonomialMatrix.identity(self.dim, self.m)
         for bit, gen in zip(v, gens):
             if bit:
-                out = _monomial_product(out, gen, self.m)
+                out = out * gen
         return out
 
     def monomials(self) -> dict:
@@ -358,10 +333,10 @@ def _average(model, image) -> "ProjectiveMatrix":
     for c0 in range(N):
         accs = [[0] * m for _ in range(N * N)]
         r0 = 0
-        for (perm1, phase1), (perm2, phase2) in pairs:
+        for h, sh in pairs:
             # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
-            # (perm2[r0], perm1[c0]) with phase phase2[r0] - phase1[c0]
-            accs[perm2[r0] * N + perm1[c0]][(phase2[r0] - phase1[c0]) % m] += 1
+            # (perm_sh[r0], perm_h[c0]) with phase exps_sh[r0] - exps_h[c0]
+            accs[sh.perm[r0] * N + h.perm[c0]][(sh.exps[r0] - h.exps[c0]) % m] += 1
         M = CycMatrix(N, _zeta_sums(accs, m))
         if any(not x.is_zero() for x in M.data):
             pm = ProjectiveMatrix(M, model, [(table[label], image(label)) for label in model.generators()])
@@ -404,7 +379,8 @@ class ProjectiveMatrix:
             raise ModelError("no intertwining relation to check (a coset candidate, not an intertwiner)")
         M, N, m = self.mat.data, self.mat.n, self.model.m
         roots = [zeta(m, k) for k in range(m)]
-        for (perm_h, phase_h), (perm_sh, phase_sh) in self.pairs:
+        for h, sh in self.pairs:
+            perm_h, phase_h, perm_sh, phase_sh = h.perm, h.exps, sh.perm, sh.exps
             for y in range(N):
                 row = perm_sh[y] * N
                 for x in range(N):
@@ -421,7 +397,7 @@ class ProjectiveMatrix:
             self._walk(self.model.parity_matrix(), cap)
         return self._proj
 
-    def _walk(self, parity: CycMatrix | None, cap: int = 2048) -> dict:
+    def _walk(self, parity: CycMatrix | MonomialMatrix | None, cap: int = 2048) -> dict:
         """The power walk M^0, M^1, ..., M^K = c * identity, made once per parity.
 
         It fills the projective-order cache and returns {sign: simple?}: sign 0
@@ -435,7 +411,8 @@ class ProjectiveMatrix:
             return next(iter(self._walks.values()))
         M = self.mat
         N = M.n
-        halves = parity is not None and _commutes_with_permutation(M, parity)
+        P = _permutation(parity) if parity is not None else None
+        halves = P is not None and _commutes_with_permutation(M, P)
         signs = (0, 1, -1) if halves else (0,)
         sums = dict.fromkeys(signs, Cyc.from_int(0))
         half = Fraction(1, 2)
@@ -451,7 +428,7 @@ class ProjectiveMatrix:
             t = x.trace()
             sums[0] = sums[0] + t.abs2() * weight
             if halves:
-                t_par = x.trace_product(parity)
+                t_par = P.trace_product(x)
                 sums[1] = sums[1] + ((t + t_par) * half).abs2() * weight
                 sums[-1] = sums[-1] + ((t - t_par) * half).abs2() * weight
             weight = weight * c2_inv
@@ -462,7 +439,7 @@ class ProjectiveMatrix:
         if halves:
             # dimension of a half: trace of the projector (1 +- P)/2
             for sign in (1, -1):
-                dims[sign] = int(((Cyc.from_int(N) + sign * parity.trace()) * half).rational())
+                dims[sign] = int(((Cyc.from_int(N) + sign * P.trace()) * half).rational())
         verdicts = {}
         for sign, acc in sums.items():
             if not acc.is_rational():
@@ -522,7 +499,7 @@ class ProjectiveMatrix:
         M0 = self.finite_order_form()
         return mat_spectrum(M0).canonical_rotation()
 
-    def is_simple(self, parity: CycMatrix | None = None, sign: int = 0) -> bool:
+    def is_simple(self, parity: CycMatrix | MonomialMatrix | None = None, sign: int = 0) -> bool:
         """Simple spectrum (on a parity half when given), scalar-invariantly.
 
         Uses the exact autocorrelation identity: for eigenvalues of common
@@ -555,7 +532,7 @@ class ProjectiveMatrix:
             return self
         best = None
         for mono in self.model.monomials().values():
-            cand = ProjectiveMatrix(self.mat * self.model.monomial_matrix(*mono), self.model)
+            cand = ProjectiveMatrix(self.mat * mono, self.model)
             try:
                 kk, _ = cand.projective_order(cap=256)
             except ModelError:
@@ -568,20 +545,19 @@ class ProjectiveMatrix:
         return best[1]
 
 
-def _commutes_with_permutation(M: CycMatrix, P: CycMatrix) -> bool:
-    """M P == P M for a permutation matrix P, without a product: with
-    P[r, pi(r)] = 1 this reads M[pi(r), pi(c)] == M[r, c] for all r, c."""
-    N = P.n
-    pi = []
-    for r in range(N):
-        row = P.data[r * N : (r + 1) * N]
-        cols = [c for c, x in enumerate(row) if not x.is_zero()]
-        if len(cols) != 1 or row[cols[0]] != 1:
-            raise ValueError("parity is not a permutation matrix")
-        pi.append(cols[0])
-    if len(set(pi)) != N:
+def _permutation(P: CycMatrix | MonomialMatrix) -> MonomialMatrix:
+    """P as a MonomialMatrix with every exponent 0; ValueError unless P is a
+    permutation matrix."""
+    mono = P if isinstance(P, MonomialMatrix) else MonomialMatrix.from_cyc(P)
+    if mono is None or any(mono.exps):
         raise ValueError("parity is not a permutation matrix")
-    a = M.data
+    return mono
+
+
+def _commutes_with_permutation(M: CycMatrix, P: MonomialMatrix) -> bool:
+    """M P == P M for a permutation matrix P, without a product: with
+    P delta_x = delta_pi(x) this reads M[pi(r), pi(c)] == M[r, c] for all r, c."""
+    N, pi, a = P.n, P.perm, M.data
     return all(a[pi[r] * N + pi[c]] == a[r * N + c] for r in range(N) for c in range(N))
 
 
@@ -616,7 +592,7 @@ def sp_halves(model: HeisenbergModel, pm: ProjectiveMatrix) -> tuple[Cyc, Cyc]:
     M = pm.mat.scale(delta.inverse())
     P = model.parity_matrix()
     t_full = M.trace()
-    t_par = M.trace_product(P)
+    t_par = P.trace_product(M)
     half = Fraction(1, 2)
     return (t_full + t_par) * half, (t_full - t_par) * half
 
@@ -625,7 +601,7 @@ def sp_mod1_check(model: HeisenbergModel, pm: ProjectiveMatrix) -> bool:
     """abs2(even trace - odd trace) equals the unitarity scalar: the exact,
     scale-invariant form of 'even and odd Weil characters differ by 1'."""
     P = model.parity_matrix()
-    diff = pm.mat.trace_product(P)
+    diff = P.trace_product(pm.mat)
     return diff.abs2() == pm.unitarity_scalar()
 
 

@@ -345,18 +345,28 @@ def _x_power(F: FieldSpec, f, e: int) -> list[int]:
     return out
 
 
-def _companions(F: FieldSpec, d: int, order: int):
-    """The companion matrices of order ``order`` of the irreducibles f of
-    degree d: the order of x in F[x]/(f), tested by polynomial powers."""
-    one = [1] + [0] * (d - 1)
-    for poly in irreducibles(F, d):
+def _companions(F: FieldSpec, polys, order: int):
+    """The companion matrices of order ``order`` of the irreducibles polys,
+    all of one degree d: the order of x in F[x]/(f), tested by polynomial
+    powers."""
+    for poly in polys:
+        one = [1] + [0] * (len(poly) - 2)
         if _x_power(F, poly, order) == one and all(_x_power(F, poly, order // r) != one for r in prime_divisors(order)):
             yield companion_matrix(F, poly)
 
 
+def _dual(F: FieldSpec, f, conj=None) -> tuple[int, ...]:
+    """The monic polynomial whose roots are the alpha^-1 for the roots alpha
+    of the monic f, or the alpha^(-q) with conj (the q-power table)."""
+    bar = conj if conj is not None else range(F.q)
+    scale = F.inv[bar[f[0]]]
+    return tuple(F.mul[scale * F.q + bar[c]] for c in reversed(f))
+
+
 def gl_singer(n: int, q: int) -> FqMatrix:
     """Companion matrix of order q^n - 1 acting irreducibly (Singer cycle)."""
-    return next(_companions(field(*is_prime_power(q)), n, q**n - 1))
+    F = field(*is_prime_power(q))
+    return next(_companions(F, irreducibles(F, n), q**n - 1))
 
 
 def _invariant_forms(g: FqMatrix, conj=None) -> list[FqMatrix]:
@@ -445,8 +455,10 @@ def _form_torus(F: FieldSpec, deg: int, order: int, conj=None) -> FqMatrix:
     """An element of order ``order`` of GU_deg (with conj, the q-power table)
     or of Sp_deg (without) for the standard form: the first irreducible
     companion of that order with a nondegenerate invariant form, carried to
-    the standard form by _standardize."""
-    for C in _companions(F, deg, order):
+    the standard form by _standardize.  Only a self-dual f (f = _dual(f))
+    can carry such a form, so the order is tested on those alone."""
+    self_dual = (f for f in irreducibles(F, deg) if _dual(F, f, conj) == f)
+    for C in _companions(F, self_dual, order):
         for G in _invariant_forms(C, conj):
             if G.rank() == deg:
                 S = _standardize(G, conj)
@@ -693,8 +705,7 @@ def _class_types(family: str, n: int, q: int):
             if d % 2 == 0 and 2 * d > n:  # no self-dual f of even degree, and no pair fits
                 continue
             for f in irreducibles(F, d):
-                scale = F.inv[conj[f[0]]]
-                dual = tuple(F.mul[scale * F.q + conj[c]] for c in reversed(f))
+                dual = _dual(F, f, conj)
                 if dual == f:
                     units.append(((f,), d, -(q**d)))
                 elif 2 * d <= n and f < dual:

@@ -1,22 +1,27 @@
-"""Property tests for the ``ss`` and ``spectrum`` command lines: every argv
-gives a report or a documented refusal.
+"""Property tests for the ``ss``, ``spectrum`` and ``m4`` command lines:
+every argv, and every generator file, gives a report or a documented
+refusal.
 
 Hypothesis drives ``cli.main`` in process, derandomized with a bounded
-example count and a small HYPERMONO_CAP, so every run checks the same argvs
+example count and a small HYPERMONO_CAP, so every run checks the same inputs
 and the file stays within a few seconds.  Each run either exits 0 with a
 schema ``hypermono/1`` report on stdout, or exits 2 (validation), 3 (cap)
-or 4 (oracle) with one stderr line and nothing on stdout.  An exception
-that escapes ``main`` fails the test with its traceback.
+or 4 (oracle), and for ``m4`` also 1 (I/O), with one stderr line and nothing
+on stdout.  An exception that escapes ``main`` fails the test with its
+traceback.
 """
 
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypermono.algebra.cyc import zeta
 from hypermono.cli import main
 
 CAP = "2000"
@@ -49,7 +54,72 @@ def test_spectrum_reports_or_refuses(family, n, q, index):
     check_report_or_refusal(["spectrum", family, str(n), str(q), "--index", str(index)])
 
 
-def check_report_or_refusal(argv):
+def root_entry(k, e):
+    """zeta_e^k as a generator-file entry: "k/e", or a cyclotomic literal,
+    or an integer when it is +-1."""
+    if (2 * k) % e == 0:
+        return 1 if k % e == 0 else -1
+    if k % 2:
+        return f"{k}/{e}"
+    return {"conductor": e, "coeffs": list(zeta(e, k).num)}
+
+
+@st.composite
+def generator_files(draw):
+    """A generator file's text: monomial matrices with root-of-unity entries,
+    or with one entry that is no root of unity, or integer matrices, or a
+    singular, ragged, non-square, misshapen or unparsable body."""
+    kinds = ["monomial", "non_root", "integer", "singular", "ragged", "non_square", "shape", "json"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "json":
+        return draw(st.sampled_from(["", "{", '{"matrices": [[[1]]]', "[1, 2", "{matrices: []}", "nan"]))
+    if kind == "shape":
+        bodies = [[], {}, {"matrices": []}, {"matrices": 5}, {"matrices": [[]]}, {"matrices": [[[True]]]},
+                  {"matrices": [[[1.0]]]}, {"matrices": [[["1/0"]]]}, {"matrices": [[[{"conductor": 3}]]]}]
+        return json.dumps(draw(st.sampled_from(bodies)))
+    n = draw(st.integers(1, 3))
+    e = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "integer":
+            mat = [draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)) for _ in range(n)]
+        else:
+            perm = draw(st.permutations(range(n)))
+            mat = [[0] * n for _ in range(n)]
+            for col, row in enumerate(perm):
+                mat[row][col] = root_entry(draw(st.integers(0, e - 1)), e)
+        mats.append(mat)
+    mat = mats[draw(st.integers(0, len(mats) - 1))]
+    row = draw(st.integers(0, n - 1))
+    if kind == "non_root":
+        col = next(c for c in range(n) if mat[row][c] != 0)
+        non_roots = [2, -3, {"conductor": 1, "coeffs": [1], "den": 2}, {"conductor": 4, "coeffs": [1, 1]},
+                     {"conductor": 3, "coeffs": [0, 1], "den": 2}]
+        mat[row][col] = draw(st.sampled_from(non_roots))
+    elif kind == "singular":
+        mat[row] = [0] * n
+    elif kind == "ragged":
+        mat[row] = mat[row] + [0]
+    elif kind == "non_square":
+        mats = [[r + [0] for r in m] for m in mats]
+    return json.dumps({"matrices": mats})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(text=generator_files())
+@example(text=json.dumps({"matrices": [[["1/7", 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                                       [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]}))  # monomial, order 2058 > cap
+@example(text='{"matrices": [[[2]]]}')  # infinite cyclic: stops at the cap
+@example(text='{"matrices": [[[1, 0], [0, 1]]')  # unparsable: exit 1
+def test_m4_reports_or_refuses(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generators.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        check_report_or_refusal(["m4", path], refusals=(1, 2, 3, 4))
+
+
+def check_report_or_refusal(argv, refusals=(2, 3, 4)):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("HYPERMONO_CAP", CAP)
@@ -60,7 +130,7 @@ def check_report_or_refusal(argv):
         assert report["schema"] == "hypermono/1" and report["command"] == argv[0]
         assert err.getvalue() == ""
     else:
-        assert code in (2, 3, 4), argv
+        assert code in refusals, argv
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

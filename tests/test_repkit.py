@@ -11,6 +11,7 @@ from hypermono.algebra.unity import unity
 from hypermono.repkit import (
     CapExceeded,
     CycMatrix,
+    MonomialMatrix,
     Spectrum,
     alt2_character,
     closure,
@@ -27,16 +28,21 @@ def perm_matrix(images):
     return CycMatrix.from_rows([[1 if images[j] == i else 0 for j in range(n)] for i in range(n)])
 
 
-def monomial_group(q):
-    """The translation/scaling monomial group with the full diagonal p-part."""
+def monomial_generators(q, gen=2):
+    """diag(zeta_q, 1, ...), the q-cycle and x -> gen * x, as CycMatrix."""
     z = zeta(q)
     diag = CycMatrix.from_rows(
         [[(z if (i == j == 0) else (1 if i == j else 0)) for j in range(q)] for i in range(q)]
     )
     T = perm_matrix([(v + 1) % q for v in range(q)])
-    gen = 2 if q == 3 else 2  # a generator of (Z/q)* for prime q in {3, 5}
     S = perm_matrix([(gen * v) % q for v in range(q)])
-    return closure([diag, T, S])
+    return [diag, T, S]
+
+
+def monomial_group(q):
+    """The translation/scaling monomial group with the full diagonal p-part
+    (2 generates (Z/q)* for q in {3, 5})."""
+    return closure(monomial_generators(q))
 
 
 class TestClosure:
@@ -84,11 +90,18 @@ class TestClosure:
             closure([CycMatrix.from_rows([[w, 1], [w * w, w]])], cap=100)
 
     def test_trace_product(self):
+        """A monomial P reads tr(P x) = tr(x P) off its n entries."""
         w = zeta(3)
         a = CycMatrix.from_rows([[w, 1, 0], [2, w * w, 1], [0, w, 3]])
         b = CycMatrix.from_rows([[0, w, 1], [0, 0, 0], [5, 1, w]])
-        for x, y in ((a, b), (b, a), (a, perm_matrix([2, 0, 1])), (a, a)):
-            assert x.trace_product(y) == (x * y).trace()
+        monomials = (
+            MonomialMatrix([2, 0, 1], [0, 0, 0], 1),
+            MonomialMatrix([1, 0, 2], [1, 2, 0], 3),
+            MonomialMatrix([0, 1, 2], [1, 0, 3], 4),
+        )
+        for p in monomials:
+            for x in (a, b, p.to_cyc()):
+                assert p.trace_product(x) == (p.to_cyc() * x).trace() == (x * p.to_cyc()).trace()
 
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -203,6 +216,59 @@ class TestDimino:
         # two kept generators: two products per element for each, plus their
         # inverses (five kept elementary generators made 112,343)
         assert calls[0] <= 4 * G.order + 2 * orders
+
+
+def dense_m4(elements):
+    """Reference M4: |tr g|^4 summed element by element."""
+    acc = Cyc.from_int(0)
+    for g in elements:
+        a2 = g.trace().abs2()
+        acc = acc + a2 * a2
+    return acc.rational() / len(elements)
+
+
+class TestMonomialTwin:
+    """MonomialMatrix against the CycMatrix it stands for: it equals and
+    hashes like that matrix, and closure and m4 match a dense reference."""
+
+    @PROPS
+    @given(monomial_generator_lists())
+    def test_products_traces_and_images(self, case):
+        gens, identity = case
+        monos = [MonomialMatrix.from_cyc(g) for g in gens]
+        assert MonomialMatrix.identity(identity.n) == identity
+        for a, ma in zip(gens, monos):
+            assert ma.to_cyc() == a and ma == a and a == ma and hash(ma) == hash(a)
+            assert ma.trace() == a.trace() and ma.rank() == a.rank()
+            assert ma ** 3 == a ** 3 and ma.order() == a.order()
+            for b, mb in zip(gens, monos):
+                prod = ma * mb
+                assert isinstance(prod, MonomialMatrix) and prod.to_cyc() == a * b
+                assert hash(prod) == hash(a * b) and prod.trace() == (a * b).trace()
+                assert (ma * b) == (a * mb) == a * b
+
+    def test_exponent_moduli_are_lifted(self):
+        i2 = MonomialMatrix([1, 0], [1, 3], 4)  # zeta_4 = i and zeta_4^3 = -i
+        same = MonomialMatrix([1, 0], [3, 9], 12)
+        assert i2 == same and hash(i2) == hash(same) and i2.to_cyc() == same.to_cyc()
+        assert (i2 * MonomialMatrix([0, 1], [1, 0], 3)).e == 12
+
+    def test_non_monomial_and_non_root_entries_are_refused(self):
+        w = zeta(3)
+        for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 0], [1, 0]], [[w + 2, 0], [0, 1]]):
+            assert MonomialMatrix.from_cyc(CycMatrix.from_rows(rows)) is None
+        minus_w2 = MonomialMatrix.from_cyc(CycMatrix.from_rows([[0, w + 1], [-1, 0]]))  # w + 1 = -w^2
+        assert minus_w2 == MonomialMatrix([1, 0], [3, 1], 6)
+
+    @pytest.mark.parametrize("q, gen, order, value", [(3, 2, 162, 3), (4, 3, 2048, 5)])
+    def test_closure_and_m4_match_dense(self, q, gen, order, value):
+        gens = monomial_generators(q, gen)
+        G = closure(gens)
+        assert all(isinstance(g, MonomialMatrix) for g in G.elements)
+        dense = bfs_closure(gens, CycMatrix.identity(q))
+        assert G.order == len(dense) == order
+        assert {g.to_cyc() for g in G.elements} == dense == set(G.elements)
+        assert m4(G) == dense_m4(dense) == value
 
 
 class TestSpectrum:

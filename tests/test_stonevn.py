@@ -5,7 +5,7 @@ import pytest
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
-from hypermono.repkit import CycMatrix, Spectrum, closure, m4
+from hypermono.repkit import CycMatrix, MonomialMatrix, Spectrum, closure, m4
 from hypermono.stonevn import (
     Extraspecial2Model,
     HeisenbergModel,
@@ -412,6 +412,11 @@ class TestExtensionToFiniteGroup:
         J = closure([X, Z, M0])
         assert J.order == 108
         assert m4(J) == 3
+        # M0 is dense, so the mixed list stays on CycMatrix; X and Z alone
+        # close as MonomialMatrix
+        assert all(isinstance(g, CycMatrix) for g in J.elements)
+        E = closure([X, Z])
+        assert E.order == 27 and all(isinstance(g, MonomialMatrix) for g in E.elements)
 
 
 def count_products(monkeypatch):
@@ -473,11 +478,11 @@ class TestMonomialModels:
     def test_sections_match_the_pauli_products(self, eps):
         """s(v)^2 = (-1)^Q(v), and the closure is the sections times +-1."""
         model = Extraspecial2Model(2, eps)
-        sections = {model.monomial_matrix(*mono) for mono in model.monomials().values()}
+        sections = {mono.to_cyc() for mono in model.monomials().values()}
         negated = {s.scale(Cyc.from_int(-1)) for s in sections}
         assert sections | negated == set(model.group.elements)
         for v, mono in model.monomials().items():
-            s = model.monomial_matrix(*mono)
+            s = mono.to_cyc()
             assert s * s == CycMatrix.scalar(4, Cyc.from_int((-1) ** model.Q[v]))
 
     def test_verify_rejects_a_non_intertwiner(self):

@@ -230,7 +230,8 @@ class TestTori:
         assert weil_spectrum(spec, g).dimension == 13
 
     # the tori that the matrix order search (FqMatrix.has_order on each
-    # companion) picked, as flat row-major entries
+    # companion) picked, and for the last three the polynomial search over
+    # every irreducible, as flat row-major entries
     PINNED = [
         (gl_singer, (3, 3), (0, 0, 2, 1, 0, 0, 0, 1, 1)),
         (sp_torus_element, (2, 3, 1), (0, 1, 0, 0, 1, 2, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0)),
@@ -238,6 +239,9 @@ class TestTori:
         (gu_torus_element, (3, 2, 9), (0, 0, 1, 0, 2, 1, 1, 2, 2)),
         (gu_torus_element, (3, 3, 28), (0, 0, 1, 0, 3, 5, 1, 5, 2)),
         (gu_torus_element, (3, 5, 126), (0, 0, 1, 0, 7, 17, 1, 20, 14)),
+        (gu_torus_element, (3, 4, 65), (0, 0, 1, 0, 8, 13, 1, 7, 11)),
+        (gu_torus_element, (3, 7, 344), (0, 0, 1, 0, 16, 15, 1, 15, 8)),
+        (sp_torus_element, (2, 5, -1), (0, 0, 0, 1, 1, 0, 0, 2, 0, 4, 3, 0, 0, 0, 1, 0)),
     ]
 
     def test_companion_orders_on_polynomials(self, monkeypatch):
@@ -247,6 +251,25 @@ class TestTori:
         monkeypatch.setattr(FqMatrix, "has_order", refuse)
         for build, args, data in self.PINNED:
             assert build(*args).data == data, (build.__name__, args)
+
+    def test_form_tori_test_self_dual_polynomials_only(self, monkeypatch):
+        """Only a self-dual f carries a nondegenerate form, so the GU and Sp
+        searches power x modulo those alone: 87 powers for GU_3(7)'s order
+        344, where testing every cubic over F_49 first took 12,342."""
+        tested = []
+        x_power = weilgl._x_power
+
+        def recording(F, f, e):
+            tested.append(f)
+            return x_power(F, f, e)
+
+        monkeypatch.setattr(weilgl, "_x_power", recording)
+        gu_torus_element(3, 7, 344)
+        F, conj = field(7, 2), field(7, 2).subfield_power_map(1)
+        assert len(tested) == 87 and all(weilgl._dual(F, f, conj) == f for f in tested)
+        tested.clear()
+        sp_torus_element(2, 5, -1)
+        assert tested and all(weilgl._dual(field(5), f) == f for f in tested)
 
     def test_t21_dims(self):
         h = gu_block_torus(3, [(2, 8), (1, 4)])
