@@ -93,24 +93,29 @@ def _ctx(m: int) -> _Ctx:
     return _Ctx(m)
 
 
-def _mul_vec(ctx: _Ctx, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _reduce(ctx: _Ctx, prod: list[int]) -> list[int]:
+    """A product of two power-basis vectors, its 2*phi - 1 coefficients,
+    reduced modulo the m-th cyclotomic polynomial."""
     phi = ctx.phi
-    prod = [0] * (2 * phi - 1)
+    out = prod[:phi]
+    red = ctx.red
+    for j in range(phi, len(prod)):
+        c = prod[j]
+        if c:
+            for i, r in enumerate(red[j - phi]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def _mul_vec(ctx: _Ctx, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    prod = [0] * (2 * ctx.phi - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    out = prod[:phi]
-    red = ctx.red
-    for j in range(phi, 2 * phi - 1):
-        c = prod[j]
-        if c:
-            row = red[j - phi]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
-    return tuple(out)
+    return tuple(_reduce(ctx, prod))
 
 
 def _apply_rows(rows, coeffs, phi):
@@ -124,6 +129,21 @@ def _apply_rows(rows, coeffs, phi):
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _lift_rows(m: int, m2: int) -> tuple[tuple[int, ...], ...]:
+    """Rows taking conductor-m coefficients to conductor m2, a multiple of m."""
+    power, step = _ctx(m2).power, m2 // m
+    return tuple(power[(k * step) % m2] for k in range(euler_phi(m)))
+
+
+def _times_root(ctx: _Ctx, v: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """v * zeta_m^k for power-basis coefficients v."""
+    if not k:
+        return v
+    m, power = ctx.m, ctx.power
+    return _apply_rows([power[(i + k) % m] for i in range(ctx.phi)], v, ctx.phi)
+
+
 class Cyc:
     __slots__ = ("m", "num", "den", "_key")
 
@@ -133,10 +153,11 @@ class Cyc:
         if not _normalized:
             if den < 0:
                 den, num = -den, tuple(-c for c in num)
-            g = gcd(den, *[abs(c) for c in num]) if any(num) else den
-            if g > 1:
-                den //= g
-                num = tuple(c // g for c in num)
+            if den != 1:  # at den = 1 the gcd is 1 whatever the coefficients
+                g = gcd(den, *num)
+                if g > 1:
+                    den //= g
+                    num = tuple(c // g for c in num)
             if not any(num):
                 m, num, den = 1, (0,), 1
         object.__setattr__(self, "m", m)
@@ -178,10 +199,7 @@ class Cyc:
             return self
         if m2 % self.m != 0:
             raise ValueError(f"cannot lift conductor {self.m} to non-multiple {m2}")
-        ctx2 = _ctx(m2)
-        step = m2 // self.m
-        rows = [ctx2.power[(k * step) % m2] for k in range(len(self.num))]
-        return Cyc(m2, _apply_rows(rows, self.num, ctx2.phi), self.den)
+        return Cyc(m2, _apply_rows(_lift_rows(self.m, m2), self.num, _ctx(m2).phi), self.den)
 
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> tuple["Cyc", "Cyc"]:

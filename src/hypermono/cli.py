@@ -447,7 +447,10 @@ def cmd_m4(args) -> dict:
         _check_at_least(1, **{"--cap": args.cap})
     gens = _load_generators(args.generators)
     G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
-    echo = [[[_entry_json(g.data[i * g.n + j]) for j in range(g.n)] for i in range(g.n)] for g in gens]
+    echo = []
+    for g in gens:
+        flat = [_entry_json(x) for x in g.entries()]
+        echo.append([flat[i * g.n : (i + 1) * g.n] for i in range(g.n)])
     return _report(
         "m4",
         {"generators": echo},

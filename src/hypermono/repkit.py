@@ -5,9 +5,13 @@ keeps only the irredundant generators; element orders; conjugacy classes by
 orbit partition under those kept generators; exact spectra via the
 character-sum (discrete Fourier) formula; class-function inner products; and
 the fourth moment M4.
-Works for matrices over a FieldSpec or over Cyc, and for monomial matrices
-with root-of-unity entries, which closure takes as MonomialMatrix; elements
-only need ``*``, ``**``, equality and hashing.
+Works for matrices over a FieldSpec or over a cyclotomic field, and for
+monomial matrices with root-of-unity entries, which closure takes as
+MonomialMatrix; elements only need ``*``, ``**``, equality and hashing.
+A CycMatrix is flat, like an FqMatrix: one conductor, one denominator and
+one integer coefficient tuple per nonzero entry, so a product multiplies
+coefficient vectors and reduces each output entry once; Cyc objects are
+formed only for code that reads entries one at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import os
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from .algebra.cyc import Cyc, rref
+from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
 from .algebra.unity import UnityClass
 
 DEFAULT_CAP = 2_000_000
@@ -37,76 +41,168 @@ class CapExceeded(RuntimeError):
 
 
 class CycMatrix:
-    """Dense square matrix over Cyc; immutable and hashable."""
+    """Dense square matrix over a cyclotomic field, stored flat; immutable
+    and hashable.
 
-    __slots__ = ("n", "data", "_hash")
+    One conductor m and one positive denominator den serve the whole matrix:
+    coeffs[i * n + j] is None for a zero entry (i, j), otherwise the phi(m)
+    integer power-basis coefficients of den times that entry, as in Cyc.  den
+    is coprime to the gcd of all the coefficients, so the layout is unique at
+    a given conductor.  Products, traces, scalars and equality read the
+    coefficients; ``entries()`` gives Cyc objects to code that asks for them.
+    """
+
+    __slots__ = ("n", "m", "den", "coeffs", "_hash")
 
     def __init__(self, n: int, data):
-        self.n = n
-        self.data = tuple(data)
-        self._hash = None
-        if len(self.data) != n * n:
+        """The matrix of n * n entries (Cyc, int or Fraction), row-major."""
+        data = [x if isinstance(x, Cyc) else Cyc.from_fraction(Fraction(x)) for x in data]
+        if len(data) != n * n:
             raise ValueError("matrix data has wrong length")
+        m = lcm(1, *(x.m for x in data))
+        den = lcm(1, *(x.den for x in data))  # coprime to the gcd of the scaled coefficients
+        coeffs = tuple(None if x.is_zero() else tuple(c * (den // x.den) for c in x.lift(m).num) for x in data)
+        self.n, self.m, self.den, self.coeffs, self._hash = n, m, den, coeffs, None
+
+    @classmethod
+    def _make(cls, n: int, m: int, den: int, coeffs: tuple) -> "CycMatrix":
+        """Unchecked constructor for coefficients already in the normal layout."""
+        x = object.__new__(cls)
+        x.n, x.m, x.den, x.coeffs, x._hash = n, m, den, coeffs, None
+        return x
+
+    @classmethod
+    def from_coeffs(cls, n: int, m: int, coeffs, den: int = 1) -> "CycMatrix":
+        """The matrix with entries coeffs[k] / den at conductor m, each None or
+        phi(m) integer coefficients; the denominator is normalized once."""
+        coeffs = tuple(coeffs)
+        if den < 1 or len(coeffs) != n * n:
+            raise ValueError("matrix data has wrong length or denominator")
+        if den != 1:
+            g = gcd(den, *(c for v in coeffs if v is not None for c in v))
+            if g > 1:
+                den //= g
+                coeffs = tuple(None if v is None else tuple(c // g for c in v) for v in coeffs)
+        return cls._make(n, m, den, coeffs)
 
     @classmethod
     def from_rows(cls, rows) -> "CycMatrix":
         rows = [list(r) for r in rows]
-        n = len(rows)
-        flat = []
-        for r in rows:
-            for x in r:
-                flat.append(x if isinstance(x, Cyc) else Cyc.from_fraction(Fraction(x)))
-        return cls(n, flat)
+        return cls(len(rows), [x for r in rows for x in r])
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
-        one, zero = Cyc.from_int(1), Cyc.from_int(0)
-        return cls(n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls._make(n, 1, 1, tuple((1,) if i == j else None for i in range(n) for j in range(n)))
 
     @classmethod
     def scalar(cls, n: int, s: Cyc) -> "CycMatrix":
-        zero = Cyc.from_int(0)
-        return cls(n, tuple(s if i == j else zero for i in range(n) for j in range(n)))
+        d = None if s.is_zero() else s.num
+        return cls._make(n, s.m, s.den, tuple(d if i == j else None for i in range(n) for j in range(n)))
+
+    def entries(self) -> list[Cyc]:
+        """The entries as Cyc, row-major."""
+        m, den, zero = self.m, self.den, Cyc.from_int(0)
+        return [zero if v is None else Cyc(m, v, den) for v in self.coeffs]
+
+    def lift(self, m: int) -> "CycMatrix":
+        """The same matrix at conductor m, a multiple of self.m."""
+        if m == self.m:
+            return self
+        if m % self.m:
+            raise ValueError(f"cannot lift conductor {self.m} to non-multiple {m}")
+        rows, phi = _lift_rows(self.m, m), _ctx(m).phi
+        return CycMatrix._make(
+            self.n, m, self.den, tuple(None if v is None else _apply_rows(rows, v, phi) for v in self.coeffs)
+        )
 
     def __mul__(self, other: "CycMatrix | MonomialMatrix") -> "CycMatrix":
         if isinstance(other, MonomialMatrix):
-            other = other.to_cyc()
-        n = self.n
-        a, b = self.data, other.data
-        zero = Cyc.from_int(0)
-        # each row of b as its nonzero entries (j, b_kj), listed once
-        b_rows = [[(j, x) for j, x in enumerate(b[k * n : (k + 1) * n]) if not x.is_zero()] for k in range(n)]
-        out = [zero] * (n * n)
+            return self.monomial_product(other)
+        if not isinstance(other, CycMatrix):
+            return NotImplemented
+        m = lcm(self.m, other.m)
+        n, ctx = self.n, _ctx(m)
+        a, b = self.lift(m).coeffs, other.lift(m).coeffs
+        width = 2 * ctx.phi - 1
+        # each row of b as its nonzero entries (j, nonzero coefficients of b_kj), listed once
+        b_rows = [
+            [(j, [(t, d) for t, d in enumerate(v) if d]) for j, v in enumerate(b[k * n : (k + 1) * n]) if v is not None]
+            for k in range(n)
+        ]
+        out = []
         for i in range(n):
-            row = i * n
-            for k in range(n):
-                aik = a[row + k]
-                if not aik.is_zero():
-                    for j, bkj in b_rows[k]:
-                        out[row + j] = out[row + j] + aik * bkj
-        return CycMatrix(n, out)
+            acc = [None] * n  # per output entry, the unreduced sum of convolutions
+            for k, v in enumerate(a[i * n : (i + 1) * n]):
+                if v is None or not b_rows[k]:
+                    continue
+                terms = [(s, c) for s, c in enumerate(v) if c]
+                for j, w in b_rows[k]:
+                    conv = acc[j]
+                    if conv is None:
+                        conv = acc[j] = [0] * width
+                    for s, c in terms:
+                        for t, d in w:
+                            conv[s + t] += c * d
+            for conv in acc:
+                if conv is not None:
+                    conv = _reduce(ctx, conv)
+                    conv = tuple(conv) if any(conv) else None
+                out.append(conv)
+        return CycMatrix.from_coeffs(n, m, out, self.den * other.den)
+
+    def monomial_product(self, P: "MonomialMatrix", left: bool = False) -> "CycMatrix":
+        """self * P, or P * self when left, by moving each entry once and
+        multiplying it by a root of unity: O(n^2), with no dense product."""
+        n, e = self.n, P.e
+        m = lcm(self.m, e)
+        ctx, step, a = _ctx(m), m // e, self.lift(m).coeffs
+        out = [None] * (n * n)
+        for x, (y, k) in enumerate(zip(P.perm, P.exps)):
+            k *= step  # P has zeta^k at (y, x)
+            if left:  # row x times zeta^k becomes row y
+                src, dst, stride = x * n, y * n, 1
+            else:  # column y times zeta^k becomes column x
+                src, dst, stride = y, x, n
+            for r in range(0, n * stride, stride):
+                v = a[src + r]
+                if v is not None:
+                    out[dst + r] = _times_root(ctx, v, k)
+        return CycMatrix._make(n, m, self.den, tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
             return NotImplemented  # a MonomialMatrix compares itself
-        return self.n == other.n and self.data == other.data
+        if self.n != other.n or self.den != other.den:  # lifting keeps the denominator
+            return False
+        if self.m == other.m:
+            return self.coeffs == other.coeffs
+        m = lcm(self.m, other.m)
+        return self.lift(m).coeffs == other.lift(m).coeffs
 
     def __hash__(self):
         """The hash of the entries' hashes, which a MonomialMatrix reproduces
         without forming its entries."""
         h = self._hash
         if h is None:
-            h = self._hash = hash(tuple(map(hash, self.data)))
+            m, den, zero = self.m, self.den, hash(Cyc.from_int(0))
+            h = self._hash = hash(tuple(zero if v is None else _entry_hash(m, v, den) for v in self.coeffs))
         return h
 
     def trace(self) -> Cyc:
-        t = Cyc.from_int(0)
-        for i in range(self.n):
-            t = t + self.data[i * self.n + i]
-        return t
+        acc = [0] * _ctx(self.m).phi
+        for v in self.coeffs[:: self.n + 1]:
+            if v is not None:
+                for i, c in enumerate(v):
+                    acc[i] += c
+        return Cyc(self.m, tuple(acc), self.den)
 
     def scale(self, s: Cyc) -> "CycMatrix":
-        return CycMatrix(self.n, tuple(s * x for x in self.data))
+        if s.is_zero():
+            return CycMatrix._make(self.n, 1, 1, (None,) * (self.n * self.n))
+        m = lcm(self.m, s.m)
+        ctx, w = _ctx(m), s.lift(m).num
+        coeffs = tuple(None if v is None else _mul_vec(ctx, v, w) for v in self.lift(m).coeffs)
+        return CycMatrix.from_coeffs(self.n, m, coeffs, self.den * s.den)
 
     def __pow__(self, e: int) -> "CycMatrix":
         if e < 0:
@@ -122,21 +218,15 @@ class CycMatrix:
 
     def rank(self) -> int:
         """Rank by Gauss-Jordan over the cyclotomic field."""
-        n = self.n
-        return len(rref([list(self.data[i * n : (i + 1) * n]) for i in range(n)], n))
+        n, data = self.n, self.entries()
+        return len(rref([data[i * n : (i + 1) * n] for i in range(n)], n))
 
     def is_scalar(self) -> Cyc | None:
-        n = self.n
-        s = self.data[0]
-        for i in range(n):
-            for j in range(n):
-                x = self.data[i * n + j]
-                if i == j:
-                    if x != s:
-                        return None
-                elif not x.is_zero():
-                    return None
-        return s
+        n, a = self.n, self.coeffs
+        s = a[0]
+        if any(v != s for v in a[:: n + 1]) or a.count(None) != (n * n if s is None else n * n - n):
+            return None
+        return Cyc.from_int(0) if s is None else Cyc(self.m, s, self.den)
 
     def order(self, cap: int = 10000) -> int:
         ident = CycMatrix.identity(self.n)
@@ -147,6 +237,12 @@ class CycMatrix:
             if k > cap:
                 raise RuntimeError("order exceeds cap")
         return k
+
+
+@lru_cache(maxsize=4096)
+def _entry_hash(m: int, v: tuple[int, ...], den: int) -> int:
+    """hash(Cyc(m, v, den)): an entry's hash, which reads its minimal conductor."""
+    return hash(Cyc(m, v, den))
 
 
 @lru_cache(maxsize=None)
@@ -205,13 +301,13 @@ class MonomialMatrix:
         unless g has exactly one root-of-unity entry per row and column."""
         n = g.n
         perm, roots = [None] * n, [None] * n
-        for i, x in enumerate(g.data):
-            if not x.is_zero():
+        for i, v in enumerate(g.coeffs):
+            if v is not None:
                 row, col = divmod(i, n)
                 if perm[col] is not None:
                     return None
                 perm[col] = row
-                roots[col] = x.as_root_of_unity()
+                roots[col] = Cyc(g.m, v, g.den).as_root_of_unity()
         if None in perm or None in roots or len(set(perm)) != n:
             return None
         e = lcm(*(u.den for u in roots))
@@ -229,15 +325,15 @@ class MonomialMatrix:
         return MonomialMatrix._make(self.perm, tuple(k * step for k in self.exps), e)
 
     def to_cyc(self) -> CycMatrix:
-        n, roots = self.n, _roots(self.e)
-        data = [Cyc.from_int(0)] * (n * n)
+        n, power = self.n, _ctx(self.e).power
+        coeffs = [None] * (n * n)
         for col, (row, k) in enumerate(zip(self.perm, self.exps)):
-            data[row * n + col] = roots[k]
-        return CycMatrix(n, data)
+            coeffs[row * n + col] = power[k]
+        return CycMatrix._make(n, self.e, 1, tuple(coeffs))
 
     def __mul__(self, other):
         if isinstance(other, CycMatrix):
-            return self.to_cyc() * other
+            return other.monomial_product(self, left=True)
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
         if other.e != self.e:
@@ -301,13 +397,16 @@ class MonomialMatrix:
     def trace_product(self, other: CycMatrix) -> Cyc:
         """tr(self * other) = sum of zeta_e^exps[x] * other[x, perm[x]]: O(n),
         without forming the product."""
-        n, roots, b = self.n, _roots(self.e), other.data
-        t = Cyc.from_int(0)
+        n, e = self.n, self.e
+        m = lcm(e, other.m)
+        ctx, step, b = _ctx(m), m // e, other.lift(m).coeffs
+        acc = [0] * ctx.phi
         for x, (row, k) in enumerate(zip(self.perm, self.exps)):
-            bx = b[x * n + row]
-            if not bx.is_zero():
-                t = t + roots[k] * bx
-        return t
+            v = b[x * n + row]
+            if v is not None:
+                for i, c in enumerate(_times_root(ctx, v, k * step)):
+                    acc[i] += c
+        return Cyc(m, tuple(acc), other.den)
 
 
 class MatGroup:

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .algebra.cyc import Cyc, zeta
+from .algebra.cyc import Cyc, _apply_rows, _ctx, _mul_vec, zeta
 from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
@@ -68,17 +68,14 @@ class _MonomialModel:
         return total
 
 
-def _zeta_sums(accs, m) -> list[Cyc]:
-    """Each accumulator [c_0, ..., c_(m-1)] as the cyclotomic sum of c_k zeta_m^k."""
-    basis = [zeta(m, k).num for k in range(m)]
+def _zeta_sums(accs, m) -> list[tuple[int, ...] | None]:
+    """Each accumulator [c_0, ..., c_(m-1)] as the power-basis coefficients of
+    the sum of c_k zeta_m^k, or None when that sum is 0."""
+    ctx = _ctx(m)
     out = []
     for acc in accs:
-        coeffs = [0] * len(basis[0])
-        for c, row in zip(acc, basis):
-            if c:
-                for i, r in enumerate(row):
-                    coeffs[i] += c * r
-        out.append(Cyc(m, tuple(coeffs), 1))
+        coeffs = _apply_rows(ctx.power, acc, ctx.phi)
+        out.append(coeffs if any(coeffs) else None)
     return out
 
 
@@ -191,10 +188,8 @@ class HeisenbergModel(_MonomialModel):
         """delta with known abs2 for unitary normalization: p-powers and the
         quadratic Gauss sum (abs2 = p)."""
         p = self.p
-        acc = [0] * p
-        for t in range(p):
-            acc[t * t % p] += 1
-        return [(Cyc.from_int(1), 1), (_zeta_sums([acc], p)[0], p)]
+        gauss = sum((zeta(p, t * t % p) for t in range(p)), Cyc.from_int(0))
+        return [(Cyc.from_int(1), 1), (gauss, p)]
 
 
 def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMatrix":
@@ -337,8 +332,8 @@ def _average(model, image) -> "ProjectiveMatrix":
             # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
             # (perm_sh[r0], perm_h[c0]) with phase exps_sh[r0] - exps_h[c0]
             accs[sh.perm[r0] * N + h.perm[c0]][(sh.exps[r0] - h.exps[c0]) % m] += 1
-        M = CycMatrix(N, _zeta_sums(accs, m))
-        if any(not x.is_zero() for x in M.data):
+        M = CycMatrix.from_coeffs(N, m, _zeta_sums(accs, m))
+        if any(v is not None for v in M.coeffs):
             pm = ProjectiveMatrix(M, model, [(table[label], image(label)) for label in model.generators()])
             pm.verify()
             return pm
@@ -369,23 +364,18 @@ class ProjectiveMatrix:
     def verify(self):
         """Exact checks: intertwining on generators; nonzero; irreducibility.
 
-        M rho(h) = rho(sigma h) M is read entry by entry off the monomials:
-        zeta^phase_h[x] M[perm_sh[y], perm_h[x]] = zeta^phase_sh[y] M[y, x].
-        With both representations irreducible and of equal (central)
-        character, a nonzero intertwiner is invertible and the solution
-        space is one-dimensional, which is the uniqueness guard.
+        M rho(h) = rho(sigma h) M compares two monomial products, each of
+        which moves every entry of M once and multiplies it by a root of
+        unity: no dense product.  With both representations irreducible and
+        of equal (central) character, a nonzero intertwiner is invertible and
+        the solution space is one-dimensional, which is the uniqueness guard.
         """
         if not self.pairs:
             raise ModelError("no intertwining relation to check (a coset candidate, not an intertwiner)")
-        M, N, m = self.mat.data, self.mat.n, self.model.m
-        roots = [zeta(m, k) for k in range(m)]
+        M = self.mat
         for h, sh in self.pairs:
-            perm_h, phase_h, perm_sh, phase_sh = h.perm, h.exps, sh.perm, sh.exps
-            for y in range(N):
-                row = perm_sh[y] * N
-                for x in range(N):
-                    if M[row + perm_h[x]] * roots[(phase_h[x] - phase_sh[y]) % m] != M[y * N + x]:
-                        raise ModelError("intertwining relation fails on a generator")
+            if M.monomial_product(h) != M.monomial_product(sh, left=True):
+                raise ModelError("intertwining relation fails on a generator")
         if not self.model.irreducible_certificate():
             raise ModelError("model representation is not irreducible")
         return True
@@ -454,11 +444,13 @@ class ProjectiveMatrix:
     def unitarity_scalar(self) -> Cyc:
         """c2 with M* M = c2 * identity (Schur: M* M centralizes the model)."""
         M = self.mat
-        N = M.n
-        acc = Cyc.from_int(0)
-        for r in range(N):
-            acc = acc + M.data[r * N].abs2()
-        return acc
+        ctx = _ctx(M.m)
+        acc = [0] * ctx.phi
+        for v in M.coeffs[:: M.n]:  # column 0
+            if v is not None:
+                for i, c in enumerate(_mul_vec(ctx, v, _apply_rows(ctx.conj_rows, v, ctx.phi))):
+                    acc[i] += c
+        return Cyc(M.m, tuple(acc), M.den * M.den)
 
     def rescale(self, s: Cyc) -> "ProjectiveMatrix":
         return ProjectiveMatrix(self.mat.scale(s), self.model, self.pairs)
@@ -557,7 +549,7 @@ def _permutation(P: CycMatrix | MonomialMatrix) -> MonomialMatrix:
 def _commutes_with_permutation(M: CycMatrix, P: MonomialMatrix) -> bool:
     """M P == P M for a permutation matrix P, without a product: with
     P delta_x = delta_pi(x) this reads M[pi(r), pi(c)] == M[r, c] for all r, c."""
-    N, pi, a = P.n, P.perm, M.data
+    N, pi, a = P.n, P.perm, M.coeffs
     return all(a[pi[r] * N + pi[c]] == a[r * N + c] for r in range(N) for c in range(N))
 
 
@@ -693,11 +685,21 @@ def ss_sp_enumerate(n: int, q: int) -> list[SpTorusClass]:
 
 def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
     """First invertible F_2 matrix of the given order preserving the model's
-    quadratic structure (deterministic scan)."""
+    quadratic structure (deterministic scan).  A candidate whose columns, the
+    images of the basis vectors, change Q or the form on a pair of basis
+    vectors is passed over before a matrix is built: the full checks would
+    refuse it too."""
     F2 = field(2)
     dim = 2 * model.n
+    basis, Q, form = model.generators(), model.Q, model.form_value
+    pairs = [(i, j, form(basis[i], basis[j])) for i in range(dim) for j in range(i + 1, dim)]
     for bits in range(2 ** (dim * dim)):
         data = tuple((bits >> k) & 1 for k in range(dim * dim))
+        cols = [data[c::dim] for c in range(dim)]
+        if any(Q[col] != Q[e] for col, e in zip(cols, basis)) or any(
+            form(cols[i], cols[j]) != f for i, j, f in pairs
+        ):
+            continue
         g = FqMatrix(F2, dim, data)
         if g.rank() == dim and model.preserves_structure(g) and g.has_order(order):
             return g

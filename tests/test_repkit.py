@@ -1,4 +1,5 @@
 import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,104 @@ class TestMonomialTwin:
         assert G.order == len(dense) == order
         assert {g.to_cyc() for g in G.elements} == dense == set(G.elements)
         assert m4(G) == dense_m4(dense) == value
+
+
+CONDUCTORS = (1, 3, 4, 5, 12)  # their lcm, 60, holds every entry below
+
+
+@st.composite
+def cyc_entries(draw):
+    """A Cyc at a conductor from CONDUCTORS, over a small denominator, or 0."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    if draw(st.integers(0, 3)) == 0:
+        return Cyc.from_int(0)
+    phi = len(zeta(m).num)
+    num = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    return Cyc(m, tuple(num), draw(st.sampled_from((1, 2, 3, 6))))
+
+
+@st.composite
+def flat_kernel_cases(draw):
+    """n, the entries of a and b (row-major), and a scalar.  A drawn row of
+    each may be zero; with cancel, a's first two columns are equal and b's
+    first column is (1, -1, 0, ...), so column 0 of a * b cancels to zero."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    a, b = ([draw(cyc_entries()) for _ in range(n * n)] for _ in range(2))
+    for x in (a, b):
+        row = draw(st.integers(-1, n - 1))  # -1 keeps every row
+        if row >= 0:
+            x[row * n : (row + 1) * n] = [Cyc.from_int(0)] * n
+    if n >= 2 and draw(st.booleans()):
+        for i in range(n):
+            a[i * n + 1] = a[i * n]
+            b[i * n] = Cyc.from_int((1, -1)[i] if i < 2 else 0)
+    return n, a, b, draw(cyc_entries())
+
+
+def entry_product(n, a, b):
+    """The product of two row-major entry lists, one Cyc sum per entry."""
+    zero = Cyc.from_int(0)
+    return [sum((a[i * n + k] * b[k * n + j] for k in range(n)), zero) for i in range(n) for j in range(n)]
+
+
+def entry_is_scalar(n, x):
+    """The scalar s when the entries x are s times the identity, else None."""
+    diag = x[:: n + 1]
+    off = [v for i, v in enumerate(x) if i % (n + 1)]
+    return diag[0] if all(v == diag[0] for v in diag) and all(v.is_zero() for v in off) else None
+
+
+def check_layout(x):
+    """One conductor, one denominator coprime to every coefficient, None for
+    each zero entry and phi(m) coefficients for every other."""
+    phi = len(zeta(x.m).num)
+    assert len(x.coeffs) == x.n * x.n and x.den >= 1
+    assert all(v is None or (len(v) == phi and any(v)) for v in x.coeffs)
+    assert gcd(x.den, *(c for v in x.coeffs if v is not None for c in v)) == 1
+
+
+class TestFlatKernel:
+    """CycMatrix keeps one conductor, one denominator and a coefficient tuple
+    per entry; each operation matches entry-by-entry Cyc arithmetic."""
+
+    @PROPS
+    @given(flat_kernel_cases())
+    def test_matches_entrywise_reference(self, case):
+        n, a_entries, b_entries, s = case
+        a, b = CycMatrix(n, a_entries), CycMatrix(n, b_entries)
+        ref = entry_product(n, a_entries, b_entries)
+        prod = a * b
+        for x in (a, b, prod):
+            check_layout(x)
+        assert a.entries() == a_entries and prod.entries() == ref
+        assert prod == CycMatrix(n, ref) and hash(prod) == hash(tuple(map(hash, ref)))
+        assert prod.trace() == sum(ref[:: n + 1], Cyc.from_int(0))
+        assert a.scale(s).entries() == [s * x for x in a_entries]
+        scalar = CycMatrix.scalar(n, s)
+        for x in (a, prod, scalar, scalar.lift(60), a.scale(s)):
+            entries = x.entries()
+            want = entry_is_scalar(n, entries)
+            got = x.is_scalar()
+            assert (got is None) == (want is None) and (want is None or got == want)
+            wide = x.lift(60)
+            assert wide == x and x == wide and hash(wide) == hash(x) == hash(tuple(map(hash, entries)))
+        assert (prod == a) == (ref == a_entries)
+
+    @PROPS
+    @given(flat_kernel_cases(), st.data())
+    def test_monomial_twins(self, case, data):
+        n, a_entries, _, _ = case
+        e = data.draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+        perm = data.draw(st.permutations(range(n)))
+        exps = data.draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))
+        mono = MonomialMatrix(perm, exps, e)
+        dense, a = mono.to_cyc(), CycMatrix(n, a_entries)
+        for wide in (dense, dense.lift(60), CycMatrix(n, [x.lift(60) for x in dense.entries()])):
+            assert mono == wide and wide == mono and hash(mono) == hash(wide)
+        d = dense.entries()
+        assert (mono * a).entries() == entry_product(n, d, a_entries)
+        assert (a * mono).entries() == entry_product(n, a_entries, d)
+        assert mono.trace_product(a) == (mono * a).trace() == (dense * a).trace()
 
 
 class TestSpectrum:

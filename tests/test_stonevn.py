@@ -99,7 +99,7 @@ class TestIntertwiners:
             # prod = lambda * Mgh: check proportionality exactly
             ratio = None
             ok = True
-            for x, y in zip(prod.data, Mgh.data):
+            for x, y in zip(prod.entries(), Mgh.entries()):
                 if y.is_zero() != x.is_zero():
                     ok = False
                     break
@@ -190,6 +190,19 @@ class TestExtraspecialSpectra:
     def test_oracle(self):
         rep = ss_extr_oracle(2)
         assert rep["agree"]
+
+    @pytest.mark.parametrize(
+        "order, data",
+        [
+            (5, (1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)),
+            (3, (1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0)),
+        ],
+    )
+    def test_orthogonal_element_is_the_first_in_scan_order(self, order, data):
+        """Passing over candidates whose columns change Q or the form keeps
+        the scan's first hit."""
+        g = find_orthogonal_element(Extraspecial2Model(2, "-"), order)
+        assert g.data == data
 
 
 class TestEnumerators:
