@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O error, 2 validation error, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -467,6 +468,7 @@ def vars_without(args, skip):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypermono", description=__doc__)
     p.add_argument("--out", help="write the JSON report to this file")

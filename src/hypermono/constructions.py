@@ -37,6 +37,8 @@ def sawin(a: int, b: int, p: int, side: str) -> HypDescriptor:
     side 'quotient-at-A' (p | A): upstairs Char(C) minus trivial, downstairs
     Char(A0) u Char(B) minus one trivial with A0 the p'-part of A.
     """
+    if a < 1 or b < 1:
+        raise DescriptorError(f"A and B must be >= 1, got A={a}, B={b}")
     if gcd(a, b) != 1:
         raise DescriptorError(f"gcd({a},{b}) != 1")
     if not is_prime(p):

@@ -13,6 +13,7 @@ of an exact irreducibility certificate.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +22,7 @@ from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
 from .gates import partitions
-from .repkit import CycMatrix, MonomialMatrix, Spectrum, closure
+from .repkit import CycMatrix, MonomialMatrix, Spectrum, _root_sum, closure
 
 DESK_CAP = 32
 
@@ -58,13 +59,14 @@ class _MonomialModel:
         return self._irreducible
 
     def _character_norm_sum(self) -> Fraction:
-        """sum over the coset labels of |tr rho(label)|^2."""
+        """sum over the coset labels of |tr rho(label)|^2, read once per
+        distinct trace key and weighted by the number of labels that have it."""
         total = Fraction(0)
-        for mono in self.monomials().values():
-            a2 = mono.trace().abs2()
+        for key, count in Counter(mono.trace_key() for mono in self.monomials().values()).items():
+            a2 = _root_sum(*key).abs2()
             if not a2.is_rational():
                 raise ModelError("irrational |chi|^2 (bug)")
-            total += a2.rational()
+            total += a2.rational() * count
         return total
 
 
@@ -142,11 +144,28 @@ class HeisenbergModel(_MonomialModel):
         return MonomialMatrix(perm, phase, self.p)
 
     def monomials(self) -> dict:
-        """rho_monomial(a, b) for each of the q^(2n) labels (a, b), built on
-        first use and kept: the averaging and the certificates read it."""
+        """rho(a, b) for each of the q^(2n) labels (a, b), equal to
+        rho_monomial(a, b), built on first use and kept: the averaging and the
+        certificates read it."""
         if self._monomials is None:
-            self._monomials = {(a, b): self.rho_monomial(a, b) for a in self.points for b in self.points}
+            self._monomials = self._monomial_table()
         return self._monomials
+
+    def _monomial_table(self) -> dict:
+        """All rho(a, b) from two q^n x q^n tables, shift[a][x] = index(x + a)
+        and phase[b][x] = Tr(b.x).  The trace is additive and 1/2 lies in F_p,
+        so rho(a, b) has perm shift[a] and exps half * phase[b][a] + phase[b][x]."""
+        F, p, points, half = self.F, self.p, self.points, self.half
+        tr = [F.trace_to_prime(t) for t in range(F.q)]
+        shift = [tuple(self.point_index[self._add_pt(x, a)] for x in points) for a in points]
+        phase = [[tr[self._dot(b, x)] for x in points] for b in points]
+        table = {}
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                row = phase[j]
+                c = half * row[i]
+                table[(a, b)] = MonomialMatrix._make(shift[i], tuple([(c + t) % p for t in row]), p)
+        return table
 
     def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
         return self.rho_monomial(a, b, z).to_cyc()
@@ -684,22 +703,32 @@ def ss_sp_enumerate(n: int, q: int) -> list[SpTorusClass]:
 
 
 def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
-    """First invertible F_2 matrix of the given order preserving the model's
-    quadratic structure (deterministic scan).  A candidate whose columns, the
-    images of the basis vectors, change Q or the form on a pair of basis
-    vectors is passed over before a matrix is built: the full checks would
-    refuse it too."""
+    """The F_2 matrix of the given order preserving the model's quadratic
+    structure whose row-major entries data give the smallest sum of
+    data[k] * 2^k.
+
+    The columns, the images of the basis vectors, are chosen one at a time:
+    column c keeps Q(e_c) and the form against every earlier column.  The
+    columns then have the basis's nondegenerate Gram matrix, so they are
+    independent, and the candidates are the elements of the orthogonal group
+    (120 on the minus model at n = 2).  They meet the rank, structure and
+    order checks in increasing order of that sum."""
     F2 = field(2)
     dim = 2 * model.n
     basis, Q, form = model.generators(), model.Q, model.form_value
-    pairs = [(i, j, form(basis[i], basis[j])) for i in range(dim) for j in range(i + 1, dim)]
-    for bits in range(2 ** (dim * dim)):
-        data = tuple((bits >> k) & 1 for k in range(dim * dim))
-        cols = [data[c::dim] for c in range(dim)]
-        if any(Q[col] != Q[e] for col, e in zip(cols, basis)) or any(
-            form(cols[i], cols[j]) != f for i, j, f in pairs
-        ):
-            continue
+    vecs = list(itertools.product(range(2), repeat=dim))
+    partial = [()]
+    for c in range(dim):
+        grams = [form(basis[i], basis[c]) for i in range(c)]
+        allowed = [v for v in vecs if Q[v] == Q[basis[c]]]
+        partial = [
+            cols + (v,)
+            for cols in partial
+            for v in allowed
+            if all(form(u, v) == f for u, f in zip(cols, grams))
+        ]
+    datas = [tuple(cols[c][r] for r in range(dim) for c in range(dim)) for cols in partial]
+    for data in sorted(datas, key=lambda d: d[::-1]):  # d[::-1] compares like the sum
         g = FqMatrix(F2, dim, data)
         if g.rank() == dim and model.preserves_structure(g) and g.has_order(order):
             return g

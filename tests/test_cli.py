@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermono.cli import main
+from hypermono.cli import build_parser, main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -71,6 +71,33 @@ def test_out_file(tmp_path):
     assert body["result"]["landau"] == 12
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call's options reach the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_out_does_not_carry_over(self, tmp_path):
+        target = tmp_path / "report.json"
+        assert run_cli(["--out", str(target), "gates", "landau", "5"]) == (0, "")
+        code, out = run_cli(["gates", "landau", "5"])
+        assert code == 0 and json.loads(out) == json.loads(target.read_text())
+
+    def test_option_default_is_restored(self):
+        code, out = run_cli(["spectrum", "linear", "3", "3", "--index", "1"])
+        assert code == 0 and json.loads(out)["input"]["index"] == 1
+        code, out = run_cli(["spectrum", "linear", "3", "3"])
+        assert code == 0 and json.loads(out)["input"]["index"] == 0
+
+    @pytest.mark.parametrize("argv", [["gates", "landau", "x"], ["spectrum", "cubic", "3", "3"], []])
+    def test_argparse_error_still_exits_2(self, capsys, argv):
+        run_cli(["gates", "landau", "5"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, capsys):
         code = main(["analyze", str(DATA / "overlap.json")])
@@ -120,6 +147,8 @@ class TestExitCodes:
             ["ss", "unitary", "1", "3", "--exhaustive"],
             ["construct", "special", "G_D", "3", "--D", "-1", "--chi", "1/2"],
             ["construct", "special", "F_N", "3", "--N", "-2"],
+            ["construct", "sawin", "-1", "1", "2"],
+            ["construct", "sawin", "0", "1", "2", "--side", "ii"],
             ["m4", "monomial_q3.json", "--cap", "0"],
             ["m4", "monomial_q3.json", "--cap", "-3"],
             ["ss", "symplectic", "2", "7", "--exhaustive"],

@@ -1,6 +1,6 @@
-"""Property tests for the ``ss``, ``spectrum`` and ``m4`` command lines:
-every argv, and every generator file, gives a report or a documented
-refusal.
+"""Property tests for the ``ss``, ``spectrum``, ``m4``, ``gates`` and
+``construct`` command lines: every argv, and every generator file, gives a
+report or a documented refusal.
 
 Hypothesis drives ``cli.main`` in process, derandomized with a bounded
 example count and a small HYPERMONO_CAP, so every run checks the same inputs
@@ -52,6 +52,48 @@ def test_ss_reports_or_refuses(family, n, q, exhaustive):
 @example(family="unitary", n=3, q=3, index=3)  # torus order 28, the largest index
 def test_spectrum_reports_or_refuses(family, n, q, index):
     check_report_or_refusal(["spectrum", family, str(n), str(q), "--index", str(index)])
+
+
+small = st.integers(-1, 12).map(str)
+
+
+@st.composite
+def gate_argvs(draw):
+    """argv for the integer gates: landau, ppd, chain and bounds."""
+    gate = draw(st.sampled_from(["landau", "ppd", "chain", "bounds"]))
+    arity = {"landau": 1, "ppd": 2, "chain": 4, "bounds": 2}[gate]
+    argv = ["gates", gate] + [draw(small) for _ in range(arity)]
+    if gate == "bounds" and draw(st.booleans()):
+        argv += ["--index", draw(small)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(argv=gate_argvs())
+@example(argv=["gates", "landau", "0"])
+@example(argv=["gates", "ppd", "1", "3"])
+def test_gates_reports_or_refuses(argv):
+    check_report_or_refusal(argv)
+
+
+@st.composite
+def construct_argvs(draw):
+    """argv for the sawin and alt2 descriptor factories."""
+    if draw(st.booleans()):
+        argv = ["construct", "sawin", draw(small), draw(small), draw(small)]
+        side = draw(st.sampled_from([None, "quotient-at-C", "quotient-at-A", "i", "ii"]))
+        return argv + ([] if side is None else ["--side", side])
+    argv = ["construct", "alt2", draw(small), draw(small)]
+    return argv + ([] if draw(st.booleans()) else ["--k", draw(small)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(argv=construct_argvs())
+@example(argv=["construct", "sawin", "-1", "1", "2"])  # A + B = 0: its p'-part has no end
+@example(argv=["construct", "sawin", "0", "1", "2", "--side", "ii"])  # A = 0, the same on side (ii)
+@example(argv=["construct", "alt2", "12", "3", "--k", "1"])  # the M11 exception of the k = 1 family
+def test_construct_reports_or_refuses(argv):
+    check_report_or_refusal(argv)
 
 
 def root_entry(k, e):
@@ -127,7 +169,7 @@ def check_report_or_refusal(argv, refusals=(2, 3, 4)):
             code = main(argv)
     if code == 0:
         report = json.loads(out.getvalue())
-        assert report["schema"] == "hypermono/1" and report["command"] == argv[0]
+        assert report["schema"] == "hypermono/1" and report["command"] in (argv[0], "/".join(argv[:2]))
         assert err.getvalue() == ""
     else:
         assert code in refusals, argv

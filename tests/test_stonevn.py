@@ -196,13 +196,30 @@ class TestExtraspecialSpectra:
         [
             (5, (1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)),
             (3, (1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0)),
+            (2, (0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)),
+            (1, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
         ],
     )
     def test_orthogonal_element_is_the_first_in_scan_order(self, order, data):
-        """Passing over candidates whose columns change Q or the form keeps
-        the scan's first hit."""
+        """The column search returns the hit with the smallest sum of
+        data[k] * 2^k, the first a scan over all bit patterns would meet."""
         g = find_orthogonal_element(Extraspecial2Model(2, "-"), order)
         assert g.data == data
+
+    @pytest.mark.parametrize(
+        "order, data",
+        [
+            (3, (1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0)),
+            (5, None),  # 5 does not divide |O+_4(2)| = 72
+        ],
+    )
+    def test_orthogonal_element_on_the_plus_model(self, order, data):
+        plus = Extraspecial2Model(2, "+")
+        if data is None:
+            with pytest.raises(ModelError):
+                find_orthogonal_element(plus, order)
+        else:
+            assert find_orthogonal_element(plus, order).data == data
 
 
 class TestEnumerators:
@@ -359,26 +376,26 @@ class TestSharedWalk:
     def test_one_certificate_and_table_per_model(self, monkeypatch):
         model = HeisenbergModel(5, 2)
         bodies = 0
-        monomials = 0
+        tables = 0
         body = HeisenbergModel._character_norm_sum
-        rho = HeisenbergModel.rho_monomial
+        build = HeisenbergModel._monomial_table
 
         def counting_body(self):
             nonlocal bodies
             bodies += 1
             return body(self)
 
-        def counting_rho(self, *args):
-            nonlocal monomials
-            monomials += 1
-            return rho(self, *args)
+        def counting_build(self):
+            nonlocal tables
+            tables += 1
+            return build(self)
 
         monkeypatch.setattr(HeisenbergModel, "_character_norm_sum", counting_body)
-        monkeypatch.setattr(HeisenbergModel, "rho_monomial", counting_rho)
+        monkeypatch.setattr(HeisenbergModel, "_monomial_table", counting_build)
         for eps in (1, -1, 1):
             assert outer_intertwiner_odd(model, sp_torus_element(2, 5, eps)).verify()
         assert bodies == 1
-        assert monomials == 5**4  # one table entry per label (a, b)
+        assert tables == 1
 
 
 class TestParityCheck:
@@ -497,6 +514,17 @@ class TestMonomialModels:
         for v, mono in model.monomials().items():
             s = mono.to_cyc()
             assert s * s == CycMatrix.scalar(4, Cyc.from_int((-1) ** model.Q[v]))
+
+    @pytest.mark.parametrize("args", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 1, 2)])
+    def test_table_matches_rho_monomial(self, args):
+        """The shift and phase tables give rho_monomial(a, b) on every label;
+        over F_9 this rests on the additivity of the trace to F_3."""
+        model = HeisenbergModel(*args)
+        table = model.monomials()
+        assert len(table) == model.dim**2
+        for (a, b), mono in table.items():
+            ref = model.rho_monomial(a, b)
+            assert (mono.perm, mono.exps, mono.e) == (ref.perm, ref.exps, ref.e)
 
     def test_verify_rejects_a_non_intertwiner(self):
         odd = outer_intertwiner_odd(HeisenbergModel(3, 1), FqMatrix.from_rows(field(3), [[0, 2], [1, 0]]))
