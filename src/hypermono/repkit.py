@@ -637,6 +637,12 @@ def inner_product(group: MatGroup, chi1, chi2) -> Fraction:
     return acc.rational() / group.order
 
 
+def monomial_traces(images) -> list[tuple[Cyc, int]]:
+    """(trace, count) per distinct trace key of the MonomialMatrix images:
+    each trace is summed once, however many images share its key."""
+    return [(_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
+
+
 def m4(group: MatGroup, rep=None) -> int:
     """Fourth moment M4 = [chi*conj(chi), chi*conj(chi)]_G, exact integer.
 
@@ -645,7 +651,7 @@ def m4(group: MatGroup, rep=None) -> int:
     """
     images = group.elements if rep is None else [rep(g) for g in group.elements]
     if all(isinstance(h, MonomialMatrix) for h in images):
-        terms = [(_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
+        terms = monomial_traces(images)
     else:
         terms = [(h.trace(), 1) for h in images]
     acc = Cyc.from_int(0)

@@ -13,7 +13,6 @@ of an exact irreducibility certificate.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +21,7 @@ from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
 from .gates import partitions
-from .repkit import CycMatrix, MonomialMatrix, Spectrum, _root_sum, closure
+from .repkit import CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
 
 DESK_CAP = 32
 
@@ -62,8 +61,8 @@ class _MonomialModel:
         """sum over the coset labels of |tr rho(label)|^2, read once per
         distinct trace key and weighted by the number of labels that have it."""
         total = Fraction(0)
-        for key, count in Counter(mono.trace_key() for mono in self.monomials().values()).items():
-            a2 = _root_sum(*key).abs2()
+        for t, count in monomial_traces(self.monomials().values()):
+            a2 = t.abs2()
             if not a2.is_rational():
                 raise ModelError("irrational |chi|^2 (bug)")
             total += a2.rational() * count

@@ -169,7 +169,8 @@ def check_report_or_refusal(argv, refusals=(2, 3, 4)):
             code = main(argv)
     if code == 0:
         report = json.loads(out.getvalue())
-        assert report["schema"] == "hypermono/1" and report["command"] in (argv[0], "/".join(argv[:2]))
+        command = "/".join(argv[:2]) if argv[0] in ("gates", "construct") else argv[0]
+        assert report["schema"] == "hypermono/1" and report["command"] == command
         assert err.getvalue() == ""
     else:
         assert code in refusals, argv
