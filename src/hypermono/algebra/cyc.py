@@ -7,6 +7,11 @@ exact; there is no floating point anywhere.  Conductors lift to the lcm on
 mixed operations and are never minimized automatically (hashing uses a
 lazily computed minimal canonical form so that equal values hash equally
 across conductors).
+
+Field operations use closed forms and solve no linear system: ``minimize``
+steps down one prime at a time by the relative trace to Q(zeta_(m/p)), and
+``inverse`` divides the product of the nontrivial Galois conjugates by the
+rational norm.  ``rref`` serves only the rank of ``CycMatrix``.
 """
 
 from __future__ import annotations
@@ -142,6 +147,20 @@ def _times_root(ctx: _Ctx, v: tuple[int, ...], k: int) -> tuple[int, ...]:
         return v
     m, power = ctx.m, ctx.power
     return _apply_rows([power[(i + k) % m] for i in range(ctx.phi)], v, ctx.phi)
+
+
+def _subfield_trace(x: "Cyc", p: int) -> "Cyc":
+    """Tr(x) / [m : d] from Q(z_m) down to Q(z_d), d = m/p for a prime p | m,
+    at conductor d: x itself when x lies in Q(z_d)."""
+    m = x.m
+    d = m // p
+    if d % p == 0:  # z_m^(pj + r) = z_d^j z_m^r, and Tr(z_m^r) = 0 for 0 < r < p
+        return Cyc(d, x.num[::p], x.den)
+    # z_m^k = z_p^(uk) z_d^(vk) with v = 1/p mod d; Tr(z_p^(uk)) is p - 1 if p | k, else -1
+    ctx, v = _ctx(d), pow(p, -1, d)
+    rows = [ctx.power[v * k % d] for k in range(len(x.num))]
+    weighted = [c * (p - 1) if k % p == 0 else -c for k, c in enumerate(x.num)]
+    return Cyc(d, _apply_rows(rows, weighted, ctx.phi), x.den * (p - 1))
 
 
 class Cyc:
@@ -319,19 +338,19 @@ class Cyc:
         return key
 
     def minimize(self) -> "Cyc":
-        """Equal value at the smallest conductor (conductor minimization on demand)."""
+        """Equal value at the smallest conductor (conductor minimization on demand).
+
+        For each prime p | m, x lies in Q(z_(m/p)) exactly when its relative
+        trace to that subfield, over the degree, lifts back to x; then that
+        quotient is x at conductor m/p.  A prime that fails at m fails at
+        every divisor of m, so one pass over the primes reaches the minimum."""
         cur = self
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(factor(cur.m), reverse=True) if cur.m > 1 else []:
-                d = cur.m // p
-                if d >= 1 and _fixed_by_gal_subfield(cur, d):
-                    down = _express_in_subfield(cur, d)
-                    if down is not None:
-                        cur = down
-                        changed = True
-                        break
+        for p in factor(self.m):
+            while cur.m % p == 0:
+                down = _subfield_trace(cur, p)
+                if down.lift(cur.m) != cur:
+                    break
+                cur = down
         return cur
 
     def __eq__(self, other) -> bool:
@@ -360,25 +379,19 @@ class Cyc:
 
     # -- field inverse -------------------------------------------------
     def inverse(self) -> "Cyc":
+        """1/x = (prod over t != 1 of sigma_t(x)) / N(x), where the Galois
+        norm N(x) = x * prod over t != 1 of sigma_t(x) is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero Cyc")
         if self.is_rational():
-            q = self.rational()
-            return Cyc.from_fraction(1 / q)
-        ctx = _ctx(self.m)
-        phi = ctx.phi
-        # solve (self * y) == 1 as a rational linear system in coeffs(y)
-        cols = []
-        for k in range(phi):
-            e = [0] * phi
-            e[k] = 1
-            cols.append(_mul_vec(ctx, self.num, tuple(e)))
-        mat = [[Fraction(cols[k][i]) for k in range(phi)] for i in range(phi)]
-        rhs = [Fraction(self.den if i == 0 else 0) for i in range(phi)]
-        y = _solve(mat, rhs, self.m)
-        if y is None:
-            raise ZeroDivisionError("Cyc is a zero divisor (cannot happen in a field)")
-        return y
+            return Cyc.from_fraction(1 / self.rational())
+        m, ctx = self.m, _ctx(self.m)
+        rest = ctx.power[0]
+        for t in range(2, m):
+            if gcd(t, m) == 1:
+                rest = _mul_vec(ctx, rest, _apply_rows(ctx.galois_rows(t), self.num, ctx.phi))
+        # x = num/den, so 1/x = den * rest(num) / N(num)
+        return Cyc(m, tuple(c * self.den for c in rest), _mul_vec(ctx, self.num, rest)[0])
 
     def __truediv__(self, other) -> "Cyc":
         other = _coerce(other)
@@ -419,43 +432,6 @@ def rref(rows: list[list], ncols: int) -> list[int]:
                 rows[i] = [a - f * b for a, b in zip(row, prow)]
         pivots.append(col)
     return pivots
-
-
-def _solve(mat: list[list[Fraction]], rhs: list[Fraction], m: int) -> Cyc | None:
-    """The Cyc of conductor m whose power-basis coefficients x solve
-    mat x = rhs (at least as many rows as columns), or None when none does."""
-    ncols = len(mat[0])
-    aug = [row + [b] for row, b in zip(mat, rhs)]
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(rref(aug, ncols)):
-        sol[col] = aug[r][ncols]
-    # verify: the system may be singular or inconsistent
-    if any(sum(a * x for a, x in zip(row, sol)) != b for row, b in zip(mat, rhs)):
-        return None
-    den = lcm(*[x.denominator for x in sol])
-    return Cyc(m, tuple(int(x * den) for x in sol), den)
-
-
-def _fixed_by_gal_subfield(x: Cyc, d: int) -> bool:
-    """True if x is fixed by Gal(Q(z_m)/Q(z_d)), i.e. by all t = 1 mod d."""
-    m = x.m
-    for t in range(1, m):
-        if t % d == 1 % d and gcd(t, m) == 1 and t != 1:
-            if x.galois(t) != x:
-                return False
-    return True
-
-
-def _express_in_subfield(x: Cyc, d: int) -> Cyc | None:
-    """Rewrite x in conductor d (x assumed Galois-fixed); None if impossible."""
-    m = x.m
-    step = m // d
-    ctx = _ctx(m)
-    phi_d = euler_phi(d)
-    cols = [ctx.power[(step * j) % m] for j in range(phi_d)]
-    mat = [[Fraction(cols[j][i]) for j in range(phi_d)] for i in range(ctx.phi)]
-    # phi(m) equations in phi(d) unknowns; _solve checks every row
-    return _solve(mat, [Fraction(c, x.den) for c in x.num], d)
 
 
 ZERO = Cyc(1, (0,), 1, _normalized=True)

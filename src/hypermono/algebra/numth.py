@@ -125,6 +125,9 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
 
 def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError(f"p_part wants n >= 1 and p >= 2, got n = {n}, p = {p}")
     out = 1
     while n % p == 0:
         out *= p

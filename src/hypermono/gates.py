@@ -183,6 +183,14 @@ EXACT = "exact"
 BOUND = "bound"
 
 
+def _positive(value, what: str, fam: GroupFamily) -> int:
+    """value when it is a positive integer; a formula applied outside its
+    range (n = 1 Unitary, n = 2 orthogonal, ...) gives none."""
+    if not isinstance(value, int) or value < 1:
+        raise GateDataError(f"no {what} data for {fam}: the formula gives {value!r}")
+    return value
+
+
 def meo_bound(fam: GroupFamily) -> tuple[int, str]:
     """(value, 'exact'|'bound') for the maximal element order of Aut(S)."""
     t = fam.tag
@@ -195,15 +203,15 @@ def meo_bound(fam: GroupFamily) -> tuple[int, str]:
         return landau(fam.n), EXACT
     n, q = fam.n, fam.q
     if t == "Linear":
-        return (q**n - 1) // (q - 1), EXACT
-    if t == "Unitary":
-        return q ** (n - 1) + q ** min(2, n - 2), BOUND
-    if t == "Symplectic":
+        value, kind = (q**n - 1) // (q - 1), EXACT
+    elif t == "Unitary":
+        value, kind = q ** (n - 1) + q ** min(2, n - 2), BOUND
+    elif t in ("Symplectic", "OrthogonalPlus", "OrthogonalMinus"):
         # quoted bound q^(n+1)/(q-1), rounded down to an integer bound
-        return q ** (n + 1) // (q - 1), BOUND
-    if t in ("OrthogonalPlus", "OrthogonalMinus"):
-        return q ** (n + 1) // (q - 1), BOUND
-    raise GateDataError(f"no meo data for {fam}")
+        value, kind = q ** (n + 1) // (q - 1), BOUND
+    else:
+        raise GateDataError(f"no meo data for {fam}")
+    return _positive(value, "meo", fam), kind
 
 
 def min_dim(fam: GroupFamily) -> tuple[int, str]:
@@ -216,16 +224,18 @@ def min_dim(fam: GroupFamily) -> tuple[int, str]:
         raise GateDataError(f"no minimal degree data for sporadic {fam.name}")
     n, q = fam.n, fam.q
     if t == "Linear":
-        return (q**n - q) // (q - 1), BOUND
-    if t == "Unitary":
-        return (q**n - q) // (q + 1), BOUND
-    if t == "Symplectic":
-        if q % 2 == 1:
-            return (q**n - 1) // 2, EXACT
-        return (q**n - 1) * (q**n - q) // (2 * (q + 1)), EXACT
-    if t in ("OrthogonalPlus", "OrthogonalMinus"):
-        return (q**n + 1) * (q ** (n - 1) - q) // (q * q - 1), BOUND
-    raise GateDataError(f"no minimal degree data for {fam}")
+        value, kind = (q**n - q) // (q - 1), BOUND
+    elif t == "Unitary":
+        value, kind = (q**n - q) // (q + 1), BOUND
+    elif t == "Symplectic" and q % 2 == 1:
+        value, kind = (q**n - 1) // 2, EXACT
+    elif t == "Symplectic":
+        value, kind = (q**n - 1) * (q**n - q) // (2 * (q + 1)), EXACT
+    elif t in ("OrthogonalPlus", "OrthogonalMinus"):
+        value, kind = (q**n + 1) * (q ** (n - 1) - q) // (q * q - 1), BOUND
+    else:
+        raise GateDataError(f"no minimal degree data for {fam}")
+    return _positive(value, "minimal degree", fam), kind
 
 
 def order_chain(d_s: int, dim_v: int, obar: int, meo: int) -> bool:

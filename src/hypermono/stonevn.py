@@ -489,17 +489,8 @@ class ProjectiveMatrix:
         u = c.as_root_of_unity()
         if u is None:
             raise NormalizationError(f"projective scalar {c!r} is not a root of unity")
-        t = u.den
-        total = k * t
-        lam = None
-        for j in range(total):
-            cand = Cyc.root(unity(j, total))
-            if cand**k == c:
-                lam = cand
-                break
-        if lam is None:
-            raise NormalizationError("no cyclotomic k-th root of the projective scalar")
-        return M.scale(lam.inverse())
+        # c = zeta_t^a has the k-th root lambda = zeta_(kt)^a; scale by 1/lambda
+        return M.scale(Cyc.root(unity(-u.num, k * u.den)))
 
     # -- spectra ----------------------------------------------------------
     def projective_spectrum(self) -> Spectrum:

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from math import gcd, lcm
 
 import pytest
@@ -11,6 +12,8 @@ from hypermono.algebra.numth import (
     factor,
     is_prime,
     mult_order,
+    p_part,
+    p_prime_part,
     perfect_power,
 )
 from hypermono.algebra.unity import UnityClass, unity
@@ -123,6 +126,28 @@ class TestNumth:
         assert perfect_power(8) == (2, 3)
         assert perfect_power(64) == (2, 6)
         assert perfect_power(12) is None
+
+    def test_p_part(self):
+        assert [p_part(72, 2), p_part(72, 3), p_part(72, 5)] == [8, 9, 1]
+        assert [p_prime_part(72, 2), p_prime_part(72, 3), p_prime_part(1, 7)] == [9, 8, 1]
+
+    @pytest.mark.parametrize("fn", [p_part, p_prime_part])
+    @pytest.mark.parametrize("n,p", [(0, 3), (-3, 3), (6, 1), (6, 0), (6, -2)])
+    def test_p_part_refuses_n_below_1_or_p_below_2(self, fn, n, p):
+        """At n = 0 or p = 1, n % p == 0 at every step of the division loop,
+        so a second's alarm turns a loop that never ends into a failure."""
+
+        def hang(signum, frame):
+            raise TimeoutError(f"{fn.__name__}({n}, {p}) did not return")
+
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError):
+                fn(n, p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_factor_and_phi(self):
         for n in range(1, 400):

@@ -5,6 +5,7 @@ the same cases and the file stays within a few seconds.
 """
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -168,10 +169,25 @@ class TestIrreducibleSieve:
 
 class TestCycLinearAlgebra:
     @PROPS
-    @given(cycs())
+    @given(cycs(conductors=(3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18, 25, 27)))
     def test_inverse(self, x):
         assume(not x.is_zero())
         assert x * x.inverse() == 1
+
+    @PROPS
+    @given(st.sampled_from((1, 2, 4, 6, 8, 9, 10, 12, 18, 20, 25, 27, 30, 36, 45)), st.data())
+    def test_minimize_meets_the_definition(self, m, data):
+        """x drawn in a subfield Q(z_d) and lifted to m minimizes to conductor
+        m' | d, lifts back to x, and no prime p | m' leaves it fixed by all of
+        Gal(Q(z_m')/Q(z_(m'/p))), the t = 1 mod m'/p coprime to m'."""
+        d = data.draw(st.sampled_from(divisors(m)))
+        x = data.draw(cycs(conductors=(d,))).lift(m)
+        y = x.minimize()
+        assert d % y.m == 0 and y.lift(m) == x
+        for p in factor(y.m):
+            sub = y.m // p
+            fixers = [t for t in range(1, y.m) if t % sub == 1 % sub and gcd(t, y.m) == 1]
+            assert any(y.galois(t) != y for t in fixers), (x, y, p)
 
     @PROPS
     @given(cycs(conductors=(1, 3, 4, 5, 6)), st.integers(2, 6))

@@ -137,6 +137,14 @@ class TestExitCodes:
             ["gates", "meo", "Alternating", "-3"],
             ["gates", "meo", "Linear", "0", "3"],
             ["gates", "meo", "Linear", "3", "6"],
+            ["gates", "meo", "Unitary", "1", "2"],  # meo 1.5
+            ["gates", "meo", "OrthogonalPlus", "1", "2"],  # min_dim -1
+            ["gates", "meo", "Linear", "1", "3"],  # min_dim 0 from here on
+            ["gates", "meo", "Unitary", "1", "3"],
+            ["gates", "meo", "Unitary", "2", "2"],
+            ["gates", "meo", "Symplectic", "1", "4"],
+            ["gates", "meo", "OrthogonalPlus", "2", "3"],
+            ["gates", "meo", "OrthogonalMinus", "2", "5"],
             ["gates", "charsheaf", "-4", "Symplectic", "2", "5"],
             ["gates", "charsheaf", "12", "ExtraspecialNormalizer", "6", "2"],
             ["construct", "special", "F_N", "3"],

@@ -76,6 +76,47 @@ def test_gates_reports_or_refuses(argv):
     check_report_or_refusal(argv)
 
 
+LIE_TAGS = ["Linear", "Unitary", "Symplectic", "OrthogonalPlus", "OrthogonalMinus"]
+OTHER_TAGS = ["Alternating", "Sporadic", "ExtraspecialNormalizer", "Dihedral"]
+
+
+@st.composite
+def family_gate_argvs(draw):
+    """argv for ``gates meo`` or ``gates charsheaf``: any tag, small n, q or p
+    (prime powers first, then the invalid ones), and now and then a missing
+    argument.  Lie tags are drawn twice as often, since only they and the
+    sporadic names carry meo data."""
+    tag = draw(st.sampled_from(LIE_TAGS * 2 + OTHER_TAGS))
+    n = str(draw(st.integers(-1, 5)))
+    q = str(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 6, 1, 0, -1])))
+    if tag == "Sporadic":
+        family = [tag, draw(st.sampled_from(["M", "J1", "Fi24'", "M11", "Co1", "PSL3(4)", "G2(3)", "Monster"]))]
+    elif tag == "Alternating":
+        family = [tag, n]
+    elif tag == "ExtraspecialNormalizer":
+        family = [tag, q, n] + ([draw(st.sampled_from(["+", "-"]))] if draw(st.booleans()) else [])
+    else:
+        family = [tag, n, q]
+    if draw(st.integers(0, 7)) == 0:
+        family.pop()
+    if draw(st.booleans()):
+        return ["gates", "meo"] + family
+    return ["gates", "charsheaf", draw(small)] + family
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(argv=family_gate_argvs())
+@example(argv=["gates", "meo", "Unitary", "1", "2"])  # the formula gives meo 1.5
+@example(argv=["gates", "meo", "OrthogonalPlus", "1", "2"])  # ... and min_dim -1
+@example(argv=["gates", "meo", "Linear", "3", "3"])  # a report
+def test_family_gates_report_or_refuse(argv):
+    report = check_report_or_refusal(argv)
+    if report is not None and argv[1] == "meo":
+        for key in ("meo", "min_dim"):
+            value = report["result"][key]
+            assert type(value) is int and value >= 1, (argv, report["result"])
+
+
 @st.composite
 def construct_argvs(draw):
     """argv for the sawin and alt2 descriptor factories."""
@@ -162,6 +203,7 @@ def test_m4_reports_or_refuses(text):
 
 
 def check_report_or_refusal(argv, refusals=(2, 3, 4)):
+    """The report of an exit-0 run, or None after a documented refusal."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("HYPERMONO_CAP", CAP)
@@ -172,6 +214,7 @@ def check_report_or_refusal(argv, refusals=(2, 3, 4)):
         command = "/".join(argv[:2]) if argv[0] in ("gates", "construct") else argv[0]
         assert report["schema"] == "hypermono/1" and report["command"] == command
         assert err.getvalue() == ""
+        return report
     else:
         assert code in refusals, argv
         assert out.getvalue() == ""
