@@ -6,7 +6,8 @@ polynomial, together with a positive integer denominator.  All arithmetic is
 exact; there is no floating point anywhere.  Conductors lift to the lcm on
 mixed operations and are never minimized automatically (hashing uses a
 lazily computed minimal canonical form so that equal values hash equally
-across conductors).
+across conductors).  Every sum of roots of unity with integer weights is
+built by ``Cyc.from_root_sum``.
 
 Field operations use closed forms and solve no linear system: ``minimize``
 steps down one prime at a time by the relative trace to Q(zeta_(m/p)), and
@@ -211,6 +212,13 @@ class Cyc:
         k = u.num * (m // u.den)
         ctx = _ctx(m)
         return cls(m, ctx.power[k % m], 1)
+
+    @classmethod
+    def from_root_sum(cls, m: int, weights, den: int = 1) -> "Cyc":
+        """sum of weights[k] * zeta_m^k over k < len(weights) <= m, over a
+        nonzero den: one pass over the power table, normalized once."""
+        ctx = _ctx(m)
+        return cls(m, _apply_rows(ctx.power, weights, ctx.phi), den)
 
     # -- conductor handling ------------------------------------------
     def lift(self, m2: int) -> "Cyc":

@@ -11,10 +11,11 @@ import functools
 import json
 import os
 import sys
+from math import lcm
 
 from . import __version__
 from .algebra.cyc import Cyc, cyc_from_literal, json_int
-from .algebra.numth import is_prime, is_prime_power
+from .algebra.numth import euler_phi, is_prime, is_prime_power
 from .algebra.unity import UnityClass
 from .chargeom import (
     DescriptorError,
@@ -27,7 +28,6 @@ from .chargeom import (
     wild_image_order,
 )
 from .gates import (
-    GateDataError,
     GroupFamily,
     TraceTable,
     bound1_consequence,
@@ -256,11 +256,8 @@ def cmd_gates(args) -> dict:
         return _report("gates/ppd", {"p": args.p, "k": args.k}, {"ppd": _domain_call(ppd, args.p, args.k)})
     if sub == "meo":
         fam = _parse_family(args.args)
-        try:
-            meo, meo_kind = meo_bound(fam)
-            dim, dim_kind = min_dim(fam)
-        except GateDataError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc))
+        meo, meo_kind = _domain_call(meo_bound, fam)
+        dim, dim_kind = _domain_call(min_dim, fam)
         return _report(
             "gates/meo",
             {"family": repr(fam)},
@@ -277,10 +274,7 @@ def cmd_gates(args) -> dict:
     if sub == "charsheaf":
         _check_at_least(1, dim=args.dim)
         fam = _parse_family(args.args)
-        try:
-            dec = char_sheaf_decision(fam, args.dim)
-        except GateDataError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc))
+        dec = _domain_call(char_sheaf_decision, fam, args.dim)
         return _report(
             "gates/charsheaf",
             {"family": repr(fam), "dim": args.dim},
@@ -324,11 +318,11 @@ def _load_trace_tables(path: str) -> tuple[TraceTable, TraceTable, tuple[int, in
     type1 = obj["type1"]
     if not isinstance(type1, list) or len(type1) != 2:
         raise CliError(EXIT_VALIDATION, f"type1 must be [D, m], got {json.dumps(type1)}")
-    return (
-        _domain_call(TraceTable.from_json, obj["table1"]),
-        _domain_call(TraceTable.from_json, obj["table2"]),
-        tuple(_domain_call(json_int, x, "type1 entry") for x in type1),
-    )
+    cap = _cap(None)
+    literal = functools.partial(_parse_entry, cap=cap)
+    t1, t2 = (_domain_call(TraceTable.from_json, obj[k], literal) for k in ("table1", "table2"))
+    _check_conductor(lcm(*(tr.m for t in (t1, t2) for _, _, tr in t.classes)), cap)  # where the traces are compared
+    return t1, t2, tuple(_domain_call(json_int, x, "type1 entry") for x in type1)
 
 
 def _parse_family(tokens: list[str]) -> GroupFamily:
@@ -407,15 +401,26 @@ def cmd_tables(args) -> dict:
     return _report(f"tables/{args.table}", {"check": args.check}, result)
 
 
-def _parse_entry(e) -> Cyc:
-    """A generator-file entry: an integer, a root of unity "a/N", or a
-    {"conductor": m, "coeffs": [...], "den": d} literal (phi(m) coefficients)."""
+def _check_conductor(m, cap: int) -> None:
+    """Refuse (exit 3) a conductor N whose N x phi(N) power table exceeds the
+    cap, before the table is built; phi is not needed once N itself does."""
+    if isinstance(m, int) and m > 1 and (m > cap or m * euler_phi(m) > cap):
+        raise CliError(EXIT_CAP, f"conductor {m} needs an N x phi(N) power table larger than the cap {cap}")
+
+
+def _parse_entry(e, cap: int) -> Cyc:
+    """A generator-file entry or trace: an integer, a root of unity "a/N", or
+    a {"conductor": m, "coeffs": [...], "den": d} literal (phi(m)
+    coefficients), its conductor checked against the cap first."""
     if isinstance(e, str):
         try:
-            return Cyc.root(UnityClass.parse(e))
+            u = UnityClass.parse(e)
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"bad root of unity {json.dumps(e)}")
+        _check_conductor(u.den, cap)
+        return Cyc.root(u)
     if isinstance(e, dict):
+        _check_conductor(e.get("conductor"), cap)
         return _domain_call(cyc_from_literal, e)
     return Cyc.from_int(_domain_call(json_int, e, "matrix entry"))
 
@@ -431,7 +436,7 @@ def _entry_json(c: Cyc):
     return {"conductor": c.m, "coeffs": list(c.num), "den": c.den}
 
 
-def _load_generators(path: str) -> list[CycMatrix]:
+def _load_generators(path: str, cap: int) -> list[CycMatrix]:
     obj = _load_json(path)
     mats = obj.get("matrices") if isinstance(obj, dict) else None
     n = len(mats[0]) if isinstance(mats, list) and mats and isinstance(mats[0], list) else 0
@@ -440,13 +445,15 @@ def _load_generators(path: str) -> list[CycMatrix]:
         for mat in mats
     ):
         raise CliError(EXIT_VALIDATION, f"{path}: expected \"matrices\", square matrices of one size")
-    return [CycMatrix.from_rows([[_parse_entry(x) for x in row] for row in mat]) for mat in mats]
+    parsed = [[[_parse_entry(x, cap) for x in row] for row in mat] for mat in mats]
+    _check_conductor(lcm(*(x.m for mat in parsed for row in mat for x in row)), cap)  # where the products live
+    return [CycMatrix.from_rows(mat) for mat in parsed]
 
 
 def cmd_m4(args) -> dict:
     if args.cap is not None:
         _check_at_least(1, **{"--cap": args.cap})
-    gens = _load_generators(args.generators)
+    gens = _load_generators(args.generators, _cap(args.cap))
     G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
     echo = []
     for g in gens:

@@ -131,8 +131,8 @@ class GroupFamily:
         return f"{self.tag}({self.n},{self.q})"
 
 
-class GateDataError(KeyError):
-    pass
+class GateDataError(ValueError):
+    """A gate asked of a family its tables or formulas do not cover."""
 
 
 # Maximal element order of Aut(S) and minimal faithful projective degree for
@@ -205,6 +205,8 @@ def meo_bound(fam: GroupFamily) -> tuple[int, str]:
     if t == "Linear":
         value, kind = (q**n - 1) // (q - 1), EXACT
     elif t == "Unitary":
+        if n < 2:  # the bound's q^(n-2) is not an integer
+            raise GateDataError(f"no meo data for {fam}: the bound needs n >= 2")
         value, kind = q ** (n - 1) + q ** min(2, n - 2), BOUND
     elif t in ("Symplectic", "OrthogonalPlus", "OrthogonalMinus"):
         # quoted bound q^(n+1)/(q-1), rounded down to an integer bound
@@ -386,10 +388,11 @@ class TraceTable:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TraceTable":
-        """Inverse of ``to_json``.  A malformed table raises ValueError: a
-        missing field, a non-boolean flag, or a float or boolean where an
-        integer belongs (never truncated)."""
+    def from_json(cls, obj: dict, literal=cyc_from_literal) -> "TraceTable":
+        """Inverse of ``to_json``, reading each non-integer trace with
+        ``literal``.  A malformed table raises ValueError: a missing field, a
+        non-boolean flag, or a float or boolean where an integer belongs
+        (never truncated)."""
         try:
             rows = [(c["id"], c["p_class"], c["trace"]) for c in obj["classes"]]
             degree = json_int(obj["degree"], "degree")
@@ -399,7 +402,7 @@ class TraceTable:
         for cid, flag, tr in rows:
             if not isinstance(cid, str) or not isinstance(flag, bool):
                 raise ValueError(f"a class needs a string id and a boolean p_class, got {json.dumps([cid, flag])}")
-            trc = cyc_from_literal(tr) if isinstance(tr, dict) else Cyc.from_int(json_int(tr, f"trace of {cid}"))
+            trc = literal(tr) if isinstance(tr, dict) else Cyc.from_int(json_int(tr, f"trace of {cid}"))
             classes.append((cid, flag, trc))
         return cls(obj.get("label", ""), degree, classes)
 
@@ -438,9 +441,7 @@ def brauerp_transfer(t1: TraceTable, t2: TraceTable, type1: tuple[int, int]) -> 
 
 
 def _i_sqrt2() -> Cyc:
-    from .algebra.cyc import zeta
-
-    return zeta(8) + zeta(8) ** 3  # i*sqrt(2)
+    return Cyc.from_root_sum(8, [0, 1, 0, 1])  # zeta_8 + zeta_8^3 = i*sqrt(2)
 
 
 def m11_trace_tables() -> dict[str, TraceTable]:

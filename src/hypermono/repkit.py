@@ -246,24 +246,9 @@ def _entry_hash(m: int, v: tuple[int, ...], den: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _roots(e: int) -> tuple[Cyc, ...]:
-    """zeta_e^k for k < e, each at its minimal conductor."""
-    return tuple(Cyc.root(UnityClass(k, e)) for k in range(e))
-
-
-@lru_cache(maxsize=None)
 def _entry_hashes(e: int) -> tuple[int, tuple[int, ...]]:
     """hash(0) and hash(zeta_e^k) for k < e: the entry hashes of CycMatrix.__hash__."""
-    return hash(Cyc.from_int(0)), tuple(map(hash, _roots(e)))
-
-
-@lru_cache(maxsize=4096)
-def _root_sum(e: int, exps: tuple[int, ...]) -> Cyc:
-    """The sum of zeta_e^k over k in exps."""
-    t = Cyc.from_int(0)
-    for k in exps:
-        t = t + _roots(e)[k]
-    return t
+    return hash(Cyc.from_int(0)), tuple(hash(Cyc.root(UnityClass(k, e))) for k in range(e))
 
 
 class MonomialMatrix:
@@ -388,11 +373,16 @@ class MonomialMatrix:
         return k
 
     def trace_key(self) -> tuple[int, tuple[int, ...]]:
-        """(e, the sorted exponents on the fixed points): the trace's data."""
-        return self.e, tuple(sorted(k for x, (row, k) in enumerate(zip(self.perm, self.exps)) if row == x))
+        """(e, the number of fixed points with exponent k, for each k < e):
+        the arguments of the trace's ``Cyc.from_root_sum``."""
+        counts = [0] * self.e
+        for x, (row, k) in enumerate(zip(self.perm, self.exps)):
+            if row == x:
+                counts[k] += 1
+        return self.e, tuple(counts)
 
     def trace(self) -> Cyc:
-        return _root_sum(*self.trace_key())
+        return Cyc.from_root_sum(*self.trace_key())
 
     def trace_product(self, other: CycMatrix) -> Cyc:
         """tr(self * other) = sum of zeta_e^exps[x] * other[x, perm[x]]: O(n),
@@ -640,7 +630,7 @@ def inner_product(group: MatGroup, chi1, chi2) -> Fraction:
 def monomial_traces(images) -> list[tuple[Cyc, int]]:
     """(trace, count) per distinct trace key of the MonomialMatrix images:
     each trace is summed once, however many images share its key."""
-    return [(_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
+    return [(Cyc.from_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
 
 
 def m4(group: MatGroup, rep=None) -> int:

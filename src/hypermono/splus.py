@@ -220,13 +220,12 @@ def tensor_induction_feasibility(h: HypDescriptor):
     pw = perfect_power(D)
     if pw is None:
         return []
-    base, nmax = pw
+    base, nmax = pw  # base is no perfect power, so D is an n-th power exactly when n | nmax
     survivors = []
     for n in range(2, nmax + 1):
-        root = round(D ** (1 / n))
-        d0 = next((c for c in (root - 1, root, root + 1) if c >= 2 and c**n == D), None)
-        if d0 is None:
+        if nmax % n:
             continue
+        d0 = base ** (nmax // n)
         p0 = least_prime_divisor(D)
         # parity: an n-tensor-induced sheaf has n prime to p once the
         # tame-to-S_n argument applies

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .algebra.cyc import Cyc, _apply_rows, _ctx, _mul_vec, zeta
+from .algebra.cyc import Cyc
 from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime
 from .algebra.unity import unity
@@ -67,17 +67,6 @@ class _MonomialModel:
                 raise ModelError("irrational |chi|^2 (bug)")
             total += a2.rational() * count
         return total
-
-
-def _zeta_sums(accs, m) -> list[tuple[int, ...] | None]:
-    """Each accumulator [c_0, ..., c_(m-1)] as the power-basis coefficients of
-    the sum of c_k zeta_m^k, or None when that sum is 0."""
-    ctx = _ctx(m)
-    out = []
-    for acc in accs:
-        coeffs = _apply_rows(ctx.power, acc, ctx.phi)
-        out.append(coeffs if any(coeffs) else None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +195,10 @@ class HeisenbergModel(_MonomialModel):
         """delta with known abs2 for unitary normalization: p-powers and the
         quadratic Gauss sum (abs2 = p)."""
         p = self.p
-        gauss = sum((zeta(p, t * t % p) for t in range(p)), Cyc.from_int(0))
-        return [(Cyc.from_int(1), 1), (gauss, p)]
+        squares = [0] * p
+        for t in range(p):
+            squares[t * t % p] += 1
+        return [(Cyc.from_int(1), 1), (Cyc.from_root_sum(p, squares), p)]
 
 
 def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMatrix":
@@ -295,7 +286,7 @@ class Extraspecial2Model(_MonomialModel):
 
     def gauss_candidates(self):
         """delta with known abs2 for unitary normalization: 1 and 1 + i (abs2 = 2)."""
-        return [(Cyc.from_int(1), 1), (Cyc.from_int(1) + zeta(4), 2)]
+        return [(Cyc.from_int(1), 1), (Cyc.from_root_sum(4, [1, 1]), 2)]
 
     def form_value(self, u, v) -> int:
         """Symplectic form: a_u.b_v + b_u.a_v mod 2."""
@@ -350,7 +341,8 @@ def _average(model, image) -> "ProjectiveMatrix":
             # rho(sigma h) E_(r0,c0) rho(h)^-1 has single entry at
             # (perm_sh[r0], perm_h[c0]) with phase exps_sh[r0] - exps_h[c0]
             accs[sh.perm[r0] * N + h.perm[c0]][(sh.exps[r0] - h.exps[c0]) % m] += 1
-        M = CycMatrix.from_coeffs(N, m, _zeta_sums(accs, m))
+        sums = [Cyc.from_root_sum(m, acc) for acc in accs]  # each at conductor m, or 0
+        M = CycMatrix.from_coeffs(N, m, [None if s.is_zero() else s.num for s in sums])
         if any(v is not None for v in M.coeffs):
             pm = ProjectiveMatrix(M, model, [(table[label], image(label)) for label in model.generators()])
             pm.verify()
@@ -462,13 +454,8 @@ class ProjectiveMatrix:
     def unitarity_scalar(self) -> Cyc:
         """c2 with M* M = c2 * identity (Schur: M* M centralizes the model)."""
         M = self.mat
-        ctx = _ctx(M.m)
-        acc = [0] * ctx.phi
-        for v in M.coeffs[:: M.n]:  # column 0
-            if v is not None:
-                for i, c in enumerate(_mul_vec(ctx, v, _apply_rows(ctx.conj_rows, v, ctx.phi))):
-                    acc[i] += c
-        return Cyc(M.m, tuple(acc), M.den * M.den)
+        column = (Cyc(M.m, v, M.den) for v in M.coeffs[:: M.n] if v is not None)
+        return sum((x.abs2() for x in column), Cyc.from_int(0))
 
     def rescale(self, s: Cyc) -> "ProjectiveMatrix":
         return ProjectiveMatrix(self.mat.scale(s), self.model, self.pairs)

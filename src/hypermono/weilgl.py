@@ -256,13 +256,7 @@ def tau_value(n: int, q: int, i: int, g: FqMatrix, profile: tuple[int, ...] | No
     """
     if profile is None:
         profile = gl_kernel_profile(g, q)
-    acc = Cyc.from_int(0)
-    for k, d in enumerate(profile):
-        acc = acc + Cyc.root(unity(i * k, q - 1)) * (q**d)
-    acc = acc * Fraction(1, q - 1)
-    if i == 0:
-        acc = acc - Cyc.from_int(2)
-    return acc
+    return _weil_sum(i, q - 1, [q**d for d in profile], q - 1) - 2 * (i == 0)
 
 
 def zeta_value(n: int, q: int, i: int, g: FqMatrix, profile: tuple[int, ...] | None = None) -> Cyc:
@@ -272,10 +266,19 @@ def zeta_value(n: int, q: int, i: int, g: FqMatrix, profile: tuple[int, ...] | N
     """
     if profile is None:
         profile = gu_kernel_profile(g, q)
-    acc = Cyc.from_int(0)
-    for k, d in enumerate(profile):
-        acc = acc + Cyc.root(unity(i * k, q + 1)) * ((-q) ** d)
-    return acc * Fraction((-1) ** n, q + 1)
+    return _weil_sum(i, q + 1, [(-q) ** d for d in profile], (-1) ** n * (q + 1))
+
+
+def _weil_sum(i: int, Q: int, weights, den: int) -> Cyc:
+    """(1/den) * sum_k zeta_Q^(ik) weights[k]: zeta_Q^(ik) = zeta_m^((i/g)k)
+    with g = gcd(i, Q) and m = Q/g, so each weight adds into exponent
+    (i/g)k mod m of one integer vector, reduced once at conductor m."""
+    g = gcd(i, Q)
+    m, step = Q // g, i // g
+    acc = [0] * m
+    for k, w in enumerate(weights):
+        acc[step * k % m] += w
+    return Cyc.from_root_sum(m, acc, den)
 
 
 def weil_value(spec: WeilCharSpec, g: FqMatrix, profile=None) -> Cyc:

@@ -5,6 +5,7 @@ the same cases and the file stays within a few seconds.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, _defining_poly, _poly_mul_mod, field, irreducibles, nullspace
 from hypermono.algebra.numth import divisors, euler_phi, factor, is_prime_power
+from hypermono.algebra.unity import UnityClass
 
 PROPS = settings(
     derandomize=True,
@@ -195,3 +197,29 @@ class TestCycLinearAlgebra:
         y = x.lift(k * x.m)
         assert y == x
         assert hash(y) == hash(x)
+
+
+@st.composite
+def root_sums(draw):
+    """(m, weights, den): m <= 60, up to m integer weights, a nonzero den."""
+    m = draw(st.integers(1, 60))
+    weights = draw(st.lists(st.integers(-9, 9), max_size=m))
+    return m, weights, draw(st.integers(-12, 12).filter(bool))
+
+
+class TestRootSums:
+    @PROPS
+    @given(root_sums())
+    def test_from_root_sum_is_the_termwise_sum(self, case):
+        """One pass over the power table gives the sum of weights[k] * zeta_m^k
+        over den that Cyc.root terms give one at a time: the same value and
+        hash, and at conductor m the same normalized coefficients."""
+        m, weights, den = case
+        want = Cyc.from_int(0)
+        for k, w in enumerate(weights):
+            want = want + Cyc.root(UnityClass(k, m)) * w
+        want = want * Fraction(1, den)
+        got = Cyc.from_root_sum(m, weights, den)
+        assert got == want and hash(got) == hash(want)
+        if not want.is_zero():
+            assert (got.m, got.num, got.den) == (m, want.lift(m).num, want.den)

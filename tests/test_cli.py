@@ -147,6 +147,8 @@ class TestExitCodes:
             ["gates", "meo", "OrthogonalMinus", "2", "5"],
             ["gates", "charsheaf", "-4", "Symplectic", "2", "5"],
             ["gates", "charsheaf", "12", "ExtraspecialNormalizer", "6", "2"],
+            ["gates", "meo", "Alternating", "5"],  # no minimal degree data
+            ["gates", "charsheaf", "5", "Alternating", "5"],  # outside the battery
             ["construct", "special", "F_N", "3"],
             ["construct", "special", "G_D", "3"],
             ["construct", "special", "G_D", "3", "--D", "2"],
@@ -169,6 +171,7 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+        assert not out.err.startswith("error: '")  # the message itself, not a KeyError's repr
         for option, value in zip(argv, argv[1:]):
             if option in ("--N", "--D", "--cap") and int(value) < 1:
                 assert option in out.err  # the message names the option at fault
@@ -347,3 +350,57 @@ class TestBrauerpTables:
         echoed = [r["input"]["table2"]["classes"][1]["trace"] for r in reports]
         assert echoed == [1, -1]
         assert reports[0]["input"]["table1"] == _trace_tables()["table1"] | {"label": ""}
+
+
+def _literal(m, k=0):
+    """zeta_m^k as a {"conductor": m, ...} literal, m prime."""
+    return {"conductor": m, "coeffs": [int(i == k) for i in range(m - 1)]}
+
+
+class TestConductorCap:
+    """A conductor N builds an N x phi(N) power table; one past the cap is
+    refused at parse time (exit 3), in generator files and trace tables."""
+
+    @pytest.mark.parametrize(
+        "command,body,cap,named",
+        [
+            ("m4", {"matrices": [[["1/4001"]]]}, None, 4001),
+            ("m4", {"matrices": [[[_literal(4001)]]]}, None, 4001),
+            ("m4", {"matrices": [[["1/1000000000039"]]]}, None, 1000000000039),
+            ("m4", {"matrices": [[["1/11"]]]}, "100", 11),
+            ("m4", {"matrices": [[["1/23", 0], [0, "1/29"]]]}, "1000", 667),
+            ("brauerp", _trace_tables(trace=_literal(4001)), None, 4001),
+            (
+                "brauerp",
+                _trace_tables(trace=_literal(23, 1))
+                | {"table1": {"degree": 2, "classes": [{"id": "1A", "p_class": True, "trace": 2},
+                                                       {"id": "2A", "p_class": True, "trace": _literal(29, 1)}]}},
+                "1000",
+                667,
+            ),
+        ],
+        ids=["m4_root", "m4_literal", "m4_huge_root", "m4_small_cap", "m4_lcm", "brauerp_literal", "brauerp_lcm"],
+    )
+    def test_refused_before_any_table(self, tmp_path, capsys, monkeypatch, command, body, cap, named):
+        from hypermono.algebra import cyc
+
+        if cap is None:
+            monkeypatch.delenv("HYPERMONO_CAP", raising=False)
+        else:
+            monkeypatch.setenv("HYPERMONO_CAP", cap)
+        built, real = [], cyc._ctx
+        monkeypatch.setattr(cyc, "_ctx", lambda m: built.append(m) or real(m))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        argv = ["m4", str(path)] if command == "m4" else ["gates", "brauerp", "--tables", str(path)]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and f"conductor {named} " in out.err
+        assert max(built, default=1) < named  # no power table at the refused conductor
+
+    def test_small_conductors_still_pass(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"matrices": [[["1/5", 0], [0, _literal(7, 1)]]]}))
+        code, out = run_cli(["m4", str(path)])
+        assert code == 0 and json.loads(out)["result"]["group_order"] == 35

@@ -96,6 +96,12 @@ class TestMeoTables:
         with pytest.raises(GateDataError):
             min_dim(GroupFamily("Alternating", 9))
 
+    def test_unitary_rank_one_is_refused_before_the_bound(self):
+        """q^(n-2) is no integer at n = 1, so no float is ever formed."""
+        with pytest.raises(GateDataError, match="n >= 2"):
+            meo_bound(GroupFamily("Unitary", 1, 2))
+        assert issubclass(GateDataError, ValueError)
+
     def test_table2_gate(self):
         rows = table2_gate_check()
         assert len(rows) == 12

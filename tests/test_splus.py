@@ -104,6 +104,22 @@ class TestTensorInduction:
         cands = tensor_induction_feasibility(generic(5, 8, 2))
         assert [n for n, _ in cands] == [3]
 
+    def test_d64_examines_each_divisor_of_the_exponent(self):
+        """64 = 2^6 is a square, a cube and a sixth power (d0 = 8, 4, 2), and
+        no 4th or 5th power; the Swan bound n*d0 >= W then sorts them."""
+
+        def wide(p, m):
+            big = 211
+            return descriptor(p, [unity(k, big) for k in range(1, 65)], [unity(k, big) for k in range(65, 65 + m)])
+
+        assert tensor_induction_feasibility(wide(5, 52)) == [
+            (2, "Swan bound n*d0=16 >= W=12 does not force tameness"),
+            (3, "Swan bound n*d0=12 >= W=12 does not force tameness"),
+            (6, "Swan bound n*d0=12 >= W=12 does not force tameness"),
+        ]
+        assert tensor_induction_candidates(wide(5, 50)) == [2]  # W = 14 > 12
+        assert tensor_induction_feasibility(wide(2, 44)) == [(3, "n*(d0^2-1)=45 >= W=20")]
+
     def test_annotations_present(self):
         for n, note in tensor_induction_feasibility(generic(5, 9, 3)):
             assert isinstance(note, str) and note

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -172,6 +173,44 @@ class TestTotalWeilIdentities:
                     if i <= q:
                         total = total + zeta_value(n, q, i, g, prof)
                 assert total.rational() == (-1) ** n * (-q) ** prof[0]
+
+
+def _termwise_value(family, n, q, i, profile):
+    """The reference for tau_value and zeta_value: the same character
+    value summed one Cyc.root term at a time."""
+    Q, base = (q - 1, q) if family == "Linear" else (q + 1, -q)
+    acc = Cyc.from_int(0)
+    for k, d in enumerate(profile):
+        acc = acc + Cyc.root(unity(i * k, Q)) * (base**d)
+    if family == "Linear":
+        acc = acc * Fraction(1, Q)
+        return acc - Cyc.from_int(2) if i == 0 else acc
+    return acc * Fraction((-1) ** n, Q)
+
+
+@st.composite
+def weil_cases(draw):
+    """(family, n, q, i, profile) with q <= 27 and a kernel profile of any
+    shape: one dimension 0..n per scalar."""
+    family = draw(st.sampled_from(("Linear", "Unitary")))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)))
+    n = draw(st.integers(1, 5))
+    Q = q - 1 if family == "Linear" else q + 1
+    i = draw(st.integers(-Q, 2 * Q))
+    return family, n, q, i, tuple(draw(st.lists(st.integers(0, n), min_size=Q, max_size=Q)))
+
+
+class TestRootSumValues:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(weil_cases())
+    def test_values_equal_the_termwise_sum(self, case):
+        """One integer weight vector reduced once gives the termwise value,
+        hash and normalized coefficients."""
+        family, n, q, i, profile = case
+        value = tau_value if family == "Linear" else zeta_value
+        got, want = value(n, q, i, None, profile), _termwise_value(family, n, q, i, profile)
+        assert got == want and hash(got) == hash(want)
+        assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
 
 
 class TestTori:
