@@ -260,13 +260,6 @@ class FqMatrix:
         F = self.F
         return _kernel.mat_vec(self.data, tuple(v), self.n, F.q, F.mul, F.add)
 
-    def trace(self) -> int:
-        n, F = self.n, self.F
-        t = 0
-        for i in range(n):
-            t = F.add[t * F.q + self.data[i * n + i]]
-        return t
-
     def char_poly(self) -> tuple[int, ...]:
         """Characteristic polynomial coefficients (low to high, monic) over F_q."""
         F, n, q = self.F, self.n, self.F.q

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from math import lcm
 
@@ -109,19 +108,6 @@ def _check_n_q(n: int, q: int, prime: bool = False, q_name: str = "q") -> None:
 def _check_weil_degree(spec) -> None:
     if spec.degree < 1:
         raise CliError(EXIT_VALIDATION, f"no Weil module: {spec!r} has degree {spec.degree}")
-
-
-def _check_cap_env() -> None:
-    """HYPERMONO_CAP, when set, is a positive integer (read by repkit's caps)."""
-    env = os.environ.get("HYPERMONO_CAP")
-    if not env:
-        return
-    try:
-        ok = int(env) >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise CliError(EXIT_VALIDATION, f"HYPERMONO_CAP must be a positive integer, got {env!r}")
 
 
 def _load_descriptor(path: str) -> HypDescriptor:
@@ -566,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_cap_env()
+        _domain_call(_cap, None)  # HYPERMONO_CAP, when set, is a positive integer
         report = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,17 +27,43 @@ from .algebra.unity import UnityClass
 
 DEFAULT_CAP = 2_000_000
 CONJUGACY_CAP = 100_000
+CYC_ORDER_CAP = 10_000  # a CycMatrix may have infinite order
 
 
 def _cap(cap: int | None) -> int:
+    """cap itself, else HYPERMONO_CAP when set, else DEFAULT_CAP; ValueError
+    unless the variable is a positive integer."""
     if cap is not None:
         return cap
     env = os.environ.get("HYPERMONO_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"HYPERMONO_CAP must be a positive integer, got {env!r}")
+    return value
 
 
 class CapExceeded(RuntimeError):
     pass
+
+
+def _powers(g, cap: int | None = None):
+    """g^0, g^1, ..., g^(K-1) for the order K of g, one product per step.
+
+    CapExceeded once cap powers pass without reaching the identity (cap
+    defaults as in ``_cap``).  The one walk behind every order and spectrum."""
+    cap = _cap(cap)
+    ident = x = g**0
+    for _ in range(cap):
+        yield x
+        x = x * g
+        if x == ident:
+            return
+    raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
 
 
 class CycMatrix:
@@ -228,15 +254,8 @@ class CycMatrix:
             return None
         return Cyc.from_int(0) if s is None else Cyc(self.m, s, self.den)
 
-    def order(self, cap: int = 10000) -> int:
-        ident = CycMatrix.identity(self.n)
-        x, k = self, 1
-        while x != ident:
-            x = x * self
-            k += 1
-            if k > cap:
-                raise RuntimeError("order exceeds cap")
-        return k
+    def order(self, cap: int = CYC_ORDER_CAP) -> int:
+        return sum(1 for _ in _powers(self, cap))
 
 
 @lru_cache(maxsize=4096)
@@ -366,11 +385,7 @@ class MonomialMatrix:
         return self.n
 
     def order(self) -> int:
-        ident = MonomialMatrix.identity(self.n, self.e)
-        x, k = self, 1
-        while x != ident:
-            x, k = x * self, k + 1
-        return k
+        return sum(1 for _ in _powers(self))
 
     def trace_key(self) -> tuple[int, tuple[int, ...]]:
         """(e, the number of fixed points with exponent k, for each k < e):
@@ -415,11 +430,7 @@ class MatGroup:
         return g in self.index
 
     def element_order(self, g) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = x * g
-            k += 1
-        return k
+        return sum(1 for _ in _powers(g, self.order))  # the order divides |G|
 
     def conjugacy_classes(self) -> list[list]:
         if self._classes is not None:
@@ -428,7 +439,7 @@ class MatGroup:
             raise CapExceeded(f"group order {self.order} above conjugacy cap {CONJUGACY_CAP}")
         gen_pairs = []
         for g in self.generators:
-            ginv = g ** (self.element_order(g) - 1)
+            ginv = deque(_powers(g, self.order), maxlen=1)[0]  # g^(K-1), the last power
             gen_pairs.append((g, ginv))
         seen = set()
         classes = []
@@ -596,22 +607,18 @@ class Spectrum:
 
 
 def spectrum(g: CycMatrix | MonomialMatrix, order: int | None = None) -> Spectrum:
-    """Exact spectrum of a finite-order Cyc matrix via the character-sum formula."""
-    if order is None:
-        order = g.order()
-    traces = []
-    x = g**0
-    for _ in range(order):
-        traces.append(x.trace())
-        x = x * g
-    s = Spectrum.from_power_traces(order, traces)
+    """Exact spectrum of a finite-order Cyc matrix via the character-sum formula.
+
+    One walk over the powers of g, bounded like ``CycMatrix.order`` on a
+    CycMatrix, gives the traces up to its order K; a given order reads them
+    as traces[j % K]."""
+    traces = [x.trace() for x in _powers(g, CYC_ORDER_CAP if isinstance(g, CycMatrix) else None)]
+    if order is not None:
+        traces = [traces[j % len(traces)] for j in range(order)]
+    s = Spectrum.from_power_traces(len(traces), traces)
     if s.dimension != g.n:
         raise ValueError("multiplicities do not sum to the dimension")
     return s
-
-
-def simple_spectrum(s: Spectrum) -> bool:
-    return s.is_simple()
 
 
 def inner_product(group: MatGroup, chi1, chi2) -> Fraction:

@@ -83,10 +83,6 @@ def resolve_primitivity(h: HypDescriptor, primitive: bool | None) -> tuple[bool 
     return primitive, USER_ASSERTED
 
 
-def _ineq(label: str, value: bool) -> tuple[str, bool]:
-    return (label, value)
-
-
 def splus_verdict(h: HypDescriptor, primitive: bool | None = None) -> SPlusVerdict:
     """First satisfied criterion in precedence order, else every failure.
 
@@ -111,10 +107,10 @@ def splus_verdict(h: HypDescriptor, primitive: bool | None = None) -> SPlusVerdi
     # --- Kloosterman criterion (m = 0) --------------------------------
     if m == 0:
         conds = [
-            _ineq(f"D={D} >= 2", D >= 2),
-            _ineq(f"D={D} != 4", D != 4),
-            _ineq(f"not (p=2 and D=8): p={p}, D={D}", not (p == 2 and D == 8)),
-            _ineq("primitive", prim is True),
+            (f"D={D} >= 2", D >= 2),
+            (f"D={D} != 4", D != 4),
+            (f"not (p=2 and D=8): p={p}, D={D}", not (p == 2 and D == 8)),
+            ("primitive", prim is True),
         ]
         if all(v for _, v in conds):
             return SPlusVerdict(GUARANTEED, "kloosterman", "main", [c for c, _ in conds], primitivity_source=prim_src)
@@ -170,10 +166,10 @@ def splus_verdict(h: HypDescriptor, primitive: bool | None = None) -> SPlusVerdi
                 reasons.append(f"coprime-refined: D={D} < 4")
             # plain p-coprime criterion (implied by the refined one; kept for reporting)
             conds = [
-                _ineq(f"D={D} >= 4", D >= 4),
-                _ineq(f"W={W} > D/2={D}/2", 2 * W > D),
-                _ineq(f"not (p odd, D=8, W <= 6): p={p}, D={D}, W={W}", not (p % 2 == 1 and D == 8 and W <= 6)),
-                _ineq(f"not (p != 3, D=9, W <= 6): p={p}, D={D}, W={W}", not (p != 3 and D == 9 and W <= 6)),
+                (f"D={D} >= 4", D >= 4),
+                (f"W={W} > D/2={D}/2", 2 * W > D),
+                (f"not (p odd, D=8, W <= 6): p={p}, D={D}, W={W}", not (p % 2 == 1 and D == 8 and W <= 6)),
+                (f"not (p != 3, D=9, W <= 6): p={p}, D={D}, W={W}", not (p != 3 and D == 9 and W <= 6)),
             ]
             if all(v for _, v in conds):
                 return SPlusVerdict(GUARANTEED, "coprime", "main", [c for c, _ in conds], primitivity_source=prim_src)
@@ -184,10 +180,10 @@ def splus_verdict(h: HypDescriptor, primitive: bool | None = None) -> SPlusVerdi
         # criterion for p dividing D
         if D % p == 0:
             conds = [
-                _ineq(f"D={D} > 4", D > 4),
-                _ineq(f"3*W={3 * W} > 2*(D-1)={2 * (D - 1)}", 3 * W > 2 * (D - 1)),
-                _ineq(f"not (p=2 and D=8): p={p}, D={D}", not (p == 2 and D == 8)),
-                _ineq(f"not (p=3 and (D,m)=(9,1)): p={p}, type=({D},{m})", not (p == 3 and (D, m) == (9, 1))),
+                (f"D={D} > 4", D > 4),
+                (f"3*W={3 * W} > 2*(D-1)={2 * (D - 1)}", 3 * W > 2 * (D - 1)),
+                (f"not (p=2 and D=8): p={p}, D={D}", not (p == 2 and D == 8)),
+                (f"not (p=3 and (D,m)=(9,1)): p={p}, type=({D},{m})", not (p == 3 and (D, m) == (9, 1))),
             ]
             if all(v for _, v in conds):
                 return SPlusVerdict(GUARANTEED, "p-divides-D", "main", [c for c, _ in conds], primitivity_source=prim_src)

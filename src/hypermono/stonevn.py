@@ -159,13 +159,15 @@ class HeisenbergModel(_MonomialModel):
         return self.rho_monomial(a, b, z).to_cyc()
 
     def generators(self):
-        """(a, b) labels of a generating set of E modulo the center."""
+        """(a, b) labels of a generating set of E modulo the center: the
+        F_p-basis p^j e_i (x^j in slot i, j < f) of each half of F_q^(2n)."""
         out = []
+        zero = (0,) * self.n
         for i in range(self.n):
-            e = tuple(1 if j == i else 0 for j in range(self.n))
-            zero = tuple(0 for _ in range(self.n))
-            out.append((e, zero))
-            out.append((zero, e))
+            for j in range(self.f):
+                e = tuple(self.p**j if k == i else 0 for k in range(self.n))
+                out.append((e, zero))
+                out.append((zero, e))
         return out
 
     def form_value(self, u, v) -> int:
@@ -368,7 +370,8 @@ class ProjectiveMatrix:
         self.model = model
         self.pairs = pairs
         self._proj = None  # (K, c) with M^K = c * identity
-        self._walks: dict = {}  # parity (or None) -> {sign: simple?}
+        self._traces = None  # tr(M^k) for k < K
+        self._verdicts = None  # {sign: simple?}
 
     # -- certification --------------------------------------------------
     def verify(self):
@@ -394,30 +397,27 @@ class ProjectiveMatrix:
     def projective_order(self, cap: int = 2048) -> tuple[int, Cyc]:
         """(k, c) with M^k = c * identity, k minimal."""
         if self._proj is None:
-            self._walk(self.model.parity_matrix(), cap)
+            self._walk(cap)
         return self._proj
 
-    def _walk(self, parity: CycMatrix | MonomialMatrix | None, cap: int = 2048) -> dict:
-        """The power walk M^0, M^1, ..., M^K = c * identity, made once per parity.
+    def _walk(self, cap: int) -> None:
+        """The one power walk M^0, M^1, ..., M^K = c * identity.
 
-        It fills the projective-order cache and returns {sign: simple?}: sign 0
-        for the whole space and, when M commutes with the parity P, +1 and -1
-        for the halves (1 +- P)/2.  Every walk carries sign 0, so one without
-        a parity reuses whichever walk exists.
+        It keeps (K, c), the traces tr(M^k) for k < K, and the simple-spectrum
+        verdicts {sign: simple?}: sign 0 for the whole space and, when the
+        model has a parity P that M commutes with, +1 and -1 for the halves
+        (1 +- P)/2, whose traces tr(M^k P) are read off P's nonzero entries.
         """
-        if parity in self._walks:
-            return self._walks[parity]
-        if parity is None and self._walks:
-            return next(iter(self._walks.values()))
         M = self.mat
         N = M.n
-        P = _permutation(parity) if parity is not None else None
+        P = self.model.parity_matrix()
         halves = P is not None and _commutes_with_permutation(M, P)
         signs = (0, 1, -1) if halves else (0,)
         sums = dict.fromkeys(signs, Cyc.from_int(0))
         half = Fraction(1, 2)
         c2_inv = self.unitarity_scalar().inverse()
         weight = Cyc.from_int(1)
+        traces = []
         x = CycMatrix.identity(N)
         for K in range(cap + 1):
             if K:
@@ -426,6 +426,7 @@ class ProjectiveMatrix:
                 if c is not None:
                     break
             t = x.trace()
+            traces.append(t)
             sums[0] = sums[0] + t.abs2() * weight
             if halves:
                 t_par = P.trace_product(x)
@@ -434,7 +435,6 @@ class ProjectiveMatrix:
             weight = weight * c2_inv
         else:
             raise ModelError("projective order exceeds cap")
-        self._proj = (K, c)
         dims = {0: N}
         if halves:
             # dimension of a half: trace of the projector (1 +- P)/2
@@ -448,8 +448,7 @@ class ProjectiveMatrix:
             if total.denominator != 1:
                 raise ModelError("autocorrelation sum is non-integral (bug)")
             verdicts[sign] = int(total) == dims[sign]
-        self._walks[parity] = verdicts
-        return verdicts
+        self._proj, self._traces, self._verdicts = (K, c), traces, verdicts
 
     def unitarity_scalar(self) -> Cyc:
         """c2 with M* M = c2 * identity (Schur: M* M centralizes the model)."""
@@ -461,51 +460,60 @@ class ProjectiveMatrix:
         return ProjectiveMatrix(self.mat.scale(s), self.model, self.pairs)
 
     # -- normalization to a finite-order matrix ---------------------------
-    def finite_order_form(self) -> CycMatrix:
-        """A scalar multiple of M of exact finite order."""
+    def _finite_order_scalar(self) -> Cyc:
+        """s with (s M)^K = 1 for the projective order K: the inverse of a
+        magnitude delta when |c| != 1, times the inverse of a K-th root of the
+        scalar left over."""
         k, c = self.projective_order()
-        M = self.mat
+        s = Cyc.from_int(1)
         a2 = c.abs2()
         if not (a2.is_rational() and a2.rational() == 1):
             c2 = self.unitarity_scalar()
             if not c2.is_rational():
                 raise NormalizationError("unitarity scalar is irrational")
             delta = _magnitude_delta(self.model, c2.rational())
-            M = M.scale(delta.inverse())
+            s = delta.inverse()
             c = c / delta**k  # (M / delta)^k, from the stored walk
         u = c.as_root_of_unity()
         if u is None:
             raise NormalizationError(f"projective scalar {c!r} is not a root of unity")
         # c = zeta_t^a has the k-th root lambda = zeta_(kt)^a; scale by 1/lambda
-        return M.scale(Cyc.root(unity(-u.num, k * u.den)))
+        return s * Cyc.root(unity(-u.num, k * u.den))
+
+    def finite_order_form(self) -> CycMatrix:
+        """A scalar multiple of M of exact finite order."""
+        return self.mat.scale(self._finite_order_scalar())
 
     # -- spectra ----------------------------------------------------------
     def projective_spectrum(self) -> Spectrum:
-        """Spectrum up to global rotation, canonicalized."""
-        from .repkit import spectrum as mat_spectrum
+        """Spectrum up to global rotation, canonicalized: Fourier inversion of
+        the walk's traces, tr((s M)^k) = s^k tr(M^k), with no product."""
+        s = self._finite_order_scalar()
+        traces, power = [], Cyc.from_int(1)
+        for t in self._traces:
+            traces.append(t * power)
+            power = power * s
+        spec = Spectrum.from_power_traces(len(traces), traces)
+        if spec.dimension != self.mat.n:
+            raise ValueError("multiplicities do not sum to the dimension")
+        return spec.canonical_rotation()
 
-        M0 = self.finite_order_form()
-        return mat_spectrum(M0).canonical_rotation()
-
-    def is_simple(self, parity: CycMatrix | MonomialMatrix | None = None, sign: int = 0) -> bool:
-        """Simple spectrum (on a parity half when given), scalar-invariantly.
+    def is_simple(self, sign: int = 0) -> bool:
+        """Simple spectrum on the whole space (sign 0) or on the parity half
+        (1 + sign P)/2 of the model's parity P, scalar-invariantly.
 
         Uses the exact autocorrelation identity: for eigenvalues of common
         squared modulus c2, (1/K) sum_k |tr(M^k)|^2 / c2^k counts coincident
         eigenvalue pairs, and equals the dimension iff the spectrum is simple.
-        The sums for the whole space and for both halves come from one shared
-        walk over the powers of M (the one projective_order makes, which covers
-        the model's own parity): tr(M^k P) is read off P's nonzero entries,
-        and later calls, with either sign, read the stored verdicts.
+        The verdicts for every sign come from the one walk over the powers of
+        M that projective_order makes.
         """
-        if parity is None:
-            sign = 0
-        elif sign not in (1, -1):
-            raise ValueError("a parity half needs sign +1 or -1")
-        verdicts = self._walk(parity)
-        if sign not in verdicts:
+        if sign not in (0, 1, -1):
+            raise ValueError("sign must be 0 (whole space) or +1 / -1 (a parity half)")
+        self.projective_order()
+        if sign not in self._verdicts:
             raise ModelError("matrix does not preserve the parity halves")
-        return verdicts[sign]
+        return self._verdicts[sign]
 
     def odd_projective_rep(self) -> "ProjectiveMatrix":
         """A coset representative M * rho(e) of odd projective order.
@@ -531,15 +539,6 @@ class ProjectiveMatrix:
         if best is None:
             raise ModelError("no odd-projective-order representative in the coset")
         return best[1]
-
-
-def _permutation(P: CycMatrix | MonomialMatrix) -> MonomialMatrix:
-    """P as a MonomialMatrix with every exponent 0; ValueError unless P is a
-    permutation matrix."""
-    mono = P if isinstance(P, MonomialMatrix) else MonomialMatrix.from_cyc(P)
-    if mono is None or any(mono.exps):
-        raise ValueError("parity is not a permutation matrix")
-    return mono
 
 
 def _commutes_with_permutation(M: CycMatrix, P: MonomialMatrix) -> bool:
@@ -760,10 +759,7 @@ def ss_sp_oracle(n: int, q: int) -> dict:
     from .weilgl import _symplectic_transvection, sp_torus_element, symplectic_gram
 
     p, f = is_prime_power(q)
-    if q**n > DESK_CAP:
-        raise ModelError(f"model dimension {q**n} above desk cap {DESK_CAP}")
     model = HeisenbergModel(p, n, f)
-    P = model.parity_matrix()
     dims = ((q**n + 1) // 2, (q**n - 1) // 2)
     types = ss_sp_enumerate(n, q)
     results = {"n": n, "q": q, "dims": list(dims), "types": []}
@@ -774,8 +770,8 @@ def ss_sp_oracle(n: int, q: int) -> dict:
         eps = -1 if cls.label == "T-" else 1
         g = sp_torus_element(n, q, eps)
         pm = outer_intertwiner_odd(model, g)
-        even = pm.is_simple(parity=P, sign=+1)
-        odd = pm.is_simple(parity=P, sign=-1)
+        even = pm.is_simple(+1)
+        odd = pm.is_simple(-1)
         expect_even = cls.central_order >= dims[0]
         expect_odd = cls.central_order >= dims[1]
         ok = (even == expect_even) and (odd == expect_odd)
@@ -799,7 +795,7 @@ def ss_sp_oracle(n: int, q: int) -> dict:
     central = FqMatrix.scalar(F, 2 * n, F.neg[1])
     pm_c = outer_intertwiner_odd(model, central)
     controls = {
-        "identity": pm_id.is_simple(parity=P, sign=+1) or pm_id.is_simple(parity=P, sign=-1),
+        "identity": pm_id.is_simple(+1) or pm_id.is_simple(-1),
         "transvection": pm_tv.is_simple(),
         "central_involution": pm_c.is_simple(),
     }

@@ -35,7 +35,7 @@ from .algebra.fq import (
 )
 from .algebra.numth import is_prime_power, prime_divisors
 from .algebra.unity import unity
-from .repkit import CapExceeded, MatGroup, Spectrum, _cap, closure
+from .repkit import CapExceeded, MatGroup, Spectrum, _cap, _powers, closure
 
 LINEAR = "Linear"
 UNITARY = "Unitary"
@@ -298,13 +298,7 @@ def weil_spectrum(spec: WeilCharSpec, g: FqMatrix) -> Spectrum:
     One walk g^0, g^1, ... collects the traces up to the first g^K = 1; a
     walk past the HYPERMONO_CAP cap raises CapExceeded."""
     profile_fn = gl_kernel_profile if spec.family == LINEAR else gu_kernel_profile
-    ident, cap = FqMatrix.identity(g.F, g.n), _cap(None)
-    traces, x = [], ident
-    while not traces or x != ident:
-        if len(traces) == cap:
-            raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
-        traces.append(weil_value(spec, x, profile_fn(x, spec.q)))
-        x = x * g
+    traces = [weil_value(spec, x, profile_fn(x, spec.q)) for x in _powers(g)]
     s = Spectrum.from_power_traces(len(traces), traces)
     if s.dimension != spec.degree:
         raise ValueError("weil_spectrum multiplicities do not sum to the degree")

@@ -18,7 +18,6 @@ from hypermono.repkit import (
     closure,
     inner_product,
     m4,
-    simple_spectrum,
     spectrum,
     sym2_character,
 )
@@ -81,6 +80,13 @@ class TestClosure:
         assert msg.startswith("closure exceeded cap 10: ")
         reached = int(re.search(r"(\d+) elements reached", msg).group(1))
         assert 1 <= reached <= 10 and "of 2 generators kept" in msg
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_cap_variable_must_be_positive(self, monkeypatch, value):
+        F3 = field(3)
+        monkeypatch.setenv("HYPERMONO_CAP", value)
+        with pytest.raises(ValueError, match=f"^HYPERMONO_CAP must be a positive integer, got '{value}'$"):
+            closure([FqMatrix.from_rows(F3, [[0, 2], [1, 0]])])
 
     def test_singular_generator_rejected(self):
         F3 = field(3)
@@ -382,11 +388,11 @@ class TestSpectrum:
     def test_three_cycle_fourier(self):
         s = spectrum(perm_matrix([1, 2, 0]))
         assert s.mult == {unity(0, 1): 1, unity(1, 3): 1, unity(2, 3): 1}
-        assert simple_spectrum(s)
+        assert s.is_simple()
 
     def test_simple_spectrum_predicate(self):
-        assert simple_spectrum(Spectrum({unity(0, 1): 1, unity(1, 2): 1}))
-        assert not simple_spectrum(Spectrum({unity(0, 1): 2}))
+        assert Spectrum({unity(0, 1): 1, unity(1, 2): 1}).is_simple()
+        assert not Spectrum({unity(0, 1): 2}).is_simple()
 
     def test_power_pushforward(self):
         g = perm_matrix([1, 2, 3, 0])
@@ -403,6 +409,31 @@ class TestSpectrum:
         c = s.canonical_rotation()
         assert c == c.canonical_rotation()
         assert c.mult == {unity(0, 1): 1, unity(1, 5): 1, unity(2, 5): 1, unity(3, 5): 1}
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_spectrum_walks_once(self, monkeypatch, order):
+        """An order-K matrix costs K products: one per power, the last one
+        reaching the identity, with no separate walk for the order."""
+        g = perm_matrix([*range(1, order), 0])
+        products = 0
+        mul = CycMatrix.__mul__
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
+        assert spectrum(g).is_simple()
+        assert products == order
+
+    def test_infinite_order_fails_fast(self):
+        g = CycMatrix.from_rows([[2, 0], [0, 1]])
+        for walk in (g.order, lambda: spectrum(g), lambda: spectrum(g, order=4)):
+            with pytest.raises(CapExceeded, match="pass cap 10000"):
+                walk()
+        with pytest.raises(CapExceeded, match="pass cap 7 "):
+            g.order(cap=7)
 
     def test_non_integral_multiplicity_raises(self):
         # trace data of a non-semisimple (wrong-order) input

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,31 @@ class TestModels:
     def test_cap(self):
         with pytest.raises(ModelError):
             HeisenbergModel(3, 4)  # 81 > 32
+
+    def test_generators_at_prime_q_are_the_unit_vectors(self):
+        assert HeisenbergModel(3, 2).generators() == [
+            ((1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1))
+        ]
+
+    def test_generators_over_f9_generate(self):
+        """Over F_9 the labels are the F_3-basis 1, x of each half: their
+        monomials close to the whole Heisenberg group, 9^2 * 3 elements (the
+        unit vectors alone reach only the 27 F_3-points)."""
+        model = HeisenbergModel(3, 1, 2)
+        table = model.monomials()
+        assert model.generators() == [((1,), (0,)), ((0,), (1,)), ((3,), (0,)), ((0,), (3,))]
+        assert closure([table[label] for label in model.generators()]).order == 243
+
+    def test_verify_over_f9_checks_every_generator(self):
+        """rho(x, 0), x of trace 0, commutes with rho over F_3 but not over
+        F_9: as an intertwiner of the identity it is refused."""
+        model = HeisenbergModel(3, 1, 2)
+        table = model.monomials()
+        M = table[((3,), (0,))].to_cyc()
+        assert M.is_scalar() is None
+        pm = ProjectiveMatrix(M, model, [(table[label], table[label]) for label in model.generators()])
+        with pytest.raises(ModelError, match="intertwining relation fails"):
+            pm.verify()
 
     def test_extraspecial_types(self):
         plus = Extraspecial2Model(2, "+")
@@ -324,7 +350,7 @@ class TestSharedWalk:
         P = model.parity_matrix()
         for label, pm in sp4_5_intertwiners(model).items():
             for parity, sign in ((P, 1), (P, -1), (None, 0)):
-                got = pm.is_simple(parity=parity, sign=sign)
+                got = pm.is_simple(sign)
                 assert got == reference_is_simple(pm, parity, sign), (label, sign)
 
     def test_sp2_3_odd_elements_match_reference(self):
@@ -335,7 +361,7 @@ class TestSharedWalk:
             if g.order() % 2 == 1:
                 pm = outer_intertwiner_odd(model, g)
                 for parity, sign in ((None, 0), (P, -1), (P, 1)):
-                    assert pm.is_simple(parity=parity, sign=sign) == reference_is_simple(pm, parity, sign)
+                    assert pm.is_simple(sign) == reference_is_simple(pm, parity, sign)
                 checked += 1
         assert checked == 9
 
@@ -344,20 +370,10 @@ class TestSharedWalk:
         pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5)).odd_projective_rep()
         assert pm.is_simple() == reference_is_simple(pm) is True
 
-    def test_parity_moved_by_matrix_is_refused(self):
-        model = HeisenbergModel(3, 1)
-        pm = outer_intertwiner_odd(model, FqMatrix.from_rows(field(3), [[1, 0], [1, 1]]))
-        swap = CycMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(ModelError):
-            reference_is_simple(pm, swap, 1)
-        with pytest.raises(ModelError):
-            pm.is_simple(parity=swap, sign=1)
-
     def test_one_walk_per_intertwiner(self, monkeypatch):
         """T- of Sp_4(5): projective order and both halves cost K + 2 products
         (K - 1 for the walk, 2 for the parity check), not one walk per call."""
         model = HeisenbergModel(5, 2)
-        P = model.parity_matrix()
         pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
         products = 0
         mul = CycMatrix.__mul__
@@ -369,9 +385,50 @@ class TestSharedWalk:
 
         monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
         K, _ = pm.projective_order()
-        even, odd = pm.is_simple(P, +1), pm.is_simple(P, -1)
+        even, odd = pm.is_simple(+1), pm.is_simple(-1)
         assert (K, even, odd) == (26, True, True)
         assert products <= K + 2
+
+    def test_one_walk_in_any_call_order(self, monkeypatch):
+        """The order, every verdict, the finite-order form and the spectrum
+        come from one walk, K - 1 products, whichever is asked first."""
+        model = HeisenbergModel(7, 1)
+        g = sp_torus_element(1, 7, 1)
+        walks = 0
+        walk = ProjectiveMatrix._walk
+
+        def counting_walk(self, cap):
+            nonlocal walks
+            walks += 1
+            return walk(self, cap)
+
+        monkeypatch.setattr(ProjectiveMatrix, "_walk", counting_walk)
+        want = Spectrum.from_multiset(
+            [unity(0, 1), unity(0, 1), unity(1, 6), unity(1, 3), unity(1, 2), unity(2, 3), unity(5, 6)]
+        )
+        counter = count_products(monkeypatch)
+        for calls in itertools.permutations(range(4)):
+            pm = outer_intertwiner_odd(model, g)
+            walks = counter["products"] = 0
+            steps = [
+                pm.projective_order,
+                lambda: [pm.is_simple(sign) for sign in (0, 1, -1)],
+                pm.finite_order_form,
+                pm.projective_spectrum,
+            ]
+            results = {k: steps[k]() for k in calls}
+            assert results[0][0] == 6 and results[1] == [False, False, True] and results[3] == want, calls
+            assert walks == 1 and counter["products"] == 6 - 1, calls
+
+    def test_projective_spectrum_makes_no_product(self, monkeypatch):
+        """The minus model at order 5: the spectrum inverts the walk's traces."""
+        minus = Extraspecial2Model(2, "-")
+        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5)).odd_projective_rep()
+        pm.projective_order()
+        counter = count_products(monkeypatch)
+        want = Spectrum.from_multiset([unity(k, 5) for k in range(1, 5)]).canonical_rotation()
+        assert pm.projective_spectrum() == want
+        assert counter["products"] == 0
 
     def test_one_certificate_and_table_per_model(self, monkeypatch):
         model = HeisenbergModel(5, 2)
@@ -405,7 +462,6 @@ class TestParityCheck:
         """T- of Sp_4(5): projective order and both halves cost the K - 1
         products of the walk alone."""
         model = HeisenbergModel(5, 2)
-        P = model.parity_matrix()
         pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
         products = 0
         mul = CycMatrix.__mul__
@@ -417,16 +473,78 @@ class TestParityCheck:
 
         monkeypatch.setattr(CycMatrix, "__mul__", counting_mul)
         K, _ = pm.projective_order()
-        assert (pm.is_simple(P, +1), pm.is_simple(P, -1)) == (True, True)
+        assert (pm.is_simple(+1), pm.is_simple(-1)) == (True, True)
         assert K == 26 and products <= K - 1
 
-    def test_parity_that_is_not_a_permutation_is_refused(self):
-        model = HeisenbergModel(3, 1)
-        pm = outer_intertwiner_odd(model, FqMatrix.from_rows(field(3), [[1, 0], [1, 1]]))
-        for rows in ([[0, 2, 0], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-                     [[1, 0, 0], [1, 0, 0], [0, 0, 1]]):
-            with pytest.raises(ValueError):
-                pm.is_simple(parity=CycMatrix.from_rows(rows), sign=1)
+
+    def test_coset_candidate_halves_are_refused(self):
+        """M rho(e) moves the parity (P rho(e) P = rho(-e)): its halves are
+        refused, while the whole space is still answered."""
+        model = HeisenbergModel(5, 1)
+        pm = outer_intertwiner_odd(model, sp_torus_element(1, 5, -1))
+        assert pm.is_simple(1) and pm.is_simple(-1)
+        for label in (((1,), (0,)), ((0,), (1,))):
+            cand = ProjectiveMatrix(pm.mat * model.monomials()[label], model)
+            for sign in (1, -1):
+                with pytest.raises(ModelError, match="does not preserve the parity halves"):
+                    cand.is_simple(sign)
+            assert cand.is_simple() in (True, False)
+
+    def test_extraspecial_models_have_no_halves(self):
+        minus = Extraspecial2Model(2, "-")
+        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5))
+        with pytest.raises(ModelError, match="does not preserve the parity halves"):
+            pm.is_simple(1)
+
+    @pytest.mark.parametrize("sign", [2, -2, 0.5])
+    def test_bad_sign_is_a_value_error(self, sign):
+        pm = outer_intertwiner_odd(HeisenbergModel(3, 1), FqMatrix.identity(field(3), 2))
+        with pytest.raises(ValueError):
+            pm.is_simple(sign)
+
+
+def structure_preserving_elements(model, order):
+    """The F_2 matrices of the given order preserving the model's quadratic
+    structure, built column by column as find_orthogonal_element does."""
+    dim, F2 = 2 * model.n, field(2)
+    basis, Q, form = model.generators(), model.Q, model.form_value
+    vecs = list(itertools.product(range(2), repeat=dim))
+    partial = [()]
+    for c in range(dim):
+        partial = [
+            cols + (v,)
+            for cols in partial
+            for v in vecs
+            if Q[v] == Q[basis[c]] and all(form(u, v) == form(basis[i], basis[c]) for i, u in enumerate(cols))
+        ]
+    out = [FqMatrix(F2, dim, tuple(cols[c][r] for r in range(dim) for c in range(dim))) for cols in partial]
+    return [g for g in out if model.preserves_structure(g) and g.has_order(order)]
+
+
+class TestOddProjectiveRep:
+    """When the intertwiner of an odd-order element has even projective
+    order, odd_projective_rep searches the coset M rho(e)."""
+
+    @pytest.mark.parametrize("eps, elements, searched", [("+", 8, 4), ("-", 20, 10)])
+    def test_coset_search(self, eps, elements, searched):
+        model = Extraspecial2Model(2, eps)
+        table = model.monomials().values()
+        order3 = structure_preserving_elements(model, 3)
+        assert len(order3) == elements
+        seen = 0
+        for g in order3:
+            pm = outer_intertwiner_2(model, g)
+            if pm.projective_order()[0] % 2 == 1:
+                assert pm.odd_projective_rep() is pm
+                continue
+            seen += 1
+            rep = pm.odd_projective_rep()
+            assert rep is not pm and rep.projective_order()[0] % 2 == 1
+            spec = rep.projective_spectrum()
+            odd = [c for c in (ProjectiveMatrix(pm.mat * mono, model) for mono in table)
+                   if c.projective_order()[0] % 2 == 1]
+            assert odd and all(c.projective_spectrum() == spec for c in odd)
+        assert seen == searched
 
 
 class TestExtensionToFiniteGroup:
