@@ -4,7 +4,10 @@ Elements of F_(p^f) are ints in [0, p^f) encoding coefficient vectors base p
 against the deterministic defining polynomial: the monic irreducible of
 degree f whose non-leading coefficient vector (a_{f-1}, ..., a_0), read as a
 base-p integer, is least.  Matrices are flat row-major tuples; the hot
-matrix loops (product, rank, matrix-vector) live in ``_fqcore_py``.
+matrix loops (product, rank, matrix-vector) live in ``_fqcore_py``.  A
+matrix's digit key (``FqMatrix.digits``) spells the same encoding out in
+base-p digits, the coordinates in which conjugation is an F_p-linear map that
+``FqMatrix.conjugation`` tabulates.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class FieldSpec:
         self.mul = mul
         self.inv = [0] + [exp[-k] for k in logs]
         self.frob = [self.pow(a, p) for a in range(q)]  # x -> x^p
+        # an element's f base-p digits, lowest first, for FqMatrix.digits when f > 1
+        self.digit_bytes = [bytes(self._digits(a)) for a in range(q)] if f > 1 else None
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -202,6 +207,59 @@ class FqMatrix:
 
     def __hash__(self):
         return hash(self.data)
+
+    def digits(self) -> bytes:
+        """The base-p digits of the entries, row-major, f per entry and the
+        lowest first: bytes(data) when f = 1.  Equal keys mean equal matrices
+        over the same field."""
+        if self.F.f == 1:
+            return bytes(self.data)
+        return b"".join(map(self.F.digit_bytes.__getitem__, self.data))
+
+    def conjugation(self, inverse: "FqMatrix"):
+        """The map y -> self * y * inverse on digit keys (``digits``), or None
+        when its digit sums could pass a byte (p > 256 or chunks * (p-1) > 255).
+
+        The map is F_p-linear in the N = n^2 f digits of y.  They are cut into
+        chunks of w digits, p^w <= 256, and each chunk gets a table from its
+        digit patterns to the images, built from the images of the N basis
+        digits: 2N products in all.  An image is then one table read per
+        chunk and one int sum, whose byte k is image digit k before reduction
+        mod p, and one translate."""
+        F, n = self.F, self.n
+        p, f = F.p, F.f
+        size = n * n * f
+        w = 0
+        while p ** (w + 1) <= 256:
+            w += 1
+        if w == 0 or -(-size // w) * (p - 1) > 255:
+            return None
+        basis = []  # image digits of each basis digit: x^(k % f) at entry k // f
+        for k in range(size):
+            e = [0] * (n * n)
+            e[k // f] = p ** (k % f)
+            basis.append(list((self * FqMatrix(F, n, e) * inverse).digits()))
+        digit = [bytes((d,)) for d in range(p)]
+        tables = []
+        for lo in range(0, size, w):
+            patterns = [(b"", [0] * size)]  # (digit pattern of the chunk, its image digits)
+            for col in basis[lo : lo + w]:
+                patterns = [
+                    (pat + digit[d], [(a + d * b) % p for a, b in zip(img, col)])
+                    for pat, img in patterns
+                    for d in range(p)
+                ]
+            tables.append({pat: int.from_bytes(bytes(img), "little") for pat, img in patterns})
+        chunks = list(zip(tables, [slice(lo, lo + w) for lo in range(0, size, w)]))
+        reduce = bytes(b % p for b in range(256))
+
+        def conj(key: bytes) -> bytes:
+            acc = 0
+            for table, span in chunks:
+                acc += table[key[span]]
+            return acc.to_bytes(size, "little").translate(reduce)
+
+        return conj
 
     def rank(self) -> int:
         F = self.F

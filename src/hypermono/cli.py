@@ -278,6 +278,8 @@ def cmd_gates(args) -> dict:
             },
         )
     if sub == "brauerp":
+        if args.m11 and args.tables is not None:
+            raise CliError(EXIT_VALIDATION, "brauerp takes --m11 or --tables FILE, not both")
         if args.m11:
             tabs = m11_trace_tables()
             t1, t2 = tabs["deg11"], tabs["deg10_rational"]
@@ -372,6 +374,8 @@ def cmd_tables(args) -> dict:
             if not rep["all_passed"]:
                 raise CliError(EXIT_ORACLE, "table consistency battery failed")
         return _report("tables/3", {"check": args.check}, result)
+    if args.table == "1" and args.check:
+        raise CliError(EXIT_VALIDATION, "table 1 has no check; --check applies to tables 2 and 3")
     data = table12_data()
     if args.table == "1":
         result = {"table1": data["table1"], "meo_mindim": data["table1_meo_mindim"]}

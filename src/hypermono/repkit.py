@@ -1,10 +1,12 @@
 """Generic finite matrix-group engine.
 
 Closure from generators with a hard cap by Dimino's coset enumeration, which
-keeps only the irredundant generators; element orders; conjugacy classes by
-orbit partition under those kept generators; exact spectra via the
-character-sum (discrete Fourier) formula; class-function inner products; and
-the fourth moment M4.
+keeps only the irredundant generators; element orders; conjugacy classes as
+the orbits of those kept generators' conjugation permutations on the element
+positions, over F_q read off a table of the generator's F_p-linear map on
+FqMatrix digit keys with no product per element (other elements take two
+products each); exact spectra via the character-sum (discrete Fourier)
+formula; class-function inner products; and the fourth moment M4.
 Works for matrices over a FieldSpec or over a cyclotomic field, and for
 monomial matrices with root-of-unity entries, which closure takes as
 MonomialMatrix; elements only need ``*``, ``**``, equality and hashing.
@@ -23,6 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
+from .algebra.fq import FqMatrix
 from .algebra.unity import UnityClass
 
 DEFAULT_CAP = 2_000_000
@@ -433,32 +436,47 @@ class MatGroup:
         return sum(1 for _ in _powers(g, self.order))  # the order divides |G|
 
     def conjugacy_classes(self) -> list[list]:
+        """The classes as orbits of the kept generators' conjugation
+        permutations on positions, in order of their first element, each
+        sorted by position."""
         if self._classes is not None:
             return self._classes
         if self.order > CONJUGACY_CAP:
             raise CapExceeded(f"group order {self.order} above conjugacy cap {CONJUGACY_CAP}")
-        gen_pairs = []
-        for g in self.generators:
-            ginv = deque(_powers(g, self.order), maxlen=1)[0]  # g^(K-1), the last power
-            gen_pairs.append((g, ginv))
-        seen = set()
+        perms = [self._conjugation_permutation(g) for g in self.generators]
+        seen = bytearray(self.order)
         classes = []
-        for x in self.elements:
-            if x in seen:
+        for start in range(self.order):
+            if seen[start]:
                 continue
-            orbit = {x}
-            queue = deque([x])
-            while queue:
-                y = queue.popleft()
-                for g, ginv in gen_pairs:
-                    z = g * y * ginv
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            seen |= orbit
-            classes.append(sorted(orbit, key=self.index.__getitem__))
+            seen[start] = 1
+            orbit = [start]
+            for i in orbit:  # grows while it is read
+                for perm in perms:
+                    j = perm[i]
+                    if not seen[j]:
+                        seen[j] = 1
+                        orbit.append(j)
+            orbit.sort()
+            classes.append([self.elements[i] for i in orbit])
         self._classes = classes
         return classes
+
+    def _conjugation_permutation(self, g) -> list[int]:
+        """pi with elements[pi[i]] = g * elements[i] * g^-1, from g's tabulated
+        conjugation map on FqMatrix digit keys where it has one, else from
+        products.  g^-1 is the last of g's powers."""
+        ginv = deque(_powers(g, self.order), maxlen=1)[0]
+        conj = g.conjugation(ginv) if isinstance(g, FqMatrix) else None
+        if conj is None:
+            return self._product_permutation(g, ginv)
+        keys = [x.digits() for x in self.elements]
+        position = dict(zip(keys, range(self.order)))
+        return [position[y] for y in map(conj, keys)]
+
+    def _product_permutation(self, g, ginv) -> list[int]:
+        """pi with elements[pi[i]] = g * elements[i] * ginv, two products per element."""
+        return [self.index[g * x * ginv] for x in self.elements]
 
     def class_representatives(self) -> list:
         return [c[0] for c in self.conjugacy_classes()]

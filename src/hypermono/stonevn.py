@@ -204,17 +204,35 @@ class HeisenbergModel(_MonomialModel):
 
 
 def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMatrix":
-    """Intertwiner M with M rho(h) = rho(sigma_g h) M, by exact averaging."""
+    """Intertwiner M with M rho(h) = rho(sigma_g h) M, by exact averaging.
+
+    The symmetrized cocycle makes sigma(rho(a, b)) = rho(g(a, b)).  g is
+    linear, so g(a, b) = g(a, 0) + g(0, b): each half's images come from g's
+    columns, one sum of point indices per label, read off the shifts that the
+    monomials carry."""
     if g.n != 2 * model.n or not model.preserves_form(g):
         raise ModelError("matrix does not preserve the symplectic structure")
-    n = model.n
+    n, q, mul, index = model.n, model.q, model.F.mul, model.point_index
     table = model.monomials()
+    monos = list(table.values())  # the label (points[i], points[j]) at i * Q + j
+    Q = len(model.points)
+    add = [monos[i * Q].perm for i in range(Q)]  # add[i][j] indexes points[i] + points[j]
+    cols = [g.data[j :: 2 * n] for j in range(2 * n)]  # g e_j, the columns of g
 
-    def image(label):  # the symmetrized cocycle makes sigma(rho(a, b)) = rho(g(a, b))
-        img = tuple(g.apply(label[0] + label[1]))
-        return table[(img[:n], img[n:])]
+    def half(cols):
+        """(index of the a half, index of the b half) of g v for the points v,
+        with v's coordinates taken against cols."""
+        out = [(0, 0)]
+        for col in cols:  # the last coordinate varies fastest, as in points
+            steps = [tuple([mul[c * q + x] for x in col]) for c in range(q)]
+            steps = [(index[v[:n]], index[v[n:]]) for v in steps]
+            out = [(add[a][c], add[b][d]) for a, b in out for c, d in steps]
+        return out
 
-    return _average(model, image)
+    images = [
+        monos[add[a][c] * Q + add[b][d]] for a, b in half(cols[:n]) for c, d in half(cols[n:])
+    ]
+    return _average(model, dict(zip(table, images)).__getitem__)
 
 
 # ---------------------------------------------------------------------------

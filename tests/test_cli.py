@@ -162,6 +162,9 @@ class TestExitCodes:
             ["m4", "monomial_q3.json", "--cap", "0"],
             ["m4", "monomial_q3.json", "--cap", "-3"],
             ["ss", "symplectic", "2", "7", "--exhaustive"],
+            ["gates", "brauerp", "--m11", "--tables", "no_such_tables.json"],  # --tables was ignored
+            ["gates", "brauerp", "--m11", "--tables", "m11_row.json"],
+            ["tables", "1", "--check"],  # table 1 has no check
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )

@@ -12,6 +12,7 @@ from hypermono.algebra.unity import unity
 from hypermono.repkit import (
     CapExceeded,
     CycMatrix,
+    MatGroup,
     MonomialMatrix,
     Spectrum,
     alt2_character,
@@ -132,18 +133,21 @@ def fq_generator_lists(draw):
     """1-4 invertible matrices, each drawn as P * L * U (every one arises)."""
     F = field(draw(st.sampled_from((2, 3))))
     n = draw(st.sampled_from((3, 2, 1)))
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    gens = []
-    for _ in range(draw(st.integers(1, 4))):
-        perm = draw(st.permutations(range(n)))
-        low = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
-        up = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
-        diag = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
-        P = FqMatrix(F, n, [int(perm[j] == i) for i, j in cells])
-        L = FqMatrix(F, n, [low[i * n + j] if i > j else int(i == j) for i, j in cells])
-        U = FqMatrix(F, n, [up[i * n + j] if i < j else (diag[i] if i == j else 0) for i, j in cells])
-        gens.append(P * L * U)
+    gens = [draw_invertible(draw, F, n) for _ in range(draw(st.integers(1, 4)))]
     return gens, FqMatrix.identity(F, n)
+
+
+def draw_invertible(draw, F, n):
+    """An invertible matrix drawn as P * L * U (every one arises)."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    perm = draw(st.permutations(range(n)))
+    low = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    up = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    diag = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
+    P = FqMatrix(F, n, [int(perm[j] == i) for i, j in cells])
+    L = FqMatrix(F, n, [low[i * n + j] if i > j else int(i == j) for i, j in cells])
+    U = FqMatrix(F, n, [up[i * n + j] if i < j else (diag[i] if i == j else 0) for i, j in cells])
+    return P * L * U
 
 
 @st.composite
@@ -223,6 +227,126 @@ class TestDimino:
         # two kept generators: two products per element for each, plus their
         # inverses (five kept elementary generators made 112,343)
         assert calls[0] <= 4 * G.order + 2 * orders
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: weilgl.general_linear_group(3, 3), lambda: weilgl.symplectic_group(2, 3)],
+        ids=["gl_3_3", "sp_4_3"],
+    )
+    def test_classes_search_products_do_not_grow_with_the_order(self, monkeypatch, build):
+        G = fresh_copy(build())
+        one = G.identity
+        # per kept generator: its inverse's power walk and the table of its
+        # conjugation map, two products per basis digit
+        bound = sum(2 * one.n**2 * one.F.f + G.element_order(g) for g in G.generators)
+        calls = count_fq_products(monkeypatch)
+        G.conjugacy_classes()
+        assert calls[0] <= bound < G.order
+
+
+def fresh_copy(G):
+    """The same elements and positions without the memoised classes."""
+    return MatGroup(G.generators, G.elements, G.identity, G.index)
+
+
+def bfs_classes(G):
+    """Reference: the breadth-first class search over matrices that the
+    tabulated permutations replaced, two products per element per kept
+    generator, classes in order of their first element, sorted by position."""
+    pairs = [(g, g ** (G.element_order(g) - 1)) for g in G.generators]
+    seen, classes = set(), []
+    for x in G.elements:
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for g, ginv in pairs:
+                z = g * y * ginv
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        classes.append(sorted(orbit, key=G.index.__getitem__))
+    return classes
+
+
+def check_conjugation_tables(G):
+    """Each kept generator's permutation equals the product permutation, and
+    the classes equal the matrix search's, in order and members."""
+    for g in G.generators:
+        ginv = g ** (G.element_order(g) - 1)
+        assert G._conjugation_permutation(g) == G._product_permutation(g, ginv)
+    assert fresh_copy(G).conjugacy_classes() == bfs_classes(G)
+
+
+@st.composite
+def fq_two_generator_groups(draw, F):
+    """The group of two random invertible matrices over F, of degree 1 to 3
+    over F_2 and 1 or 2 otherwise."""
+    n = draw(st.sampled_from((3, 2, 1) if F.q == 2 else (2, 1)))
+    return closure([draw_invertible(draw, F, n) for _ in range(2)])
+
+
+class TestConjugationTables:
+    """Classes as orbits of tabulated conjugation permutations: each table-
+    built permutation equals the product permutation, and the classes equal
+    the matrix search's on the groups the criteria read."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: weilgl.general_linear_group(3, 3),
+            lambda: weilgl.unitary_group(3, 2),
+            lambda: weilgl.symplectic_group(2, 2),
+            lambda: weilgl.symplectic_group(1, 3),
+            lambda: weilgl.general_linear_group(2, 9),
+            lambda: weilgl.unitary_group(2, 3),
+        ],
+        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sl_2_3", "gl_2_9", "gu_2_3"],
+    )
+    def test_matches_the_product_search(self, build):
+        check_conjugation_tables(build())
+
+    @pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)], ids=["F2", "F3", "F4", "F5", "F9"])
+    def test_random_two_generator_groups(self, p, f):
+        @settings(PROPS, max_examples=10)
+        @given(fq_two_generator_groups(field(p, f)))
+        def check(G):
+            check_conjugation_tables(G)
+
+        check()
+
+    def test_trivial_group(self):
+        one = FqMatrix.identity(field(3), 2)
+        G = closure([one])
+        assert G.generators == [] and G.conjugacy_classes() == [[one]]
+
+    def test_cyclic_group(self):
+        F = field(5)
+        g = FqMatrix.from_rows(F, [[0, 1], [3, 1]])  # a Singer cycle
+        G = closure([g])
+        assert G.order == 24 and G.conjugacy_classes() == [[x] for x in G.elements]
+        check_conjugation_tables(G)
+
+    def test_monomial_elements_use_products(self):
+        check_conjugation_tables(monomial_group(3))
+
+    def test_digit_keys(self):
+        F3, F9 = field(3), field(3, 2)
+        a = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
+        assert a.digits() == bytes(a.data)
+        b = FqMatrix.from_rows(F9, [[5, 0], [1, 8]])  # 5 = 2 + 1*3, 8 = 2 + 2*3
+        assert b.digits() == bytes([2, 1, 0, 0, 1, 0, 2, 2])
+
+    def test_digit_sums_past_a_byte_use_products(self):
+        F257, F131 = field(257), field(131)
+        g = FqMatrix.scalar(F257, 1, 3)
+        h = FqMatrix.from_rows(F131, [[0, 1], [130, 0]])
+        for x in (g, h):  # p > 256; four chunks of one digit, 4 * 130 > 255
+            assert x.conjugation(x**-1) is None
+        check_conjugation_tables(closure([g]))
+        check_conjugation_tables(closure([h, FqMatrix.from_rows(F131, [[1, 0], [0, 130]])]))
 
 
 def dense_m4(elements):
