@@ -192,6 +192,8 @@ def cmd_ss(args) -> dict:
                 return _report("ss", inputs, ss_sp_oracle(args.n, args.q))
             return _report("ss", inputs, {"types": [t.to_json() for t in types]})
         if fam == "Extraspecial":
+            if args.exhaustive:
+                raise CliError(EXIT_VALIDATION, "ss extraspecial has no exhaustive check; drop --exhaustive")
             return _report(
                 "ss", inputs, {"central_orders": ss_extr_enumerate(args.q, args.n, override=True)}
             )
@@ -215,11 +217,11 @@ def cmd_spectrum(args) -> dict:
     _check_weil_degree(spec)
     n, q = args.n, args.q
     torus_order = q**n - 1 if fam == LINEAR else q**n - (-1) ** n
-    # the inversion pairs K traces with K roots; K^2 also bounds the q^n or
-    # q^(2n) monics the torus search sieves
+    # K^2 bounds the q^n or q^(2n) monics the torus search sieves; the
+    # inversion itself is K root sums of length lcm(K, trace conductors)
     cap = _cap(None)
     if torus_order * torus_order > cap:
-        raise CapExceeded(f"torus order {torus_order}: {torus_order} traces x {torus_order} roots exceed cap {cap}")
+        raise CapExceeded(f"torus order {torus_order}: its square {torus_order * torus_order} exceeds cap {cap}")
     g = gl_singer(n, q) if fam == LINEAR else gu_torus_element(n, q, torus_order)
     s = weil_spectrum(spec, g)
     return _report(
@@ -348,6 +350,9 @@ def cmd_construct(args) -> dict:
             extra = {"expected_group": grp, "i0_cycle_type": ct}
         elif args.kind == "special":
             params = {"N": args.N} if args.name == "F_N" else {"D": args.D, "chi": args.chi}
+            foreign = [f"--{k}" for k in ("N", "D", "chi") if k not in params and getattr(args, k) is not None]
+            if foreign:
+                raise CliError(EXIT_VALIDATION, f"{args.name} does not take {' or '.join(foreign)}")
             missing = [f"--{k}" for k, v in params.items() if v is None]
             if missing:
                 raise CliError(EXIT_VALIDATION, f"{args.name} needs {' and '.join(missing)}")

@@ -5,8 +5,9 @@ keeps only the irredundant generators; element orders; conjugacy classes as
 the orbits of those kept generators' conjugation permutations on the element
 positions, over F_q read off a table of the generator's F_p-linear map on
 FqMatrix digit keys with no product per element (other elements take two
-products each); exact spectra via the character-sum (discrete Fourier)
-formula; class-function inner products; and the fourth moment M4.
+products each); exact spectra by discrete Fourier inversion of the power
+traces, one root sum per eigenvalue index with no Cyc product; and the
+fourth moment M4.
 Works for matrices over a FieldSpec or over a cyclotomic field, and for
 monomial matrices with root-of-unity entries, which closure takes as
 MonomialMatrix; elements only need ``*``, ``**``, equality and hashing.
@@ -562,13 +563,6 @@ class Spectrum:
     def is_simple(self) -> bool:
         return all(m == 1 for m in self.mult.values())
 
-    def power_pushforward(self, k: int) -> "Spectrum":
-        out: dict[UnityClass, int] = {}
-        for u, m in self.mult.items():
-            v = u * k
-            out[v] = out.get(v, 0) + m
-        return Spectrum(out)
-
     def canonical_rotation(self) -> "Spectrum":
         """Rotation minimizing the sorted eigenvalue list lexicographically."""
         best = best_flat = None
@@ -602,16 +596,31 @@ class Spectrum:
 
         traces[j] must equal trace(g^j) for an operator with g^order = 1.
         Non-integral multiplicities raise (non-semisimple or wrong order).
+
+        Each multiplicity times order, sum_j traces[j] * zeta_order^(-jk), is
+        one root sum at L = lcm(order, conductors) over D = lcm(denominators):
+        trace j's power-basis terms are exponent-weight pairs fixed once, and
+        the root zeta_order^(-jk) only shifts their exponents by -jkL/order.
         """
         n = order
         traces = [t if isinstance(t, Cyc) else Cyc.from_fraction(Fraction(t)) for t in traces]
+        if n < 1 or len(traces) != n:
+            raise ValueError(f"need order >= 1 and one trace per power, got order {n} and {len(traces)} traces")
         m = lcm(n, *[t.m for t in traces])
-        zs = [Cyc.root(UnityClass(k, n), m) for k in range(n)]
+        den = lcm(*[t.den for t in traces])
+        step = m // n
+        terms = [
+            (j * step, [(s * (m // t.m), c * (den // t.den)) for s, c in enumerate(t.num) if c])
+            for j, t in enumerate(traces)
+        ]
         out: dict[UnityClass, int] = {}
         for k in range(n):
-            acc = Cyc.from_int(0)
-            for j in range(n):
-                acc = acc + traces[j] * zs[(-j * k) % n]
+            w = [0] * m
+            for shift, pairs in terms:
+                shift *= k
+                for e, c in pairs:
+                    w[(e - shift) % m] += c
+            acc = Cyc.from_root_sum(m, w, den)
             if not acc.is_rational():
                 raise ValueError("non-integral multiplicity (irrational)")
             q = acc.rational() / n
@@ -637,19 +646,6 @@ def spectrum(g: CycMatrix | MonomialMatrix, order: int | None = None) -> Spectru
     if s.dimension != g.n:
         raise ValueError("multiplicities do not sum to the dimension")
     return s
-
-
-def inner_product(group: MatGroup, chi1, chi2) -> Fraction:
-    """[chi1, chi2]_G = (1/|G|) sum chi1(g) * conj(chi2(g)), exact.
-
-    chi1, chi2: callables element -> Cyc.
-    """
-    acc = Cyc.from_int(0)
-    for g in group.elements:
-        acc = acc + chi1(g) * chi2(g).conj()
-    if not acc.is_rational():
-        raise ValueError("inner product is irrational (inputs not class functions?)")
-    return acc.rational() / group.order
 
 
 def monomial_traces(images) -> list[tuple[Cyc, int]]:
@@ -680,23 +676,3 @@ def m4(group: MatGroup, rep=None) -> int:
     if q.denominator != 1:
         raise ValueError(f"M4 is non-integral: {q}")
     return int(q)
-
-
-def sym2_character(rep=None):
-    def chi(g):
-        h = rep(g) if rep is not None else g
-        t1 = h.trace()
-        t2 = (h * h).trace()
-        return (t1 * t1 + t2) * Fraction(1, 2)
-
-    return chi
-
-
-def alt2_character(rep=None):
-    def chi(g):
-        h = rep(g) if rep is not None else g
-        t1 = h.trace()
-        t2 = (h * h).trace()
-        return (t1 * t1 - t2) * Fraction(1, 2)
-
-    return chi

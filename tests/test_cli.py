@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -165,6 +168,10 @@ class TestExitCodes:
             ["gates", "brauerp", "--m11", "--tables", "no_such_tables.json"],  # --tables was ignored
             ["gates", "brauerp", "--m11", "--tables", "m11_row.json"],
             ["tables", "1", "--check"],  # table 1 has no check
+            ["ss", "extraspecial", "2", "2", "--exhaustive"],  # --exhaustive ran no check
+            ["construct", "special", "F_N", "3", "--N", "4", "--D", "7", "--chi", "1/3"],  # other family's flags
+            ["construct", "special", "F_N", "3", "--N", "4", "--chi", "1/3"],
+            ["construct", "special", "G_D", "5", "--D", "7", "--chi", "1/3", "--N", "4"],
         ],
         ids=lambda argv: "_".join(argv).replace("-", ""),
     )
@@ -220,6 +227,17 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and named in out.err
+
+
+def test_python_m_runs_the_cli():
+    """``python -m hypermono`` runs the CLI from a checkout, with src on the path."""
+    path = [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "hypermono", "gates", "landau", "12"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    golden = json.loads((GOLDEN / "gates_landau_12.json").read_text())
+    report = json.loads(out)
+    assert (report["command"], report["result"]) == (golden["command"], golden["result"])
 
 
 def test_linear_oracle_past_the_closure():

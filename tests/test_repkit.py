@@ -1,5 +1,6 @@
 import re
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +9,17 @@ from hypothesis import strategies as st
 from hypermono import weilgl
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
-from hypermono.algebra.unity import unity
+from hypermono.algebra.unity import UnityClass, unity
 from hypermono.repkit import (
     CapExceeded,
     CycMatrix,
     MatGroup,
     MonomialMatrix,
     Spectrum,
-    alt2_character,
+    _powers,
     closure,
-    inner_product,
     m4,
     spectrum,
-    sym2_character,
 )
 
 
@@ -500,6 +499,129 @@ class TestFlatKernel:
         assert mono.trace_product(a) == (mono * a).trace() == (dense * a).trace()
 
 
+def power_pushforward(s: Spectrum, k: int) -> Spectrum:
+    """Reference for test_power_pushforward: the spectrum of g^k read off
+    that of g, each eigenvalue u sent to u * k."""
+    out: dict[UnityClass, int] = {}
+    for u, m in s.mult.items():
+        out[u * k] = out.get(u * k, 0) + m
+    return Spectrum(out)
+
+
+def dense_from_power_traces(order, traces):
+    """Reference for the inversion: the dense K^2 loop of Cyc products,
+    sum_j traces[j] * zeta_K^(-jk) for each k, with the same checks."""
+    n = order
+    traces = [t if isinstance(t, Cyc) else Cyc.from_fraction(Fraction(t)) for t in traces]
+    m = lcm(n, *[t.m for t in traces])
+    zs = [Cyc.root(UnityClass(k, n), m) for k in range(n)]
+    out = {}
+    for k in range(n):
+        acc = Cyc.from_int(0)
+        for j in range(n):
+            acc = acc + traces[j] * zs[(-j * k) % n]
+        if not acc.is_rational():
+            raise ValueError("non-integral multiplicity (irrational)")
+        q = acc.rational() / n
+        if q.denominator != 1:
+            raise ValueError(f"non-integral multiplicity {q} at index {k}")
+        if q < 0:
+            raise ValueError(f"negative multiplicity {q} at index {k}")
+        if q:
+            out[UnityClass(k, n)] = int(q)
+    return Spectrum(out)
+
+
+def inversion_outcome(invert, order, traces):
+    try:
+        return invert(order, traces).mult
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def trace_vectors(draw):
+    """(K, traces) for K <= 40: the power traces of a virtual spectrum
+    (multiplicities -1..3 on a few K-th roots), optionally rescaled by s^j
+    for a root of unity s, as projective_spectrum does, multiplied by a
+    rational, or with one trace moved off by a root of unity.  Negative,
+    rescaled, rational and moved vectors are often refused."""
+    order = draw(st.integers(1, 40))
+    mult = draw(st.dictionaries(st.integers(0, order - 1), st.integers(-1, 3), min_size=1, max_size=6))
+    traces = []
+    for j in range(order):
+        weights = [0] * order
+        for e, c in mult.items():
+            weights[e * j % order] += c
+        traces.append(Cyc.from_root_sum(order, weights))
+    if draw(st.booleans()):
+        s = Cyc.root(unity(draw(st.integers(0, 11)), draw(st.sampled_from([1, 2, 3, 4, 6, 12]))))
+        traces = [t * s**j for j, t in enumerate(traces)]
+    if draw(st.booleans()):
+        c = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        traces = [t * c for t in traces]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, order - 1))
+        traces[j] = traces[j] + Cyc.root(unity(draw(st.integers(0, 4)), 5))
+    if draw(st.booleans()):  # plain rationals are accepted as traces
+        traces = [t.rational() if t.is_rational() else t for t in traces]
+    return order, traces
+
+
+class TestFourierInversion:
+    @given(trace_vectors())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_loop(self, case):
+        order, traces = case
+        assert inversion_outcome(Spectrum.from_power_traces, order, traces) == inversion_outcome(
+            dense_from_power_traces, order, traces
+        )
+
+    @pytest.mark.parametrize(
+        "traces,message",
+        [
+            ([2, Fraction(1, 2)], "non-integral multiplicity 5/4 at index 0"),
+            ([2, 1], "non-integral multiplicity 3/2 at index 0"),
+            ([1, 3], "negative multiplicity -1 at index 1"),
+            ([0, zeta(3)], "non-integral multiplicity (irrational)"),
+            ([Fraction(1, 3), Fraction(1, 3) * zeta(4)], "non-integral multiplicity (irrational)"),
+        ],
+    )
+    def test_refusals_match_dense_loop(self, traces, message):
+        for invert in (Spectrum.from_power_traces, dense_from_power_traces):
+            with pytest.raises(ValueError) as exc:
+                invert(len(traces), traces)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("order,count", [(3, 2), (3, 4), (0, 0), (-1, 0)])
+    def test_one_trace_per_power(self, order, count):
+        with pytest.raises(ValueError, match="one trace per power"):
+            Spectrum.from_power_traces(order, [Cyc.from_int(1)] * count)
+
+    def test_no_cyc_arithmetic_on_gu33_traces(self, monkeypatch):
+        """Each index is one root sum: inverting the Weil traces of the GU_3(3)
+        torus element multiplies and adds no Cyc."""
+        spec = weilgl.WeilCharSpec("Unitary", 3, 3, 1)
+        g = weilgl.gu_torus_element(3, 3, 28)
+        traces = [weilgl.weil_value(spec, x, weilgl.gu_kernel_profile(x, 3)) for x in _powers(g)]
+        expected = dense_from_power_traces(len(traces), traces)
+        calls = 0
+
+        def counting(op):
+            def counted(a, b):
+                nonlocal calls
+                calls += 1
+                return op(a, b)
+
+            return counted
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Cyc, name, counting(getattr(Cyc, name)))
+        assert Spectrum.from_power_traces(len(traces), traces) == expected
+        assert calls == 0
+        assert expected.dimension == spec.degree
+
+
 class TestSpectrum:
     def test_identity(self):
         s = spectrum(CycMatrix.identity(4))
@@ -522,7 +644,7 @@ class TestSpectrum:
         g = perm_matrix([1, 2, 3, 0])
         s = spectrum(g)
         for k in (2, 3, 5):
-            assert s.power_pushforward(k) == spectrum(g**k, order=4)
+            assert power_pushforward(s, k) == spectrum(g**k, order=4)
 
     def test_multiplicities_sum_to_dim(self):
         for g in monomial_group(3).elements[:40]:
@@ -563,6 +685,37 @@ class TestSpectrum:
         # trace data of a non-semisimple (wrong-order) input
         with pytest.raises(ValueError):
             Spectrum.from_power_traces(2, [Cyc.from_int(2), Cyc.from_int(1)])
+
+
+def inner_product(group: MatGroup, chi1, chi2) -> Fraction:
+    """Reference for test_monomial_q3: [chi1, chi2]_G = (1/|G|) sum
+    chi1(g) * conj(chi2(g)), exact; chi1, chi2 map elements to Cyc."""
+    acc = Cyc.from_int(0)
+    for g in group.elements:
+        acc = acc + chi1(g) * chi2(g).conj()
+    if not acc.is_rational():
+        raise ValueError("inner product is irrational (inputs not class functions?)")
+    return acc.rational() / group.order
+
+
+def sym2_character(rep=None):
+    def chi(g):
+        h = rep(g) if rep is not None else g
+        t1 = h.trace()
+        t2 = (h * h).trace()
+        return (t1 * t1 + t2) * Fraction(1, 2)
+
+    return chi
+
+
+def alt2_character(rep=None):
+    def chi(g):
+        h = rep(g) if rep is not None else g
+        t1 = h.trace()
+        t2 = (h * h).trace()
+        return (t1 * t1 - t2) * Fraction(1, 2)
+
+    return chi
 
 
 class TestM4:
