@@ -291,7 +291,8 @@ class Cyc:
         return Cyc(self.m, _apply_rows(ctx.conj_rows, self.num, ctx.phi), self.den)
 
     def galois(self, t: int) -> "Cyc":
-        """Apply the Galois map zeta -> zeta^t (gcd(t, m) must be 1)."""
+        """Apply the Galois map zeta -> zeta^t (gcd(t, m) must be 1): the
+        reference test_minimize_meets_the_definition holds minimize to."""
         if gcd(t, self.m) != 1:
             raise ValueError("galois twist index must be coprime to the conductor")
         ctx = _ctx(self.m)
@@ -446,8 +447,8 @@ ZERO = Cyc(1, (0,), 1, _normalized=True)
 ONE = Cyc(1, (1,), 1, _normalized=True)
 
 
-def zeta(m: int, k: int = 1) -> Cyc:
-    return Cyc.root(UnityClass(k, m), m)
+def zeta(m: int) -> Cyc:
+    return Cyc.root(UnityClass(1, m), m)
 
 
 def json_int(x, what: str) -> int:

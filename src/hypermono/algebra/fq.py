@@ -134,6 +134,8 @@ class FieldSpec:
         return out
 
     def element_order(self, a: int) -> int:
+        """The multiplicative order of a, power by power: the reference
+        test_tables_are_polynomial_arithmetic holds gen to."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         k, x = 1, a
@@ -298,13 +300,13 @@ class FqMatrix:
             e >>= 1
         return out
 
-    def order(self, cap: int = 10**6) -> int:
+    def order(self) -> int:
         ident = FqMatrix.identity(self.F, self.n)
         x, k = self, 1
         while x != ident:
             x = x * self
             k += 1
-            if k > cap:
+            if k > 10**6:
                 raise RuntimeError("matrix order exceeds cap (non-invertible input?)")
         return k
 
@@ -319,7 +321,9 @@ class FqMatrix:
         return _kernel.mat_vec(self.data, tuple(v), self.n, F.q, F.mul, F.add)
 
     def char_poly(self) -> tuple[int, ...]:
-        """Characteristic polynomial coefficients (low to high, monic) over F_q."""
+        """Characteristic polynomial coefficients (low to high, monic) over F_q,
+        by cofactor expansion: the reference that
+        TestClassData.test_characteristic_polynomials holds gl_classes to."""
         F, n, q = self.F, self.n, self.F.q
         # cofactor expansion of x*I - A over F_q[x], kept to n <= 6
         if n > 6:

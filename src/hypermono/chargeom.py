@@ -136,11 +136,6 @@ def parse_charset(text: str) -> list[UnityClass]:
     return sorted(result)
 
 
-def print_charset(chars) -> str:
-    """Canonical serialization: sorted 'a/N' list. parse(print(x)) == x."""
-    return "{" + ",".join(str(u) for u in sorted(chars)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # the descriptor
 # ---------------------------------------------------------------------------
@@ -188,10 +183,6 @@ class HypDescriptor:
     def type(self) -> tuple[int, int]:
         return (self.D, self.m)
 
-    def definable_over(self, q: int) -> bool:
-        """All character orders divide q - 1 (definable over F_q)."""
-        return all((q - 1) % u.den == 0 for u in self.upstairs + self.downstairs)
-
     def __eq__(self, other):
         return (
             isinstance(other, HypDescriptor)
@@ -225,10 +216,6 @@ class HypDescriptor:
             return out
 
         return cls(int(obj["p"]), load(obj.get("upstairs", [])), load(obj.get("downstairs", [])))
-
-
-def descriptor(p: int, up, down=()) -> HypDescriptor:
-    return HypDescriptor(p, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +314,3 @@ def i0_spectrum(h: HypDescriptor) -> Spectrum:
 
 def i0_simple(h: HypDescriptor) -> bool:
     return len(set(h.upstairs)) == len(h.upstairs)
-
-
-def max_infinity_slope(h: HypDescriptor) -> tuple[int, int]:
-    """The largest infinity-slope 1/W as an exact pair (1, W); Swan is 1."""
-    return (1, h.W)
-
-
-SWAN_INFINITY = 1
-

@@ -194,9 +194,7 @@ def cmd_ss(args) -> dict:
         if fam == "Extraspecial":
             if args.exhaustive:
                 raise CliError(EXIT_VALIDATION, "ss extraspecial has no exhaustive check; drop --exhaustive")
-            return _report(
-                "ss", inputs, {"central_orders": ss_extr_enumerate(args.q, args.n, override=True)}
-            )
+            return _report("ss", inputs, {"central_orders": _domain_call(ss_extr_enumerate, args.q, args.n)})
     except ExcludedCase as exc:
         raise CliError(EXIT_VALIDATION, str(exc))
     raise CliError(EXIT_VALIDATION, f"unknown family {args.family}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra.cyc import Cyc, cyc_from_literal, json_int
-from .algebra.numth import factor, is_prime, primes_upto
+from .algebra.numth import factor, is_prime, least_prime_divisor, primes_upto
 from .chargeom import HypDescriptor
 
 
@@ -52,7 +52,8 @@ def partitions(n: int, max_part: int | None = None):
 
 
 def landau_bruteforce(n: int) -> int:
-    """Independent oracle: max lcm over all partitions of n (small n only)."""
+    """Independent oracle: max lcm over all partitions of n (small n only),
+    the reference landau is held to in test_criterion_7_gate_regression."""
     from math import lcm
 
     if n == 0:
@@ -115,11 +116,7 @@ class GroupFamily:
             return 0
         if self.tag == "ExtraspecialNormalizer":
             return self.p
-        q = self.q
-        for p in range(2, q + 1):
-            if q % p == 0:
-                return p
-        raise ValueError("bad q")
+        return least_prime_divisor(self.q)
 
     def __repr__(self):
         if self.tag == "Sporadic":
@@ -328,11 +325,9 @@ def bound2_check(w: int, d: int, index: int) -> bool:
     return w <= d * index
 
 
-def p_center_constraints(h: HypDescriptor, has_wild_ge2: bool | None = None) -> list[str]:
+def p_center_constraints(h: HypDescriptor) -> list[str]:
     """Machine-readable constraints on any finite monodromy candidate."""
     p, d, m, w = h.p, h.D, h.m, h.W
-    if has_wild_ge2 is not None and has_wild_ge2 != (w >= 2):
-        raise ValueError("has_wild_ge2 flag contradicts the descriptor")
     out = []
     if m > 0:
         out.append("Q meet Z(G) = 1")
@@ -452,7 +447,6 @@ def m11_trace_tables() -> dict[str, TraceTable]:
     characteristic 3.
     """
     isq2 = _i_sqrt2()
-    z11 = None  # degree-11 values are rational
 
     def C(v):
         return Cyc.from_int(v)

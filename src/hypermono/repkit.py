@@ -258,8 +258,8 @@ class CycMatrix:
             return None
         return Cyc.from_int(0) if s is None else Cyc(self.m, s, self.den)
 
-    def order(self, cap: int = CYC_ORDER_CAP) -> int:
-        return sum(1 for _ in _powers(self, cap))
+    def order(self) -> int:
+        return sum(1 for _ in _powers(self, CYC_ORDER_CAP))
 
 
 @lru_cache(maxsize=4096)
@@ -432,9 +432,6 @@ class MatGroup:
 
     def __contains__(self, g):
         return g in self.index
-
-    def element_order(self, g) -> int:
-        return sum(1 for _ in _powers(g, self.order))  # the order divides |G|
 
     def conjugacy_classes(self) -> list[list]:
         """The classes as orbits of the kept generators' conjugation
@@ -633,15 +630,13 @@ class Spectrum:
         return cls(out)
 
 
-def spectrum(g: CycMatrix | MonomialMatrix, order: int | None = None) -> Spectrum:
+def spectrum(g: CycMatrix | MonomialMatrix) -> Spectrum:
     """Exact spectrum of a finite-order Cyc matrix via the character-sum formula.
 
     One walk over the powers of g, bounded like ``CycMatrix.order`` on a
-    CycMatrix, gives the traces up to its order K; a given order reads them
-    as traces[j % K]."""
+    CycMatrix, gives the traces up to its order: the matrix route that
+    TestSpectrum and TestDeletedPerm compare against."""
     traces = [x.trace() for x in _powers(g, CYC_ORDER_CAP if isinstance(g, CycMatrix) else None)]
-    if order is not None:
-        traces = [traces[j % len(traces)] for j in range(order)]
     s = Spectrum.from_power_traces(len(traces), traces)
     if s.dimension != g.n:
         raise ValueError("multiplicities do not sum to the dimension")
@@ -654,17 +649,17 @@ def monomial_traces(images) -> list[tuple[Cyc, int]]:
     return [(Cyc.from_root_sum(*key), count) for key, count in Counter(h.trace_key() for h in images).items()]
 
 
-def m4(group: MatGroup, rep=None) -> int:
+def m4(group: MatGroup) -> int:
     """Fourth moment M4 = [chi*conj(chi), chi*conj(chi)]_G, exact integer.
 
-    When every image is a MonomialMatrix, |t|^4 is computed once per
+    When every element is a MonomialMatrix, |t|^4 is computed once per
     distinct trace key, weighted by the number of elements that have it.
     """
-    images = group.elements if rep is None else [rep(g) for g in group.elements]
-    if all(isinstance(h, MonomialMatrix) for h in images):
-        terms = monomial_traces(images)
+    elements = group.elements
+    if all(isinstance(h, MonomialMatrix) for h in elements):
+        terms = monomial_traces(elements)
     else:
-        terms = [(h.trace(), 1) for h in images]
+        terms = [(h.trace(), 1) for h in elements]
     acc = Cyc.from_int(0)
     for t, count in terms:
         a2 = t.abs2()

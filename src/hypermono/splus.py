@@ -14,7 +14,6 @@ from .chargeom import HypDescriptor, belyi_wild_obstruction, kummer_induced
 
 GUARANTEED = "Guaranteed"
 NOT_COVERED = "NotCovered"
-INPUT_INVALID = "InputInvalid"
 
 AUTO_KUMMER = "AutoKummerCheck"
 SUFFICIENT = "SufficientCondition"
@@ -261,10 +260,6 @@ def tensor_induction_feasibility(h: HypDescriptor):
                         continue  # Swan <= 1 impossible: End of rank != 4 indecomposable
                     survivors.append((n, f"n*(d0^2-1)={n * (d0 * d0 - 1)} >= W={W}"))
     return survivors
-
-
-def tensor_induction_candidates(h: HypDescriptor) -> list[int]:
-    return [n for n, _ in tensor_induction_feasibility(h)]
 
 
 def indecomposability_ok(h: HypDescriptor) -> tuple[bool, str]:

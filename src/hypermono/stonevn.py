@@ -44,10 +44,23 @@ class _MonomialModel:
     monomial: a MonomialMatrix over zeta_m, with rho delta_x =
     zeta_m^exps[x] delta_perm[x].
 
-    A subclass sets p, m, dim and _irreducible = None, and provides
+    A subclass sets p, n, F, m, dim and _irreducible = None, and provides
     monomials() (label -> MonomialMatrix), generators() (labels generating
-    the group modulo its center), parity_matrix() and gauss_candidates().
+    the group modulo its center), form_value(u, v) (the symplectic form on
+    F^(2n)), parity_matrix() and gauss_candidates().
     """
+
+    def preserves_structure(self, g: FqMatrix) -> bool:
+        """Whether g is a 2n x 2n matrix over the model's field that keeps
+        form_value on every pair of basis vectors, so (bilinearity) on all."""
+        n2 = 2 * self.n
+        if g.F.q != self.F.q or g.n != n2:
+            return False
+        basis = [tuple(int(j == i) for j in range(n2)) for i in range(n2)]
+        images = [tuple(g.apply(u)) for u in basis]
+        form = self.form_value
+        pairs = itertools.combinations(range(n2), 2)
+        return all(form(images[i], images[j]) == form(basis[i], basis[j]) for i, j in pairs)
 
     def irreducible_certificate(self) -> bool:
         """Exact character-norm test: sum over E of |chi|^2 equals |E|, read
@@ -98,7 +111,6 @@ class HeisenbergModel(_MonomialModel):
         self.points = list(itertools.product(range(q), repeat=n))
         self.point_index = {x: i for i, x in enumerate(self.points)}
         self.half = self.F.inv[2 % p]  # 1/2 in F_p < F_q
-        self.group_order = q ** (2 * n) * q
         self._monomials = None
         self._irreducible = None
 
@@ -119,16 +131,16 @@ class HeisenbergModel(_MonomialModel):
         return tuple(F.add[u * F.q + v] for u, v in zip(x, a))
 
     # -- the representation as monomial data ---------------------------
-    def rho_monomial(self, a, b, z: int = 0) -> MonomialMatrix:
-        """rho(a, b, z), with rho delta_x = zeta_p^exps[x] delta_perm[x]."""
+    def rho_monomial(self, a, b) -> MonomialMatrix:
+        """rho(a, b, 0), with rho delta_x = zeta_p^exps[x] delta_perm[x], point by
+        point: the reference test_table_matches_rho_monomial holds monomials() to."""
         F = self.F
         shift = F.mul[self.half * F.q + self._dot(b, a)]
-        base = F.add[z * F.q + shift]
         perm = []
         phase = []
         for x in self.points:
             perm.append(self.point_index[self._add_pt(x, a)])
-            phase.append(self._psi_exp(F.add[base * F.q + self._dot(b, x)]))
+            phase.append(self._psi_exp(F.add[shift * F.q + self._dot(b, x)]))
         return MonomialMatrix(perm, phase, self.p)
 
     def monomials(self) -> dict:
@@ -155,8 +167,8 @@ class HeisenbergModel(_MonomialModel):
                 table[(a, b)] = MonomialMatrix._make(shift[i], tuple([(c + t) % p for t in row]), p)
         return table
 
-    def rho_matrix(self, a, b, z: int = 0) -> CycMatrix:
-        return self.rho_monomial(a, b, z).to_cyc()
+    def rho_matrix(self, a, b) -> CycMatrix:
+        return self.rho_monomial(a, b).to_cyc()
 
     def generators(self):
         """(a, b) labels of a generating set of E modulo the center: the
@@ -176,16 +188,6 @@ class HeisenbergModel(_MonomialModel):
         au, bu = u[: self.n], u[self.n :]
         av, bv = v[: self.n], v[self.n :]
         return F.sub(self._dot(bu, av), self._dot(bv, au))
-
-    def preserves_form(self, g: FqMatrix) -> bool:
-        n2 = 2 * self.n
-        basis = [tuple(1 if j == i else 0 for j in range(n2)) for i in range(n2)]
-        for i in range(n2):
-            for j in range(i + 1, n2):
-                u, v = basis[i], basis[j]
-                if self.form_value(g.apply(u), g.apply(v)) != self.form_value(u, v):
-                    return False
-        return True
 
     def parity_matrix(self) -> MonomialMatrix:
         """delta_x -> delta_(-x): the intertwiner of the central inversion."""
@@ -210,8 +212,8 @@ def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMat
     linear, so g(a, b) = g(a, 0) + g(0, b): each half's images come from g's
     columns, one sum of point indices per label, read off the shifts that the
     monomials carry."""
-    if g.n != 2 * model.n or not model.preserves_form(g):
-        raise ModelError("matrix does not preserve the symplectic structure")
+    if not model.preserves_structure(g):
+        raise ModelError(f"not a {2 * model.n} x {2 * model.n} matrix over {model.F} preserving the symplectic form")
     n, q, mul, index = model.n, model.q, model.F.mul, model.point_index
     table = model.monomials()
     monos = list(table.values())  # the label (points[i], points[j]) at i * Q + j
@@ -258,6 +260,7 @@ class Extraspecial2Model(_MonomialModel):
         self.n = n
         self.eps = eps
         self.p = 2
+        self.F = field(2)
         self.m = 4
         self.dim = N = 2**n
         self._irreducible = None
@@ -270,10 +273,9 @@ class Extraspecial2Model(_MonomialModel):
                     gens.append(MonomialMatrix([x ^ bit for x in range(N)], [twist] * N, self.m))
                 else:
                     gens.append(MonomialMatrix(range(N), [(2 if x & bit else 0) + twist for x in range(N)], self.m))
-        grp = closure(gens, cap=2 ** (2 * n + 2))
-        if grp.order != 2 ** (2 * n + 1):
-            raise ModelError(f"extraspecial closure has order {grp.order}")
-        self.group = grp
+        order = closure(gens, cap=2 ** (2 * n + 2)).order
+        if order != 2 ** (2 * n + 1):
+            raise ModelError(f"extraspecial closure has order {order}")
         self._monomials = {v: self.word(v, gens) for v in itertools.product(range(2), repeat=2 * n)}
         # the quadratic form Q(v): s(v)^2 = (-1)^Q
         self.Q = {}
@@ -316,24 +318,14 @@ class Extraspecial2Model(_MonomialModel):
         ) % 2
 
     def preserves_structure(self, g: FqMatrix) -> bool:
-        n2 = 2 * self.n
-        basis = [tuple(1 if j == i else 0 for j in range(n2)) for i in range(n2)]
-        vecs = [tuple(v) for v in itertools.product(range(2), repeat=n2)]
-        for v in vecs:
-            if self.Q[tuple(g.apply(v))] != self.Q[v]:
-                return False
-        for i in range(n2):
-            for j in range(i + 1, n2):
-                u, v = basis[i], basis[j]
-                if self.form_value(tuple(g.apply(u)), tuple(g.apply(v))) != self.form_value(u, v):
-                    return False
-        return True
+        """The form check of every model, and Q kept on every vector."""
+        return super().preserves_structure(g) and all(self.Q[tuple(g.apply(v))] == Q for v, Q in self.Q.items())
 
 
 def outer_intertwiner_2(model: Extraspecial2Model, g: FqMatrix) -> "ProjectiveMatrix":
     """Intertwiner for an automorphism over an orthogonal outer element g."""
     if not model.preserves_structure(g):
-        raise ModelError("matrix does not preserve the quadratic structure")
+        raise ModelError(f"not a {2 * model.n} x {2 * model.n} matrix over {model.F} preserving the quadratic structure")
     table = model.monomials()
     # generator images: sigma(gen_k) = s(g . e_k); relations are preserved
     # exactly because g preserves both forms (checked above), so sigma(s(v))
@@ -474,9 +466,6 @@ class ProjectiveMatrix:
         column = (Cyc(M.m, v, M.den) for v in M.coeffs[:: M.n] if v is not None)
         return sum((x.abs2() for x in column), Cyc.from_int(0))
 
-    def rescale(self, s: Cyc) -> "ProjectiveMatrix":
-        return ProjectiveMatrix(self.mat.scale(s), self.model, self.pairs)
-
     # -- normalization to a finite-order matrix ---------------------------
     def _finite_order_scalar(self) -> Cyc:
         """s with (s M)^K = 1 for the projective order K: the inverse of a
@@ -589,7 +578,9 @@ def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
 
 
 def sp_halves(model: HeisenbergModel, pm: ProjectiveMatrix) -> tuple[Cyc, Cyc]:
-    """Traces of the unitary-normalized intertwiner on the even/odd halves."""
+    """Traces of the unitary-normalized intertwiner on the even/odd halves:
+    the explicit form of sp_mod1_check's scale-free test, which TestHalves
+    holds it to (even - odd has abs2 1)."""
     c2 = pm.unitarity_scalar()
     if not c2.is_rational():
         raise NormalizationError("unitarity scalar is irrational")
@@ -616,9 +607,10 @@ def sp_mod1_check(model: HeisenbergModel, pm: ProjectiveMatrix) -> bool:
 
 
 def ss_extr_enumerate(p: int, n: int, override: bool = False) -> list[int]:
-    """Central orders of simple-spectrum p'-elements over extraspecial groups."""
+    """Central orders of simple-spectrum p'-elements over extraspecial groups;
+    ValueError below the classification's p^n >= 11, unless override."""
     if p**n < 11 and not override:
-        raise ValueError(f"classification hypothesis p^n >= 11 fails for {p}^{n} (pass override)")
+        raise ValueError(f"the classification needs p^n >= 11, got {p}^{n} = {p**n}")
     if p != 2:
         return [p**n + 1]
     out = []
@@ -808,7 +800,7 @@ def ss_sp_oracle(n: int, q: int) -> dict:
     F = field(p, f)
     ident = FqMatrix.identity(F, 2 * n)
     pm_id = outer_intertwiner_odd(model, ident)
-    tv = _symplectic_transvection(F, symplectic_gram(F, n), tuple([1] + [0] * (2 * n - 1)), 1)
+    tv = _symplectic_transvection(F, symplectic_gram(F, n), tuple([1] + [0] * (2 * n - 1)))
     pm_tv = outer_intertwiner_odd(model, tv)
     central = FqMatrix.scalar(F, 2 * n, F.neg[1])
     pm_c = outer_intertwiner_odd(model, central)

@@ -161,7 +161,7 @@ def symplectic_group(n: int, q: int) -> MatGroup:
     gram = symplectic_gram(F, n)
 
     def t(*support):  # t_v for the 0/1 vector v with this support; e_i is i - 1, f_i is n + i - 1
-        return _symplectic_transvection(F, gram, [int(i in support) for i in range(2 * n)], 1)
+        return _symplectic_transvection(F, gram, [int(i in support) for i in range(2 * n)])
 
     chain = [(0,), (n,)] + [v for i in range(1, n) for v in ((i - 1, i), (n + i,))] + [(n - 1,)]
     coxeter = prod((t(*support) for support in chain), start=FqMatrix.identity(F, 2 * n))
@@ -182,14 +182,14 @@ def _block_diagonal(F: FieldSpec, blocks) -> FqMatrix:
     return FqMatrix.from_rows(F, rows)
 
 
-def _symplectic_transvection(F: FieldSpec, gram: FqMatrix, v, lam: int) -> FqMatrix:
-    """x -> x + lam * <x, v> v."""
+def _symplectic_transvection(F: FieldSpec, gram: FqMatrix, v) -> FqMatrix:
+    """x -> x + <x, v> v."""
     dim = len(v)
     w = gram.transpose().apply(v)  # w^T x = <x, v>
     rows = [[0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            rows[i][j] = F.add[(1 if i == j else 0) * F.q + F.mul[F.mul[lam * F.q + v[i]] * F.q + w[j]]]
+            rows[i][j] = F.add[(1 if i == j else 0) * F.q + F.mul[v[i] * F.q + w[j]]]
     return FqMatrix.from_rows(F, rows)
 
 
@@ -306,6 +306,8 @@ def weil_spectrum(spec: WeilCharSpec, g: FqMatrix) -> Spectrum:
 
 
 def group_scalars(group: MatGroup) -> set[FqMatrix]:
+    """The scalar matrices of a closed group, for the element-by-element
+    checks of test_criterion_4_weil_identities."""
     g0 = group.identity
     out = set()
     for s in range(1, g0.F.q):
@@ -492,7 +494,9 @@ def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
 
 
 def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
-    """Block-diagonal unitary torus element; blocks = [(n_i, order_i)]."""
+    """Block-diagonal unitary torus element; blocks = [(n_i, order_i)]: a
+    generator of the T_a,b block tori that ss_enumerate lists, as TestTori
+    builds them."""
     p, f = is_prime_power(q)
     F2 = field(p, 2 * f)
     mats = [gu_torus_element(b, q, o) if b > 1 else _gu1_element(q, o) for b, o in blocks]
@@ -630,7 +634,8 @@ def deleted_perm_spectrum(cycle_type) -> Spectrum:
 
 
 def simple_cycle_types(n: int) -> list[tuple[int, ...]]:
-    """Cycle types of S_n with simple spectrum on the deleted permutation module."""
+    """Cycle types of S_n with simple spectrum on the deleted permutation
+    module: the alternating oracle of test_criterion_2_alternating_oracle."""
     from .gates import partitions
 
     return [ct for ct in partitions(n) if deleted_perm_spectrum(ct).is_simple()]
@@ -653,10 +658,6 @@ def _class_count(family: str, n: int, q: int) -> int:
         for d in range(n, j - 1, -1):  # times (1 -+ x^j)
             series[d] += sign * series[d - j]
     return series[n]
-
-
-def gl_class_count(n: int, q: int) -> int:
-    return _class_count(LINEAR, n, q)
 
 
 def _centralizer_factor(lam: tuple[int, ...], Q: int) -> int:
@@ -736,7 +737,9 @@ def _class_types(family: str, n: int, q: int):
 def gl_classes(n: int, q: int) -> list[tuple[FqMatrix, int]]:
     """One representative of each conjugacy class of GL_n(q), with the order
     of its centraliser: for the class type f -> lam_f (_class_types), the block
-    diagonal of companion_matrix(f^k), one block for each part k of each lam_f."""
+    diagonal of companion_matrix(f^k), one block for each part k of each lam_f.
+    The matrix form of the class types, which TestClassData holds to the
+    closure's classes and characteristic polynomials."""
     F, classes = _class_types(LINEAR, n, q)
     out = []
     for cls, cent in classes:
@@ -787,6 +790,8 @@ def _weil_values_all(family: str, n: int, q: int, profile: tuple[int, ...]) -> l
 
 
 def the_group(family: str, n: int, q: int) -> MatGroup:
+    """GL_n(q) or GU_n(q), closed, for the element-by-element checks of
+    test_criterion_4_weil_identities; ss_exhaustive_check closes no group."""
     return general_linear_group(n, q) if family == LINEAR else unitary_group(n, q)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
-from hypermono.chargeom import descriptor
+from hypermono.chargeom import HypDescriptor
 from hypermono.repkit import closure, m4
 
 
@@ -311,7 +311,7 @@ def test_criterion_8_brauer_transfer_and_verdicts():
 
     def generic(p, d, m):
         big = 101
-        return descriptor(
+        return HypDescriptor(
             p,
             [unity(k, big) for k in range(1, d + 1)],
             [unity(k, big) for k in range(d + 1, d + m + 1)],

@@ -9,13 +9,11 @@ from hypermono.chargeom import (
     OverlapError,
     WildOrderError,
     belyi_wild_obstruction,
-    descriptor,
     determinant_char,
     i0_simple,
     i0_spectrum,
     kummer_induced,
     parse_charset,
-    print_charset,
     wild_image_order,
 )
 
@@ -39,64 +37,52 @@ class TestParser:
         with pytest.raises(Exception):
             parse_charset("Char(4)\\{1/3}")
 
-    def test_round_trip_bit_exact(self):
-        for expr in ["Char(4)\\{1}", "Char*(11)", "xi(8)|xi(8)^3", "Char(15)\\Char*(15)"]:
-            chars = parse_charset(expr)
-            printed = print_charset(chars)
-            assert parse_charset(printed) == sorted(chars)
-            assert print_charset(parse_charset(printed)) == printed
-
 
 class TestDescriptor:
     def test_m11_style(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
+        h = HypDescriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
         assert h.type == (10, 2) and h.W == 8
 
     def test_m24_style(self):
-        h = descriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)"))
+        h = HypDescriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)"))
         assert h.type == (23, 2) and h.W == 21
 
     def test_wild_order_error(self):
         with pytest.raises(WildOrderError):
-            descriptor(5, parse_charset("Char(5)"))
+            HypDescriptor(5, parse_charset("Char(5)"))
 
     def test_overlap_error(self):
         with pytest.raises(OverlapError):
-            descriptor(3, parse_charset("Char(4)"), [unity(1, 4)])
+            HypDescriptor(3, parse_charset("Char(4)"), [unity(1, 4)])
 
     def test_type_error(self):
         with pytest.raises(HypTypeError):
-            descriptor(3, [unity(1, 4)], [unity(1, 2), unity(0, 1)])
+            HypDescriptor(3, [unity(1, 4)], [unity(1, 2), unity(0, 1)])
 
     def test_json_round_trip(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("xi(8)|xi(8)^3"))
+        h = HypDescriptor(3, parse_charset("Char*(11)"), parse_charset("xi(8)|xi(8)^3"))
         j = json.loads(json.dumps(h.to_json()))
         assert HypDescriptor.from_json(j) == h
-
-    def test_definable_over(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
-        assert h.definable_over(23)  # 22 = lcm(11, 2) divides 23 - 1
-        assert not h.definable_over(3**2)
 
 
 class TestKummer:
     def test_kloosterman_shift(self):
-        assert kummer_induced(descriptor(3, [unity(0, 1), unity(1, 2)])) == 2
+        assert kummer_induced(HypDescriptor(3, [unity(0, 1), unity(1, 2)])) == 2
 
     def test_full_character_group_is_induced(self):
-        assert kummer_induced(descriptor(3, parse_charset("Char(7)"))) == 7
+        assert kummer_induced(HypDescriptor(3, parse_charset("Char(7)"))) == 7
 
     def test_char_star_11_not_induced(self):
-        assert kummer_induced(descriptor(3, parse_charset("Char*(11)"))) is None
+        assert kummer_induced(HypDescriptor(3, parse_charset("Char*(11)"))) is None
 
     def test_special_family_kloosterman_not_induced(self):
         # all nontrivial characters of order dividing N: visibly primitive
         for n in (5, 7, 9):
-            h = descriptor(2 if n != 9 else 2, parse_charset(f"Char({n})\\{{1}}"))
+            h = HypDescriptor(2 if n != 9 else 2, parse_charset(f"Char({n})\\{{1}}"))
             assert kummer_induced(h) is None
 
     def test_degree_divides_and_coprime(self):
-        h = descriptor(5, parse_charset("Char(6)"), parse_charset("xi(12)*Char(3)"))
+        h = HypDescriptor(5, parse_charset("Char(6)"), parse_charset("xi(12)*Char(3)"))
         d = kummer_induced(h)
         assert d == 3
         assert h.D % d == 0 and h.m % d == 0 and d % h.p != 0
@@ -107,7 +93,7 @@ def generic_descriptor(p, d, m):
     big = 101 if p != 101 else 103
     ups = [unity(k, big) for k in range(1, d + 1)]
     downs = [unity(k, big) for k in range(d + 1, d + m + 1)]
-    return descriptor(p, ups, downs)
+    return HypDescriptor(p, ups, downs)
 
 
 class TestBelyi:
@@ -129,31 +115,31 @@ class TestBelyi:
 
 class TestLocalData:
     def test_determinant(self):
-        assert determinant_char(descriptor(3, parse_charset("Char(11)"))) == unity(0, 1)
-        assert determinant_char(descriptor(3, parse_charset("Char*(11)"))) == unity(0, 1)
-        assert determinant_char(descriptor(3, [unity(1, 4), unity(1, 2), unity(3, 4)])) == unity(1, 2)
+        assert determinant_char(HypDescriptor(3, parse_charset("Char(11)"))) == unity(0, 1)
+        assert determinant_char(HypDescriptor(3, parse_charset("Char*(11)"))) == unity(0, 1)
+        assert determinant_char(HypDescriptor(3, [unity(1, 4), unity(1, 2), unity(3, 4)])) == unity(1, 2)
 
     def test_full_group_determinant_neutral(self):
         base = [unity(1, 7), unity(2, 7)]
         with_full = base + parse_charset("Char(5)")
-        assert determinant_char(descriptor(3, with_full)) == determinant_char(descriptor(3, base))
+        assert determinant_char(HypDescriptor(3, with_full)) == determinant_char(HypDescriptor(3, base))
 
     def test_wild_image_order(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
+        h = HypDescriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
         assert wild_image_order(h) == 9
-        h = descriptor(2, parse_charset("Char*(23)"), parse_charset("Char(15)\\Char*(15)"))
+        h = HypDescriptor(2, parse_charset("Char*(23)"), parse_charset("Char(15)\\Char*(15)"))
         assert wild_image_order(h) == 16
-        h = descriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)"))
+        h = HypDescriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)"))
         assert wild_image_order(h) == 64
 
     def test_wild_image_none_when_p_divides_w(self):
-        h = descriptor(3, parse_charset("Char(22)"), parse_charset("Char*(5)"))  # W = 18
+        h = HypDescriptor(3, parse_charset("Char(22)"), parse_charset("Char*(5)"))  # W = 18
         assert wild_image_order(h) is None
 
     def test_wild_image_minimality(self):
         for h in [
-            descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)")),
-            descriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)")),
+            HypDescriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)")),
+            HypDescriptor(2, parse_charset("Char(23)"), parse_charset("Char*(3)")),
         ]:
             w = wild_image_order(h)
             k = 1
@@ -162,16 +148,8 @@ class TestLocalData:
             assert w == h.p**k
 
     def test_i0(self):
-        h = descriptor(3, parse_charset("Char*(11)"))
+        h = HypDescriptor(3, parse_charset("Char*(11)"))
         assert i0_simple(h) and i0_spectrum(h).dimension == 10
-        h2 = descriptor(2, [unity(1, 3), unity(1, 3), unity(0, 1)])
+        h2 = HypDescriptor(2, [unity(1, 3), unity(1, 3), unity(0, 1)])
         assert not i0_simple(h2)
         assert i0_spectrum(h2).mult[unity(1, 3)] == 2
-
-
-def test_slope_and_swan_constants():
-    from hypermono.chargeom import SWAN_INFINITY, max_infinity_slope
-
-    h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
-    assert max_infinity_slope(h) == (1, 8)
-    assert SWAN_INFINITY == 1

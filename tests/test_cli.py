@@ -169,6 +169,7 @@ class TestExitCodes:
             ["gates", "brauerp", "--m11", "--tables", "m11_row.json"],
             ["tables", "1", "--check"],  # table 1 has no check
             ["ss", "extraspecial", "2", "2", "--exhaustive"],  # --exhaustive ran no check
+            ["ss", "extraspecial", "2", "3"],  # p^n = 9 < 11, outside the classification
             ["construct", "special", "F_N", "3", "--N", "4", "--D", "7", "--chi", "1/3"],  # other family's flags
             ["construct", "special", "F_N", "3", "--N", "4", "--chi", "1/3"],
             ["construct", "special", "G_D", "5", "--D", "7", "--chi", "1/3", "--N", "4"],

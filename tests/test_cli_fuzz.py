@@ -144,7 +144,7 @@ def root_entry(k, e):
         return 1 if k % e == 0 else -1
     if k % 2:
         return f"{k}/{e}"
-    return {"conductor": e, "coeffs": list(zeta(e, k).num)}
+    return {"conductor": e, "coeffs": list((zeta(e) ** k).num)}
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 
 from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.unity import unity
-from hypermono.chargeom import descriptor, parse_charset
+from hypermono.chargeom import HypDescriptor, parse_charset
 from hypermono.gates import (
     CHAR_SHEAF_EXCEPTIONS,
     GateDataError,
@@ -159,23 +159,18 @@ class TestBounds:
 
 class TestPCenter:
     def test_hyp_with_tame_part(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
+        h = HypDescriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
         cons = p_center_constraints(h)
         assert "Q meet Z(G) = 1" in cons
         assert "det(G) is a p'-group" in cons
 
     def test_kloosterman_p_divides_d(self):
-        h = descriptor(3, [unity(k, 8) for k in range(1, 7)] + [unity(1, 16), unity(3, 16)], [])
+        h = HypDescriptor(3, [unity(k, 8) for k in range(1, 7)] + [unity(1, 16), unity(3, 16)], [])
         assert h.D == 8 and h.D % 2 == 0
-        h2 = descriptor(2, [unity(k, 9) for k in range(1, 9)], [])  # D = 8, p = 2
+        h2 = HypDescriptor(2, [unity(k, 9) for k in range(1, 9)], [])  # D = 8, p = 2
         cons = p_center_constraints(h2)
         assert "Q meet Z(G) = 1 or C_p" in cons
         assert any("2-part" in c for c in cons)
-
-    def test_flag_consistency_guard(self):
-        h = descriptor(3, parse_charset("Char*(11)"), parse_charset("Char(2)"))
-        with pytest.raises(ValueError):
-            p_center_constraints(h, has_wild_ge2=False)
 
 
 def gl2_tau_trace_tables(q):

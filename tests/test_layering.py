@@ -1,14 +1,19 @@
-"""Layering guard: the coefficient layout of cyclotomic numbers stays behind
-Cyc and CycMatrix.
+"""Layering guards.
 
-Only repkit, home of the flat CycMatrix kernel, may import the underscore
+The coefficient layout of cyclotomic numbers stays behind Cyc and CycMatrix:
+only repkit, home of the flat CycMatrix kernel, may import the underscore
 helpers of hypermono.algebra.cyc; every other module goes through Cyc.
+
+Every public module-level function and class has a caller in the package or
+in perfbench, or is a reference implementation that a named test compares
+against.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 CYC = "hypermono.algebra.cyc"
 ALLOWED = {"hypermono.repkit"}
 
@@ -51,3 +56,57 @@ def test_the_guard_sees_relative_imports():
         if target == CYC
     }
     assert {"hypermono.stonevn", "hypermono.weilgl", "hypermono.repkit", "hypermono.algebra"} <= seen
+
+
+# public names with no caller outside the tests: each is the reference a test
+# holds the package to, and its docstring names that test
+REFERENCES = {
+    "hypermono.gates.landau_bruteforce": "tests/test_acceptance.py::test_criterion_7_gate_regression",
+    "hypermono.repkit.spectrum": "tests/test_repkit.py::TestSpectrum",
+    "hypermono.stonevn.sp_halves": "tests/test_stonevn.py::TestHalves",
+    "hypermono.weilgl.group_scalars": "tests/test_acceptance.py::test_criterion_4_weil_identities",
+    "hypermono.weilgl.gl_classes": "tests/test_weilgl.py::TestClassData",
+    "hypermono.weilgl.gu_block_torus": "tests/test_weilgl.py::TestTori",
+    "hypermono.weilgl.simple_cycle_types": "tests/test_acceptance.py::test_criterion_2_alternating_oracle",
+    "hypermono.weilgl.the_group": "tests/test_acceptance.py::test_criterion_4_weil_identities",
+}
+# a re-export is not a use
+REEXPORTS = {SRC / "hypermono" / "algebra" / "__init__.py"}
+
+
+def _public_definitions():
+    """(qualified name, node, path) of every public module-level def and class."""
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node, path
+
+
+def _identifier_lines(paths):
+    """name -> [(path, line)] for every name and attribute name read in the files."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                out.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append((path, node.lineno))
+    return out
+
+
+def test_public_names_have_callers():
+    """A name defined in src/hypermono is used where it is read outside its
+    own definition, in src (re-exports aside) or in perfbench; the names used
+    nowhere are exactly REFERENCES, each naming a real test in its docstring."""
+    files = [p for p in sorted(SRC.rglob("*.py")) if p not in REEXPORTS] + sorted((ROOT / "perfbench").rglob("*.py"))
+    where = _identifier_lines(files)
+    uncalled = {
+        name: ast.get_docstring(node) or ""
+        for name, node, home in _public_definitions()
+        if all(path == home and node.lineno <= line <= node.end_lineno for path, line in where.get(node.name, []))
+    }
+    assert set(uncalled) == set(REFERENCES)
+    for name, test in REFERENCES.items():
+        path, _, target = test.partition("::")
+        tree = ast.parse((ROOT / path).read_text())
+        assert target in {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}, test
+        assert target in " ".join(uncalled[name].split()), f"{name}'s docstring does not name {target}"

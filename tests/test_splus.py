@@ -1,12 +1,11 @@
 from hypermono.algebra.unity import unity
-from hypermono.chargeom import descriptor, parse_charset
+from hypermono.chargeom import HypDescriptor, parse_charset
 from hypermono.splus import (
     GUARANTEED,
     NOT_COVERED,
     indecomposability_ok,
     resolve_primitivity,
     splus_verdict,
-    tensor_induction_candidates,
     tensor_induction_feasibility,
 )
 
@@ -15,7 +14,7 @@ def generic(p, d, m):
     big = 101 if p != 101 else 103
     ups = [unity(k, big) for k in range(1, d + 1)]
     downs = [unity(k, big) for k in range(d + 1, d + m + 1)]
-    return descriptor(p, ups, downs)
+    return HypDescriptor(p, ups, downs)
 
 
 class TestWorkedVerdicts:
@@ -53,7 +52,7 @@ class TestWorkedVerdicts:
         assert not indecomposability_ok(generic(3, 4, 2))[0]
 
     def test_kummer_induced_rejected(self):
-        v = splus_verdict(descriptor(3, parse_charset("Char(7)")))
+        v = splus_verdict(HypDescriptor(3, parse_charset("Char(7)")))
         assert v.status == NOT_COVERED
         assert "Kummer induced" in v.reasons[0]
 
@@ -88,17 +87,17 @@ class TestPrimitivity:
 
 class TestTensorInduction:
     def test_9_w6_odd_p_survives(self):
-        assert tensor_induction_candidates(generic(5, 9, 3)) == [2]
+        assert [n for n, _ in tensor_induction_feasibility(generic(5, 9, 3))] == [2]
 
     def test_9_w7_excluded(self):
-        assert tensor_induction_candidates(generic(5, 9, 2)) == []
+        assert [n for n, _ in tensor_induction_feasibility(generic(5, 9, 2))] == []
 
     def test_parity_excludes_at_p2(self):
         # in characteristic 2 an induction degree must be odd
-        assert tensor_induction_candidates(generic(2, 9, 3)) == []
+        assert [n for n, _ in tensor_induction_feasibility(generic(2, 9, 3))] == []
 
     def test_not_a_power(self):
-        assert tensor_induction_candidates(generic(5, 12, 3)) == []
+        assert [n for n, _ in tensor_induction_feasibility(generic(5, 12, 3))] == []
 
     def test_8_2_p5_three_fold(self):
         cands = tensor_induction_feasibility(generic(5, 8, 2))
@@ -110,14 +109,14 @@ class TestTensorInduction:
 
         def wide(p, m):
             big = 211
-            return descriptor(p, [unity(k, big) for k in range(1, 65)], [unity(k, big) for k in range(65, 65 + m)])
+            return HypDescriptor(p, [unity(k, big) for k in range(1, 65)], [unity(k, big) for k in range(65, 65 + m)])
 
         assert tensor_induction_feasibility(wide(5, 52)) == [
             (2, "Swan bound n*d0=16 >= W=12 does not force tameness"),
             (3, "Swan bound n*d0=12 >= W=12 does not force tameness"),
             (6, "Swan bound n*d0=12 >= W=12 does not force tameness"),
         ]
-        assert tensor_induction_candidates(wide(5, 50)) == [2]  # W = 14 > 12
+        assert [n for n, _ in tensor_induction_feasibility(wide(5, 50))] == [2]  # W = 14 > 12
         assert tensor_induction_feasibility(wide(2, 44)) == [(3, "n*(d0^2-1)=45 >= W=20")]
 
     def test_annotations_present(self):
@@ -177,7 +176,7 @@ class TestInvariants:
                     h = generic(p, d, m)
                     v = splus_verdict(h, True)
                     if v.guaranteed:
-                        assert tensor_induction_candidates(h) == [], (p, d, m)
+                        assert [n for n, _ in tensor_induction_feasibility(h)] == [], (p, d, m)
                         assert indecomposability_ok(h)[0], (p, d, m)
 
     def test_verdict_replays(self):

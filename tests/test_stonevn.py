@@ -31,15 +31,22 @@ from hypermono.weilgl import (
 )
 
 
+def model_group(model):
+    """The closure of the model's generators: the Heisenberg or extraspecial
+    group in its monomial form."""
+    table = model.monomials()
+    return closure([table[label] for label in model.generators()])
+
+
 class TestModels:
     def test_heisenberg_3_1(self):
         m = HeisenbergModel(3, 1)
-        assert m.dim == 3 and m.group_order == 27
+        assert m.dim == 3 and model_group(m).order == 27
         assert m.irreducible_certificate()
 
     def test_heisenberg_5_2(self):
         m = HeisenbergModel(5, 2)
-        assert m.dim == 25 and m.group_order == 5**5
+        assert m.dim == 25 and model_group(m).order == 5**5
 
     def test_cap(self):
         with pytest.raises(ModelError):
@@ -73,7 +80,7 @@ class TestModels:
     def test_extraspecial_types(self):
         plus = Extraspecial2Model(2, "+")
         minus = Extraspecial2Model(2, "-")
-        assert plus.group.order == 32 == minus.group.order
+        assert model_group(plus).order == 32 == model_group(minus).order
         # type is read off the quadratic form: number of nonsingular vectors
         assert sum(plus.Q.values()) == 6   # hyperbolic: 6 of 16
         assert sum(minus.Q.values()) == 10  # elliptic: 10 of 16
@@ -103,9 +110,26 @@ class TestIntertwiners:
     def test_structure_violation_rejected(self):
         m = HeisenbergModel(3, 1)
         bad = FqMatrix.from_rows(field(3), [[1, 1], [0, 2]])  # det 2, not symplectic
-        if not m.preserves_form(bad):
+        if not m.preserves_structure(bad):
             with pytest.raises(ModelError):
                 outer_intertwiner_odd(m, bad)
+
+    @pytest.mark.parametrize(
+        "intertwiner,model,p,f,size",
+        [
+            (outer_intertwiner_odd, lambda: HeisenbergModel(3, 1), 5, 1, 2),
+            (outer_intertwiner_odd, lambda: HeisenbergModel(3, 1), 3, 2, 2),
+            (outer_intertwiner_2, lambda: Extraspecial2Model(2, "-"), 3, 1, 4),
+            (outer_intertwiner_2, lambda: Extraspecial2Model(2, "-"), 2, 1, 2),
+            (outer_intertwiner_2, lambda: Extraspecial2Model(2, "-"), 2, 1, 6),
+        ],
+        ids=["odd_F5", "odd_F9", "extraspecial_F3", "extraspecial_2x2", "extraspecial_6x6"],
+    )
+    def test_wrong_field_or_size_rejected(self, intertwiner, model, p, f, size):
+        """An identity over another field, or of another size than 2n, is
+        refused before any table is read."""
+        with pytest.raises(ModelError, match="matrix over"):
+            intertwiner(model(), FqMatrix.identity(field(p, f), size))
 
     def test_projective_representation_property(self):
         """M(g) M(h) equals M(gh) up to a scalar."""
@@ -150,7 +174,7 @@ class TestIntertwiners:
         g4 = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
         pm = outer_intertwiner_odd(m, g4)
         s1 = pm.projective_spectrum()
-        s2 = pm.rescale(zeta(12)).projective_spectrum()
+        s2 = ProjectiveMatrix(pm.mat.scale(zeta(12)), pm.model, pm.pairs).projective_spectrum()
         assert s1 == s2
 
     def test_canonicalization_idempotent(self):
@@ -336,7 +360,7 @@ def sp4_5_intertwiners(model):
         "T-": outer_intertwiner_odd(model, sp_torus_element(2, 5, -1)),
         "identity": outer_intertwiner_odd(model, FqMatrix.identity(F, 4)),
         "transvection": outer_intertwiner_odd(
-            model, _symplectic_transvection(F, symplectic_gram(F, 2), (1, 0, 0, 0), 1)
+            model, _symplectic_transvection(F, symplectic_gram(F, 2), (1, 0, 0, 0))
         ),
         "central": outer_intertwiner_odd(model, FqMatrix.scalar(F, 4, F.neg[1])),
     }
@@ -628,7 +652,7 @@ class TestMonomialModels:
         model = Extraspecial2Model(2, eps)
         sections = {mono.to_cyc() for mono in model.monomials().values()}
         negated = {s.scale(Cyc.from_int(-1)) for s in sections}
-        assert sections | negated == set(model.group.elements)
+        assert sections | negated == set(model_group(model).elements)
         for v, mono in model.monomials().items():
             s = mono.to_cyc()
             assert s * s == CycMatrix.scalar(4, Cyc.from_int((-1) ** model.Q[v]))

@@ -19,7 +19,6 @@ from hypermono.weilgl import (
     WeilCharSpec,
     deleted_perm_spectrum,
     general_linear_group,
-    gl_class_count,
     gl_classes,
     gl_kernel_profile,
     gl_singer,
@@ -137,7 +136,7 @@ class TestFixedGenerators:
     @pytest.mark.parametrize("family,n,q", CASES, ids=IDS)
     def test_group(self, family, n, q):
         if family == "Linear":
-            G, order, classes = general_linear_group(n, q), weilgl._gl_order(n, q), gl_class_count(n, q)
+            G, order, classes = general_linear_group(n, q), weilgl._gl_order(n, q), weilgl._class_count("Linear", n, q)
         elif family == "Unitary":
             G, order, classes = unitary_group(n, q), weilgl._gu_order(n, q), weilgl._class_count("Unitary", n, q)
             assert all(is_unitary(g, weilgl.is_prime_power(q)[1]) for g in G.generators)
@@ -632,13 +631,13 @@ class TestClassData:
         classes = gl_classes(n, q)
         assert all(order % c == 0 for _, c in classes)
         assert sum(order // c for _, c in classes) == order
-        assert len(classes) == gl_class_count(n, q)
+        assert len(classes) == weilgl._class_count("Linear", n, q)
 
     def test_class_counts(self):
         counts = {(3, 3): 24, (4, 3): 78, (5, 2): 27, (3, 5): 120}
         counts.update({(2, q): q * q - 1 for q in (2, 3, 4, 5, 7, 8, 9)})
         for (n, q), k in counts.items():
-            assert gl_class_count(n, q) == k, (n, q)
+            assert weilgl._class_count("Linear", n, q) == k, (n, q)
         for (n, q) in [(3, 3), (5, 2), (2, 9)]:
             assert len(gl_classes(n, q)) == counts[(n, q)]
 
