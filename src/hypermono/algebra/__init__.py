@@ -13,7 +13,6 @@ from .numth import (
     p_part,
     p_prime_part,
     perfect_power,
-    prime_divisors,
 )
 from .unity import UnityClass, unity
 
@@ -36,7 +35,6 @@ __all__ = [
     "p_part",
     "p_prime_part",
     "perfect_power",
-    "prime_divisors",
     "UnityClass",
     "unity",
 ]

@@ -17,7 +17,7 @@ import operator
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
-from .numth import is_prime, prime_divisors
+from .numth import is_prime
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -71,25 +71,19 @@ class FieldSpec:
             rows = [[p * hi + lo for hi in rows[a // p] for lo in prime_rows[a % p]] for a in range(len(rows) * p)]
         self.add = [s for row in rows for s in row]
         self.neg = [self._encode([(-x) % p for x in self._digits(a)]) for a in range(q)]
-        # gen: the least element of order q - 1, found by powering candidates in
-        # polynomial arithmetic; then mul, inv and dlog come from its exp/log tables
-        poly = list(self.poly)
-        one = [1] + [0] * (f - 1)
-
-        def power(a, e):
-            out, base = one, self._digits(a)
-            while e:
-                if e & 1:
-                    out = _poly_mul_mod(out, base, poly, p)
-                base = _poly_mul_mod(base, base, poly, p)
-                e >>= 1
-            return out
-
-        self.gen = next(a for a in range(1, q) if all(power(a, (q - 1) // r) != one for r in prime_divisors(q - 1)))
-        exp, x, g = [1], one, self._digits(self.gen)
-        for _ in range(q - 2):
-            x = _poly_mul_mod(x, g, poly, p)
-            exp.append(self._encode(x))
+        # gen: the least a whose powers a^0, a^1, ..., walked in polynomial
+        # arithmetic, take q - 1 steps to return to 1; that walk is the exp
+        # table, and mul, inv and dlog come from it
+        poly, one = list(self.poly), [1] + [0] * (f - 1)
+        for gen in range(1, q):
+            a = x = self._digits(gen)
+            exp = [1]
+            while x != one:
+                exp.append(self._encode(x))
+                x = _poly_mul_mod(x, a, poly, p)
+            if len(exp) == q - 1:
+                break
+        self.gen = gen
         dlog = [0] * q  # dlog[a] = k with gen^k = a (a != 0)
         for k, a in enumerate(exp):
             dlog[a] = k
@@ -166,9 +160,12 @@ class FieldSpec:
         return f"F_{self.q}" if self.f > 1 else f"F_{self.p}"
 
 
-@lru_cache(maxsize=None)
 def field(p: int, f: int = 1) -> FieldSpec:
-    return FieldSpec(p, f)
+    """The one FieldSpec of F_(p^f), however f is spelled: field(3) is field(3, 1)."""
+    return _field(p, f)
+
+
+_field = lru_cache(maxsize=None)(FieldSpec)
 
 
 class FqMatrix:
@@ -309,12 +306,6 @@ class FqMatrix:
             if k > 10**6:
                 raise RuntimeError("matrix order exceeds cap (non-invertible input?)")
         return k
-
-    def has_order(self, N: int) -> bool:
-        """Whether the order is exactly N: g^N = 1 and g^(N/r) != 1 for each
-        prime r dividing N, by binary powering."""
-        ident = FqMatrix.identity(self.F, self.n)
-        return self**N == ident and all(self ** (N // r) != ident for r in prime_divisors(N))
 
     def apply(self, v):
         F = self.F

@@ -42,10 +42,6 @@ def factor(n: int) -> dict[int, int]:
     return out
 
 
-def prime_divisors(n: int) -> list[int]:
-    return sorted(factor(n))
-
-
 def divisors(n: int) -> list[int]:
     fac = factor(n)
     out = [1]

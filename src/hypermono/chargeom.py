@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from math import gcd
 
+from .algebra.cyc import json_int
 from .algebra.numth import divisors, is_prime, mult_order
 from .algebra.unity import UnityClass, unity
-from .repkit import Spectrum
+from .repkit import CapExceeded, Spectrum, _cap
 
 
 class DescriptorError(ValueError):
@@ -42,23 +43,15 @@ _TOKEN = re.compile(
 )
 
 
-def char_full(n: int) -> list[UnityClass]:
-    """Char(N): all characters of order dividing N."""
+def _chars(n: int, exact: bool) -> list[UnityClass]:
+    """Char(N), the characters of order dividing N, or with exact Char*(N),
+    those of order exactly N.  CapExceeded before listing N above the cap."""
     if n <= 0:
         raise DescriptorError("Char(N) needs N >= 1")
-    return [unity(a, n) for a in range(n)]
-
-
-def char_exact(n: int) -> list[UnityClass]:
-    """Char*(N): all characters of order exactly N."""
-    if n <= 0:
-        raise DescriptorError("Char*(N) needs N >= 1")
-    return [unity(a, n) for a in range(n) if gcd(a, n) == 1 or (n == 1 and a == 0)]
-
-
-def xi(n: int, k: int = 1) -> UnityClass:
-    """xi(N)^k: the k-th power of the fixed character of order N (= k/N)."""
-    return unity(k, n)
+    cap = _cap(None)
+    if n > cap:
+        raise CapExceeded(f"Char(N) with N = {n} lists more characters than the cap {cap}")
+    return [unity(a, n) for a in range(n) if not exact or gcd(a, n) == 1]
 
 
 def parse_charset(text: str) -> list[UnityClass]:
@@ -67,7 +60,8 @@ def parse_charset(text: str) -> list[UnityClass]:
     Grammar: Char(N) | Char*(N) | xi(N)[^k] | {item, ...} | a/N,
     combined with `|` (union), `\\` (multiset difference) and
     `A*xi(N)^k` (coset translation).  `1` inside braces denotes the
-    trivial character.
+    trivial character.  A malformed token or an operator without its
+    operand is a DescriptorError.
     """
     tokens = []
     pos = 0
@@ -82,31 +76,32 @@ def parse_charset(text: str) -> list[UnityClass]:
     if not tokens:
         raise DescriptorError("empty charset expression")
 
-    def parse_atom(tok: str) -> list[UnityClass]:
-        if tok.startswith("Char*("):
-            return char_exact(int(tok[6:-1]))
-        if tok.startswith("Char("):
-            return char_full(int(tok[5:-1]))
-        if tok.startswith("xi("):
-            m2 = re.fullmatch(r"xi\((\d+)\)(?:\^(-?\d+))?", tok)
-            n, k = int(m2.group(1)), int(m2.group(2) or 1)
-            return [xi(n, k)]
-        if tok.startswith("{"):
-            inner = tok[1:-1].strip()
-            if not inner:
-                return []
-            return [UnityClass.parse(t) for t in inner.split(",")]
-        return [UnityClass.parse(tok)]
+    def parse_atom(i: int) -> list[UnityClass]:
+        if i == len(tokens) or tokens[i] in ("|", "\\", "*"):
+            raise DescriptorError(f"charset {text!r}: an operator lacks its operand")
+        tok = tokens[i]
+        if tok.startswith("Char"):
+            return _chars(int(tok[tok.index("(") + 1 : -1]), tok.startswith("Char*"))
+        try:
+            if tok.startswith("xi("):
+                n, k = re.fullmatch(r"xi\((\d+)\)(?:\^(-?\d+))?", tok).groups()
+                return [unity(int(k or 1), int(n))]
+            if tok.startswith("{"):
+                inner = tok[1:-1]
+                return [UnityClass.parse(t) for t in inner.split(",")] if inner.strip() else []
+            return [UnityClass.parse(tok)]
+        except ValueError as exc:
+            raise DescriptorError(f"bad character {tok!r} in charset {text!r}: {exc}")
 
     # first pass: fold `*` (coset translation) into single operands
     operands: list[list[UnityClass]] = []
     ops: list[str] = []
     i = 0
-    while i < len(tokens):
-        cur = parse_atom(tokens[i])
+    while True:
+        cur = parse_atom(i)
         i += 1
         while i < len(tokens) and tokens[i] == "*":
-            shift_set = parse_atom(tokens[i + 1])
+            shift_set = parse_atom(i + 1)
             if len(shift_set) == 1:
                 s = shift_set[0]
                 cur = [u + s for u in cur]
@@ -117,11 +112,12 @@ def parse_charset(text: str) -> list[UnityClass]:
                 raise DescriptorError("coset translation needs a single character on one side")
             i += 2
         operands.append(cur)
-        if i < len(tokens):
-            if tokens[i] not in ("|", "\\"):
-                raise DescriptorError(f"expected | or \\ near {tokens[i]!r}")
-            ops.append(tokens[i])
-            i += 1
+        if i == len(tokens):
+            break
+        if tokens[i] not in ("|", "\\"):
+            raise DescriptorError(f"expected | or \\ near {tokens[i]!r}")
+        ops.append(tokens[i])
+        i += 1
     result = operands[0]
     for op, operand in zip(ops, operands[1:]):
         if op == "|":
@@ -208,14 +204,23 @@ class HypDescriptor:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HypDescriptor":
-        def load(entries):
-            out = []
-            for e in entries:
-                out.extend(parse_charset(e))
-            return out
-
-        return cls(int(obj["p"]), load(obj.get("upstairs", [])), load(obj.get("downstairs", [])))
+    def from_json(cls, obj) -> "HypDescriptor":
+        """From {"p": an integer, "upstairs": [...], "downstairs": [...]},
+        each side a list of charset strings; DescriptorError on any other
+        shape."""
+        if not isinstance(obj, dict):
+            raise DescriptorError("a descriptor is a JSON object")
+        try:
+            p = json_int(obj.get("p"), "p")
+        except ValueError as exc:
+            raise DescriptorError(str(exc))
+        sides = []
+        for key in ("upstairs", "downstairs"):
+            entries = obj.get(key, [])
+            if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+                raise DescriptorError(f"{key} must be a list of charset strings")
+            sides.append([u for e in entries for u in parse_charset(e)])
+        return cls(p, *sides)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,9 @@ def cmd_m4(args) -> dict:
     if args.cap is not None:
         _check_at_least(1, **{"--cap": args.cap})
     gens = _load_generators(args.generators, _cap(args.cap))
+    for g in gens:  # CapExceeded past CYC_ORDER_CAP powers: an infinite order, which closure never ends
+        if g.rank() == g.n:  # closure refuses a singular generator
+            g.order()
     G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
     echo = []
     for g in gens:

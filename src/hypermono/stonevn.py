@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .algebra.cyc import Cyc
 from .algebra.fq import FqMatrix, field
-from .algebra.numth import is_prime
+from .algebra.numth import is_prime, is_prime_power
 from .algebra.unity import unity
 from .gates import partitions
 from .repkit import CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
+from .weilgl import ExcludedCase, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
 DESK_CAP = 32
 
@@ -46,21 +47,16 @@ class _MonomialModel:
 
     A subclass sets p, n, F, m, dim and _irreducible = None, and provides
     monomials() (label -> MonomialMatrix), generators() (labels generating
-    the group modulo its center), form_value(u, v) (the symplectic form on
-    F^(2n)), parity_matrix() and gauss_candidates().
+    the group modulo its center), parity_matrix() and gauss_candidates().
+    The commutator form of both models on F^(2n) is the standard
+    alternating form of weilgl.symplectic_gram, up to sign and mod 2
+    (Gerardin, J. Algebra 46, 1977).
     """
 
     def preserves_structure(self, g: FqMatrix) -> bool:
         """Whether g is a 2n x 2n matrix over the model's field that keeps
-        form_value on every pair of basis vectors, so (bilinearity) on all."""
-        n2 = 2 * self.n
-        if g.F.q != self.F.q or g.n != n2:
-            return False
-        basis = [tuple(int(j == i) for j in range(n2)) for i in range(n2)]
-        images = [tuple(g.apply(u)) for u in basis]
-        form = self.form_value
-        pairs = itertools.combinations(range(n2), 2)
-        return all(form(images[i], images[j]) == form(basis[i], basis[j]) for i, j in pairs)
+        the symplectic form (weilgl.is_symplectic)."""
+        return g.F.q == self.F.q and g.n == 2 * self.n and is_symplectic(g)
 
     def irreducible_certificate(self) -> bool:
         """Exact character-norm test: sum over E of |chi|^2 equals |E|, read
@@ -182,13 +178,6 @@ class HeisenbergModel(_MonomialModel):
                 out.append((zero, e))
         return out
 
-    def form_value(self, u, v) -> int:
-        """(u, v) -> b_u . a_v - b_v . a_u on F_q^(2n)."""
-        F = self.F
-        au, bu = u[: self.n], u[self.n :]
-        av, bv = v[: self.n], v[self.n :]
-        return F.sub(self._dot(bu, av), self._dot(bv, au))
-
     def parity_matrix(self) -> MonomialMatrix:
         """delta_x -> delta_(-x): the intertwiner of the central inversion."""
         F = self.F
@@ -309,13 +298,6 @@ class Extraspecial2Model(_MonomialModel):
     def gauss_candidates(self):
         """delta with known abs2 for unitary normalization: 1 and 1 + i (abs2 = 2)."""
         return [(Cyc.from_int(1), 1), (Cyc.from_root_sum(4, [1, 1]), 2)]
-
-    def form_value(self, u, v) -> int:
-        """Symplectic form: a_u.b_v + b_u.a_v mod 2."""
-        n = self.n
-        return (
-            sum(u[i] * v[n + i] for i in range(n)) + sum(u[n + i] * v[i] for i in range(n))
-        ) % 2
 
     def preserves_structure(self, g: FqMatrix) -> bool:
         """The form check of every model, and Q kept on every vector."""
@@ -558,8 +540,6 @@ def _commutes_with_permutation(M: CycMatrix, P: MonomialMatrix) -> bool:
 def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
     """A cyclotomic delta with abs2(delta) == target: r * g^e with r rational
     and g a fixed element of known abs2 (a Gauss sum, or 1 + i at p = 2)."""
-    from math import isqrt
-
     if target <= 0:
         raise NormalizationError("non-positive unitarity scalar")
     for g, gn in model.gauss_candidates():
@@ -655,8 +635,6 @@ def ss_sp_enumerate(n: int, q: int) -> list[SpTorusClass]:
     if n < 2:
         raise ValueError("need n >= 2")
     if (n, q) in ((2, 3), (3, 3)):
-        from .weilgl import ExcludedCase
-
         raise ExcludedCase(f"Symplectic ({n},{q}) is an excluded case")
     warn = (
         "the minus-half torus order (q^n-1)/2 cannot arise from local data "
@@ -694,14 +672,19 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
     data[k] * 2^k.
 
     The columns, the images of the basis vectors, are chosen one at a time:
-    column c keeps Q(e_c) and the form against every earlier column.  The
-    columns then have the basis's nondegenerate Gram matrix, so they are
-    independent, and the candidates are the elements of the orthogonal group
-    (120 on the minus model at n = 2).  They meet the rank, structure and
-    order checks in increasing order of that sum."""
+    column c keeps Q(e_c) and the form B(u, v) = Q(u + v) + Q(u) + Q(v)
+    against every earlier column.  By that polarization every candidate
+    keeps Q on all of F_2^(2n), and its columns have the basis's
+    nondegenerate Gram matrix, so it is invertible: the candidates are the
+    elements of the orthogonal group (120 on the minus model at n = 2).
+    They meet the order test in increasing order of that sum."""
     F2 = field(2)
     dim = 2 * model.n
-    basis, Q, form = model.generators(), model.Q, model.form_value
+    basis, Q = model.generators(), model.Q
+
+    def form(u, v):
+        return Q[tuple(a ^ b for a, b in zip(u, v))] ^ Q[u] ^ Q[v]
+
     vecs = list(itertools.product(range(2), repeat=dim))
     partial = [()]
     for c in range(dim):
@@ -716,7 +699,7 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
     datas = [tuple(cols[c][r] for r in range(dim) for c in range(dim)) for cols in partial]
     for data in sorted(datas, key=lambda d: d[::-1]):  # d[::-1] compares like the sum
         g = FqMatrix(F2, dim, data)
-        if g.rank() == dim and model.preserves_structure(g) and g.has_order(order):
+        if g.order() == order:
             return g
     raise ModelError(f"no structure-preserving element of order {order}")
 
@@ -742,8 +725,6 @@ def ss_extr_oracle(n: int = 2) -> dict:
     }
     plus = Extraspecial2Model(n, "+")
     # the split torus of order 2^n - 1: diag(A, A^-T) on the two Lagrangians
-    from .weilgl import sp_torus_element
-
     g3 = sp_torus_element(n, 2, 1)
     pm2 = outer_intertwiner_2(plus, g3).odd_projective_rep()
     spec2 = pm2.projective_spectrum()
@@ -765,9 +746,6 @@ def ss_sp_oracle(n: int, q: int) -> dict:
     """Construct the enumerated symplectic torus generators in the model and
     check their projective spectra on both halves; negative controls must
     come out non-simple."""
-    from .algebra.numth import is_prime_power
-    from .weilgl import _symplectic_transvection, sp_torus_element, symplectic_gram
-
     p, f = is_prime_power(q)
     model = HeisenbergModel(p, n, f)
     dims = ((q**n + 1) // 2, (q**n - 1) // 2)

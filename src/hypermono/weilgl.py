@@ -6,7 +6,7 @@ exhaustive oracles run once per conjugacy class of GL_n(q) or GU_n(q), from
 its class type (a partition for each irreducible polynomial) with no matrix,
 and compare the simple-spectrum elements they find with the classified torus
 types.  The torus generators of GU_n(q) and Sp_2n(q) are irreducible
-companion matrices, found by polynomial powers of x and carried to the
+companion matrices, found by one walk on the powers of x and carried to the
 standard form by a Witt basis of an invariant form, built by linear algebra
 alone (no vector of F^n is listed).  GL_n(q), GU_n(q) and Sp_2n(q) are closed
 over a short fixed list of structured elements each, led by one of large
@@ -33,7 +33,7 @@ from .algebra.fq import (
     nullspace,
     poly_mul_fq,
 )
-from .algebra.numth import is_prime_power, prime_divisors
+from .algebra.numth import is_prime_power
 from .algebra.unity import unity
 from .repkit import CapExceeded, MatGroup, Spectrum, _cap, _powers, closure
 
@@ -322,35 +322,33 @@ def group_scalars(group: MatGroup) -> set[FqMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _x_power(F: FieldSpec, f, e: int) -> list[int]:
-    """x^e mod the monic f of degree d (low-to-high coefficients) as d
-    coefficients, by binary powering."""
-    d, q, add, mul = len(f) - 1, F.q, F.add, F.mul
-    minus_f = [F.neg[c] for c in f[:d]]  # x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+def _x_walk(F: FieldSpec, f) -> tuple[int, dict[int, int]]:
+    """ord(x mod f) for the monic f with f(0) != 0 (low-to-high coefficients),
+    and {r: c} for the r < ord with x^r = c mod f, c a constant.
 
-    def mulmod(a, b):
-        out = list(poly_mul_fq(F, a, b)) + [0] * d
-        for i in range(len(out) - 1, d - 1, -1):
-            if top := out[i]:
-                for j, c in enumerate(minus_f):
-                    out[i - d + j] = add[out[i - d + j] * q + mul[top * q + c]]
-        return out[:d]
-
-    x = out = mulmod([1], [0, 1])
-    for bit in bin(e)[3:]:  # e >= 1, its leading bit is x itself
-        out = mulmod(out, out)
-        if bit == "1":
-            out = mulmod(out, x)
-    return out
+    One walk on x, x^2, ... mod f, one shift per step, up to the first
+    constant c = x^r0: the r with x^r constant are the multiples of r0, with
+    x^(k r0) = c^k, so ord(x mod f) is r0 ord(c).  It is the order of f's
+    companion matrix (Lidl and Niederreiter, Finite Fields, ch. 3)."""
+    q, add, mul = F.q, F.add, F.mul
+    minus_f = [F.neg[c] for c in f[:-1]]  # x^d = -(f_0 + ... + f_(d-1) x^(d-1))
+    y, r0 = [1] + [0] * (len(f) - 2), 0
+    while r0 == 0 or any(y[1:]):
+        top = y[-1]  # y x mod f: shift up, then add top x^d
+        y = [add[a * q + mul[top * q + c]] for a, c in zip([0] + y[:-1], minus_f)]
+        r0 += 1
+    consts, power = {}, 1
+    while power != 1 or not consts:
+        consts[len(consts) * r0] = power
+        power = mul[power * q + y[0]]
+    return len(consts) * r0, consts
 
 
 def _companions(F: FieldSpec, polys, order: int):
-    """The companion matrices of order ``order`` of the irreducibles polys,
-    all of one degree d: the order of x in F[x]/(f), tested by polynomial
-    powers."""
+    """The companion matrices of order ``order`` of the irreducibles polys:
+    those f with ord(x mod f) = order (_x_walk)."""
     for poly in polys:
-        one = [1] + [0] * (len(poly) - 2)
-        if _x_power(F, poly, order) == one and all(_x_power(F, poly, order // r) != one for r in prime_divisors(order)):
+        if _x_walk(F, poly)[0] == order:
             yield companion_matrix(F, poly)
 
 
@@ -827,18 +825,7 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
     scalars = _scalars(F, q - 1 if family == LINEAR else q + 1)
     index = {s: k for k, s in enumerate(scalars)}
 
-    def residue_walk(f):  # ord(x mod f), and {r: c} for the r < ord with x^r = c mod f
-        start = [1] + [0] * (len(f) - 2)
-        y, r, consts = start, 0, {}
-        while r == 0 or y != start:
-            if not any(y[1:]):
-                consts[r] = y[0]
-            top = y[-1]  # y x mod f: shift up, then x^d = -(f_0 + ... + f_(d-1) x^(d-1))
-            y = [F.sub(a, F.mul[top * F.q + c]) for a, c in zip([0] + y[:-1], f)]
-            r += 1
-        return r, consts
-
-    walks = {f: residue_walk(f) for f in {f for cls, _ in types for f, _ in cls}}
+    walks = {f: _x_walk(F, f) for f in {f for cls, _ in types for f, _ in cls}}
 
     def profile(cls, j: int) -> tuple[int, ...]:
         prof = [0] * len(scalars)

@@ -17,6 +17,7 @@ from hypermono.algebra.numth import (
     perfect_power,
 )
 from hypermono.algebra.unity import UnityClass, unity
+from hypermono.weilgl import general_linear_group
 
 
 class TestUnity:
@@ -178,6 +179,12 @@ class TestFq:
             for a in range(1, q):
                 assert F.mul[a * q + F.inv[a]] == 1
             assert F.element_order(F.gen) == q - 1
+
+    def test_one_field_object_however_spelled(self):
+        """field(3) is field(3, 1), so a matrix built over either is an element
+        of the groups, which are built over field(3, 1)."""
+        assert field(3) is field(3, 1) is field(3, f=1)
+        assert FqMatrix.from_rows(field(3), [[0, 2], [1, 0]]) in general_linear_group(2, 3)
 
     def test_kernel_dim_examples(self):
         F2 = field(2)

@@ -50,6 +50,23 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def child_env(**extra):
+    """The environment of a child interpreter: src on the path, the default
+    cap, and the extra variables."""
+    path = [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+    env.pop("HYPERMONO_CAP", None)
+    return env
+
+
+def run_cli_process(argv, timeout=30):
+    """``python -m hypermono`` with argv in a child process: (exit code,
+    stdout, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "hypermono"] + argv, env=child_env(), capture_output=True,
+                          text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv):
     code, out = run_cli(argv)
@@ -57,6 +74,31 @@ def test_golden(name, argv):
     golden_path = GOLDEN / f"{name}.json"
     assert golden_path.exists(), f"golden file missing: {golden_path}"
     assert out == golden_path.read_text(), f"output drift for {name}"
+
+
+GOLDEN_RUNNER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hypermono.cli import main
+outs = []
+for argv in json.loads(sys.stdin.read()):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(argv)
+    outs.append(buf.getvalue())
+json.dump(outs, sys.stdout)
+"""
+
+
+def test_goldens_independent_of_hash_seed():
+    """Under PYTHONHASHSEED 0 and 12345, a child interpreter runs the golden
+    argv lists in process, and each stdout equals its golden byte for byte."""
+    argvs = json.dumps([argv for _, argv in CASES])
+    for seed in ("0", "12345"):
+        child = subprocess.run([sys.executable, "-c", GOLDEN_RUNNER], input=argvs, env=child_env(PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, timeout=120, check=True)
+        for (name, _), out in zip(CASES, json.loads(child.stdout), strict=True):
+            assert out == (GOLDEN / f"{name}.json").read_text(), (name, seed)
 
 
 def test_determinism_byte_identical():
@@ -232,10 +274,8 @@ class TestExitCodes:
 
 def test_python_m_runs_the_cli():
     """``python -m hypermono`` runs the CLI from a checkout, with src on the path."""
-    path = [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = [sys.executable, "-m", "hypermono", "gates", "landau", "12"]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    code, out, _ = run_cli_process(["gates", "landau", "12"])
+    assert code == 0
     golden = json.loads((GOLDEN / "gates_landau_12.json").read_text())
     report = json.loads(out)
     assert (report["command"], report["result"]) == (golden["command"], golden["result"])
@@ -307,14 +347,52 @@ class TestM4Input:
             ('{"matrices": []}', 2),
             ('{"gens": [[[1]]]}', 2),
             ('{"matrices": [', 1),
+            ('{"matrices": [[[2]]]}', 3),
+            ('{"matrices": [[[1, 1], [0, 1]]]}', 3),
         ],
         ids=["bool", "float", "integral_float", "float_coeff", "bool_den", "short_coeffs",
-             "zero_order", "sizes", "singular", "empty", "no_matrices", "bad_json"],
+             "zero_order", "sizes", "singular", "empty", "no_matrices", "bad_json",
+             "infinite_scalar", "infinite_unipotent"],
     )
-    def test_bad_generator_file(self, tmp_path, capsys, body, code):
+    def test_bad_generator_file(self, tmp_path, body, code):
+        """Each file is refused at the default cap in a child process; an
+        infinite order is found by one power walk, not by a closure."""
         path = tmp_path / "gens.json"
         path.write_text(body)
-        assert main(["m4", str(path)]) == code
+        got, out, err = run_cli_process(["m4", str(path)])
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestDescriptorInput:
+    """A descriptor file for ``analyze`` or ``splus`` gives a report, or exit
+    2 or 3 with one line: never a traceback, and never a truncated reading."""
+
+    BAD = {
+        "p_string": ({"p": "x", "upstairs": ["Char(5)"]}, 2),
+        "p_float": ({"p": 3.5, "upstairs": ["Char(5)"]}, 2),
+        "top_level_list": ([{"p": 3, "upstairs": ["Char(5)"]}], 2),
+        "upstairs_int": ({"p": 3, "upstairs": [5]}, 2),
+        "upstairs_string": ({"p": 3, "upstairs": "Char(5)"}, 2),
+        "dangling_star": ({"p": 3, "upstairs": ["Char(5)*"]}, 2),
+        "lone_star": ({"p": 3, "upstairs": ["*"]}, 2),
+        "dangling_difference": ({"p": 3, "upstairs": ["Char(5)\\"]}, 2),
+        "dangling_union": ({"p": 3, "upstairs": ["Char(5)|"]}, 2),
+        "xi_zero": ({"p": 3, "upstairs": ["xi(0)"]}, 2),
+        "zero_denominator": ({"p": 3, "upstairs": ["1/0"]}, 2),
+        "zero_denominator_in_braces": ({"p": 3, "upstairs": ["{1/0}"]}, 2),
+        "letter_in_braces": ({"p": 3, "upstairs": ["{a}"]}, 2),
+        "char_above_cap": ({"p": 3, "upstairs": ["Char*(100000000)"]}, 3),
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "splus"])
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_bad_descriptor_file(self, tmp_path, capsys, command, name):
+        body, code = self.BAD[name]
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(body))
+        assert main([command, str(path)]) == code
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")

@@ -1,6 +1,7 @@
-"""Property tests for the ``ss``, ``spectrum``, ``m4``, ``gates`` and
-``construct`` command lines: every argv, and every generator file, gives a
-report or a documented refusal.
+"""Property tests for the ``ss``, ``spectrum``, ``m4``, ``gates``,
+``construct``, ``analyze`` and ``splus`` command lines: every argv, every
+generator file and every descriptor file gives a report or a documented
+refusal.
 
 Hypothesis drives ``cli.main`` in process, derandomized with a bounded
 example count and a small HYPERMONO_CAP, so every run checks the same inputs
@@ -200,6 +201,50 @@ def test_m4_reports_or_refuses(text):
         with open(path, "w") as fh:
             fh.write(text)
         check_report_or_refusal(["m4", path], refusals=(1, 2, 3, 4))
+
+
+# operands of the charset grammar, well-formed first, and its operators
+OPERANDS = ["Char(6)", "Char*(5)", "xi(4)", "xi(3)^-1", "{1}", "{1/2, 1/3}", "1/4", "-1/3", "2"]
+BAD_OPERANDS = ["Char(0)", "Char*(100000000)", "xi(0)", "{}", "{1/0}", "{a}", "1/0", "x", "("]
+OPERATORS = ["|", "\\", "*"]
+
+
+@st.composite
+def descriptor_files(draw):
+    """A descriptor file's text: "p" from a small mixed list, and sides of
+    charset strings, most in the grammar's shape (an operand, then operator
+    and operand pairs) and the rest any run of tokens, with now and then a
+    malformed operand; now and then a body of the wrong shape."""
+    if draw(st.integers(0, 7)) == 0:
+        return json.dumps(draw(st.sampled_from([[], 5, {"p": 3, "upstairs": "Char(5)"}, {"p": 3, "upstairs": [5]}])))
+    operand = st.sampled_from(OPERANDS * 4 + BAD_OPERANDS)
+
+    def charset():
+        if draw(st.integers(0, 3)):
+            tokens = [draw(operand)]
+            for _ in range(draw(st.integers(0, 2))):
+                tokens += [draw(st.sampled_from(OPERATORS)), draw(operand)]
+        else:
+            tokens = draw(st.lists(st.sampled_from(OPERANDS + BAD_OPERANDS + OPERATORS), min_size=1, max_size=4))
+        return " ".join(tokens)
+
+    p = draw(st.sampled_from([2, 3, 5, 7, 11] * 4 + [4, 1, 0, -3, 3.5, "3", True, None]))
+    body = {"p": p, "upstairs": [charset() for _ in range(draw(st.integers(1, 2)))]}
+    if draw(st.booleans()):
+        body["downstairs"] = [charset()]
+    return json.dumps(body)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(text=descriptor_files(), command=st.sampled_from(["analyze", "splus"]))
+@example(text=json.dumps({"p": 3, "upstairs": ["Char*(5)"], "downstairs": ["xi(4)"]}), command="analyze")  # a report
+@example(text=json.dumps({"p": 3, "upstairs": ["Char(6)|"]}), command="splus")  # a dangling union
+def test_descriptor_reports_or_refuses(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "descriptor.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        check_report_or_refusal([command, path])
 
 
 def check_report_or_refusal(argv, refusals=(2, 3, 4)):

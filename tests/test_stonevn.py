@@ -110,9 +110,17 @@ class TestIntertwiners:
     def test_structure_violation_rejected(self):
         m = HeisenbergModel(3, 1)
         bad = FqMatrix.from_rows(field(3), [[1, 1], [0, 2]])  # det 2, not symplectic
-        if not m.preserves_structure(bad):
-            with pytest.raises(ModelError):
-                outer_intertwiner_odd(m, bad)
+        assert not m.preserves_structure(bad)
+        with pytest.raises(ModelError):
+            outer_intertwiner_odd(m, bad)
+
+    def test_structure_is_sl2_on_f3(self):
+        """The form the Heisenberg model keeps on F_3^2 is kept by exactly the
+        24 matrices of determinant 1."""
+        m = HeisenbergModel(3, 1)
+        datas = itertools.product(range(3), repeat=4)
+        kept = [d for d in datas if m.preserves_structure(FqMatrix(field(3), 2, d))]
+        assert len(kept) == 24 and all((a * d - b * c) % 3 == 1 for a, b, c, d in kept)
 
     @pytest.mark.parametrize(
         "intertwiner,model,p,f,size",
@@ -531,7 +539,11 @@ def structure_preserving_elements(model, order):
     """The F_2 matrices of the given order preserving the model's quadratic
     structure, built column by column as find_orthogonal_element does."""
     dim, F2 = 2 * model.n, field(2)
-    basis, Q, form = model.generators(), model.Q, model.form_value
+    basis, Q = model.generators(), model.Q
+
+    def form(u, v):  # the polarization of Q
+        return Q[tuple(a ^ b for a, b in zip(u, v))] ^ Q[u] ^ Q[v]
+
     vecs = list(itertools.product(range(2), repeat=dim))
     partial = [()]
     for c in range(dim):
@@ -542,7 +554,7 @@ def structure_preserving_elements(model, order):
             if Q[v] == Q[basis[c]] and all(form(u, v) == form(basis[i], basis[c]) for i, u in enumerate(cols))
         ]
     out = [FqMatrix(F2, dim, tuple(cols[c][r] for r in range(dim) for c in range(dim))) for cols in partial]
-    return [g for g in out if model.preserves_structure(g) and g.has_order(order)]
+    return [g for g in out if model.preserves_structure(g) and g.order() == order]
 
 
 class TestOddProjectiveRep:

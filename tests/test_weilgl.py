@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermono.algebra.cyc import Cyc
-from hypermono.algebra.fq import FqMatrix, field, irreducibles
+from hypermono.algebra.fq import FqMatrix, companion_matrix, field, irreducibles
 from hypermono.algebra.unity import unity
 from hypermono import repkit
 from hypermono.repkit import CycMatrix, spectrum as mat_spectrum
@@ -267,8 +267,8 @@ class TestTori:
         monkeypatch.setenv("HYPERMONO_CAP", "26")
         assert weil_spectrum(spec, g).dimension == 13
 
-    # the tori that the matrix order search (FqMatrix.has_order on each
-    # companion) picked, and for the last three the polynomial search over
+    # the tori that the matrix order search (a binary-powering order test on
+    # each companion) picked, and for the last three the polynomial search over
     # every irreducible, as flat row-major entries
     PINNED = [
         (gl_singer, (3, 3), (0, 0, 2, 1, 0, 0, 0, 1, 1)),
@@ -286,28 +286,46 @@ class TestTori:
         def refuse(*args):
             raise AssertionError("a matrix order test in the companion search")
 
-        monkeypatch.setattr(FqMatrix, "has_order", refuse)
+        monkeypatch.setattr(FqMatrix, "order", refuse)
         for build, args, data in self.PINNED:
             assert build(*args).data == data, (build.__name__, args)
 
     def test_form_tori_test_self_dual_polynomials_only(self, monkeypatch):
         """Only a self-dual f carries a nondegenerate form, so the GU and Sp
-        searches power x modulo those alone: 87 powers for GU_3(7)'s order
-        344, where testing every cubic over F_49 first took 12,342."""
+        searches walk x modulo those alone: 43 walks for GU_3(7)'s order
+        344, where testing every cubic over F_49 first took 12,342 powers."""
         tested = []
-        x_power = weilgl._x_power
+        x_walk = weilgl._x_walk
 
-        def recording(F, f, e):
+        def recording(F, f):
             tested.append(f)
-            return x_power(F, f, e)
+            return x_walk(F, f)
 
-        monkeypatch.setattr(weilgl, "_x_power", recording)
+        monkeypatch.setattr(weilgl, "_x_walk", recording)
         gu_torus_element(3, 7, 344)
         F, conj = field(7, 2), field(7, 2).subfield_power_map(1)
-        assert len(tested) == 87 and all(weilgl._dual(F, f, conj) == f for f in tested)
+        assert len(tested) == 43 and all(weilgl._dual(F, f, conj) == f for f in tested)
         tested.clear()
         sp_torus_element(2, 5, -1)
         assert tested and all(weilgl._dual(field(5), f) == f for f in tested)
+
+    @pytest.mark.parametrize("p, e, top", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 2), (2, 3, 2), (3, 2, 2)])
+    def test_x_walk_is_the_companion_order(self, p, e, top):
+        """For each irreducible f of degree <= top, _x_walk(F, f) gives the
+        order of f's companion matrix C, and its residues are exactly the r
+        below that order with C^r scalar, with their scalars."""
+        F = field(p, e)
+        for d in range(1, top + 1):
+            for f in irreducibles(F, d):
+                order, consts = weilgl._x_walk(F, f)
+                C = companion_matrix(F, f)
+                assert C.order() == order, f
+                scalars, power = {}, FqMatrix.identity(F, d)
+                for r in range(order):
+                    if power == FqMatrix.scalar(F, d, power.data[0]):
+                        scalars[r] = power.data[0]
+                    power = power * C
+                assert consts == scalars, f
 
     def test_t21_dims(self):
         h = gu_block_torus(3, [(2, 8), (1, 4)])
