@@ -17,7 +17,7 @@ import operator
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
-from .numth import is_prime
+from .numth import CapExceeded, _cap, is_prime
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -298,14 +298,15 @@ class FqMatrix:
         return out
 
     def order(self) -> int:
-        ident = FqMatrix.identity(self.F, self.n)
-        x, k = self, 1
-        while x != ident:
+        """The least k >= 1 with self^k = 1; CapExceeded past the cap (a
+        singular matrix never reaches the identity)."""
+        ident, cap = FqMatrix.identity(self.F, self.n), _cap(None)
+        x = self
+        for k in range(1, cap + 1):
+            if x == ident:
+                return k
             x = x * self
-            k += 1
-            if k > 10**6:
-                raise RuntimeError("matrix order exceeds cap (non-invertible input?)")
-        return k
+        raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
 
     def apply(self, v):
         F = self.F

@@ -1,44 +1,60 @@
-"""Small integer number theory helpers (trial-division scale)."""
+"""Small integer number theory at trial-division scale, and the one cap.
+
+Every loop whose length comes from the input is bounded by one cap:
+HYPERMONO_CAP when set, else DEFAULT_CAP (``_cap``); past it the loop raises
+CapExceeded.  ``least_prime_divisor`` is the only trial division: its odd
+divisors stop at 2 cap + 1, so every number below (2 cap + 3)^2 still factors
+fully, and ``is_prime``, ``factor`` and everything built on them
+(``is_prime_power``, ``divisors``, ``euler_phi``) share that bound.
+"""
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from math import gcd, isqrt
 
+DEFAULT_CAP = 2_000_000
+
+
+def _cap(cap: int | None) -> int:
+    """cap itself, else HYPERMONO_CAP when set, else DEFAULT_CAP; ValueError
+    unless the variable is a positive integer."""
+    if cap is not None:
+        return cap
+    env = os.environ.get("HYPERMONO_CAP")
+    if not env:
+        return DEFAULT_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"HYPERMONO_CAP must be a positive integer, got {env!r}")
+    return value
+
+
+class CapExceeded(RuntimeError):
+    pass
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and least_prime_divisor(n) == n
 
 
 def factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, as {prime: exponent}."""
+    """Prime factorization by trial division, as {prime: exponent}: each
+    least_prime_divisor call starts from the last prime found."""
     if n <= 0:
         raise ValueError("factor() wants a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    p = 2
+    while n > 1:
+        p = least_prime_divisor(n, p)
+        out[p] = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            out[p] += 1
             n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -76,16 +92,20 @@ def mult_order(a: int, n: int) -> int:
     return order
 
 
-def least_prime_divisor(n: int) -> int:
+def least_prime_divisor(n: int, start: int = 2) -> int:
+    """The least prime divisor of n >= 2 that is at least start (n itself
+    when none is).  The odd trial divisors stop at 2 cap + 1, the first cap of
+    them: CapExceeded when the least one might lie past them."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n % 2 == 0:
+    if start <= 2 and n % 2 == 0:
         return 2
-    d = 3
-    while d * d <= n:
+    cap, last = _cap(None), isqrt(n)
+    for d in range(max(3, start | 1), min(last, 2 * cap + 1) + 1, 2):
         if n % d == 0:
             return d
-        d += 2
+    if last >= 2 * cap + 3:
+        raise CapExceeded(f"trial division of a {n.bit_length()}-bit number passes cap {cap} odd divisors")
     return n
 
 

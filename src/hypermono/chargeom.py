@@ -13,25 +13,13 @@ import re
 from math import gcd
 
 from .algebra.cyc import json_int
-from .algebra.numth import divisors, is_prime, mult_order
+from .algebra.numth import CapExceeded, _cap, divisors, is_prime, mult_order
 from .algebra.unity import UnityClass, unity
-from .repkit import CapExceeded, Spectrum, _cap
+from .repkit import Spectrum
 
 
 class DescriptorError(ValueError):
     pass
-
-
-class OverlapError(DescriptorError):
-    """Some upstairs character coincides with a downstairs one (reducible)."""
-
-
-class WildOrderError(DescriptorError):
-    """A character order is divisible by p (not tame)."""
-
-
-class HypTypeError(DescriptorError):
-    """D <= m, not a hypergeometric type."""
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +31,10 @@ _TOKEN = re.compile(
 )
 
 
-def _chars(n: int, exact: bool) -> list[UnityClass]:
-    """Char(N), the characters of order dividing N, or with exact Char*(N),
-    those of order exactly N.  CapExceeded before listing N above the cap."""
+def chars(n: int, exact: bool = False) -> list[UnityClass]:
+    """Char(N), the characters a/N of order dividing N in order of a, the
+    trivial one first, or with exact Char*(N), those of order exactly N.
+    CapExceeded before listing N above the cap."""
     if n <= 0:
         raise DescriptorError("Char(N) needs N >= 1")
     cap = _cap(None)
@@ -81,7 +70,7 @@ def parse_charset(text: str) -> list[UnityClass]:
             raise DescriptorError(f"charset {text!r}: an operator lacks its operand")
         tok = tokens[i]
         if tok.startswith("Char"):
-            return _chars(int(tok[tok.index("(") + 1 : -1]), tok.startswith("Char*"))
+            return chars(int(tok[tok.index("(") + 1 : -1]), tok.startswith("Char*"))
         try:
             if tok.startswith("xi("):
                 n, k = re.fullmatch(r"xi\((\d+)\)(?:\^(-?\d+))?", tok).groups()
@@ -148,13 +137,13 @@ class HypDescriptor:
         up = tuple(sorted(upstairs))
         down = tuple(sorted(downstairs))
         if len(up) <= len(down):
-            raise HypTypeError(f"type ({len(up)},{len(down)}) has D <= m")
+            raise DescriptorError(f"type ({len(up)},{len(down)}) has D <= m")
         for u in up + down:
             if u.den % p == 0:
-                raise WildOrderError(f"character {u} has order divisible by p={p}")
+                raise DescriptorError(f"character {u} has order divisible by p={p}")
         overlap = set(up) & set(down)
         if overlap:
-            raise OverlapError(
+            raise DescriptorError(
                 "upstairs and downstairs share characters "
                 f"{sorted(overlap)} ('no chi_i is any rho_j' fails)"
             )

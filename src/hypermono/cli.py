@@ -63,8 +63,7 @@ def _report(command: str, inputs, result) -> dict:
     return {"schema": SCHEMA, "version": __version__, "command": command, "input": inputs, "result": result}
 
 
-def _emit(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -103,6 +102,13 @@ def _check_n_q(n: int, q: int, prime: bool = False, q_name: str = "q") -> None:
     _check_at_least(1, n=n)
     if not (is_prime(q) if prime else is_prime_power(q)):
         raise CliError(EXIT_VALIDATION, f"{q_name} must be a prime{'' if prime else ' power'}, got {q}")
+
+
+def _check_power(q: int, n: int) -> None:
+    """Refuse (exit 3) a q^n of more than cap bits, before it is formed."""
+    cap = _cap(None)
+    if n * q.bit_length() > cap:
+        raise CliError(EXIT_CAP, f"q^n = {q}^{n} has about {n * q.bit_length()} bits, above the cap {cap}")
 
 
 def _check_weil_degree(spec) -> None:
@@ -172,6 +178,7 @@ def cmd_ss(args) -> dict:
 
     fam = args.family.capitalize()
     _check_n_q(args.n, args.q, prime=fam == "Extraspecial")
+    _check_power(args.q, args.n)
     inputs = {"family": fam, "n": args.n, "q": args.q, "exhaustive": args.exhaustive}
     try:
         if fam in ("Linear", "Unitary"):
@@ -211,6 +218,7 @@ def cmd_spectrum(args) -> dict:
 
     fam = args.family.capitalize()
     _check_n_q(args.n, args.q)
+    _check_power(args.q, args.n)
     spec = _domain_call(WeilCharSpec, fam, args.n, args.q, args.index)
     _check_weil_degree(spec)
     n, q = args.n, args.q
@@ -239,9 +247,12 @@ def cmd_gates(args) -> dict:
     if sub == "landau":
         return _report("gates/landau", {"n": args.n}, {"landau": _domain_call(landau, args.n)})
     if sub == "ppd":
+        _check_power(args.p, args.k)
         return _report("gates/ppd", {"p": args.p, "k": args.k}, {"ppd": _domain_call(ppd, args.p, args.k)})
     if sub == "meo":
         fam = _parse_family(args.args)
+        if fam.q is not None:
+            _check_power(fam.q, fam.n)
         meo, meo_kind = _domain_call(meo_bound, fam)
         dim, dim_kind = _domain_call(min_dim, fam)
         return _report(
@@ -564,6 +575,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _domain_call(_cap, None)  # HYPERMONO_CAP, when set, is a positive integer
         report = args.func(args)
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True)
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise CliError(EXIT_CAP, f"the report cannot be printed: {exc}")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -573,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    _emit(report, args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 

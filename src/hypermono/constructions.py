@@ -18,6 +18,7 @@ from .algebra.unity import UnityClass, unity
 from .chargeom import (
     DescriptorError,
     HypDescriptor,
+    chars,
     i0_simple,
     parse_charset,
     wild_image_order,
@@ -48,16 +49,12 @@ def sawin(a: int, b: int, p: int, side: str) -> HypDescriptor:
         if c % p != 0:
             raise DescriptorError(f"side (i) needs p={p} to divide A+B={c}")
         c0 = p_prime_part(c, p)
-        up = [unity(k, a) for k in range(a)] + [unity(k, b) for k in range(1, b)]
-        down = [unity(k, c0) for k in range(1, c0)]
-        return HypDescriptor(p, up, down)
+        return HypDescriptor(p, chars(a) + chars(b)[1:], chars(c0)[1:])
     if side in ("quotient-at-A", "ii"):
         if a % p != 0:
             raise DescriptorError(f"side (ii) needs p={p} to divide A={a}")
         a0 = p_prime_part(a, p)
-        up = [unity(k, c) for k in range(1, c)]
-        down = [unity(k, a0) for k in range(a0)] + [unity(k, b) for k in range(1, b)]
-        return HypDescriptor(p, up, down)
+        return HypDescriptor(p, chars(c)[1:], chars(a0) + chars(b)[1:])
     raise DescriptorError(f"unknown side {side!r}")
 
 
@@ -124,7 +121,7 @@ def special_family(name: str, params: dict, p: int) -> HypDescriptor:
             raise DescriptorError(f"F_N needs N >= 1, got {n}")
         if n % p == 0:
             raise DescriptorError(f"F_N needs N={n} prime to p={p}")
-        return HypDescriptor(p, [unity(k, n) for k in range(1, n)])
+        return HypDescriptor(p, chars(n)[1:])
     if name == "G_D":
         d = int(params["D"])
         if d < 1:
@@ -137,7 +134,7 @@ def special_family(name: str, params: dict, p: int) -> HypDescriptor:
         if chi.is_trivial():
             raise DescriptorError("G_D needs a nontrivial chi")
         rho = unity(chi.num, chi.den * d)  # D * rho == chi
-        return HypDescriptor(p, [unity(kk, d) for kk in range(d)], [rho])
+        return HypDescriptor(p, chars(d), [rho])
     raise DescriptorError(f"unknown family {name!r}")
 
 

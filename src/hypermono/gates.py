@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra.cyc import Cyc, cyc_from_literal, json_int
-from .algebra.numth import factor, is_prime, least_prime_divisor, primes_upto
+from .algebra.numth import CapExceeded, _cap, factor, is_prime, least_prime_divisor, primes_upto
 from .chargeom import HypDescriptor
 
 
@@ -24,9 +24,14 @@ from .chargeom import HypDescriptor
 
 @lru_cache(maxsize=None)
 def landau(n: int) -> int:
-    """Largest lcm of a partition of n (largest element order in S_n)."""
+    """Largest lcm of a partition of n (largest element order in S_n), by a
+    table of n steps for each of at most n prime powers: CapExceeded when n^2
+    passes the cap."""
     if n < 0:
         raise ValueError("need n >= 0")
+    cap = _cap(None)
+    if n * n > cap:
+        raise CapExceeded(f"Landau's function of n = {n} needs n^2 table steps, above cap {cap}")
     best = [1] * (n + 1)
     for p in primes_upto(n):
         for j in range(n, 0, -1):

@@ -19,7 +19,6 @@ formed only for code that reads entries one at a time.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -27,32 +26,10 @@ from math import gcd, lcm
 
 from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
 from .algebra.fq import FqMatrix
+from .algebra.numth import CapExceeded, _cap
 from .algebra.unity import UnityClass
 
-DEFAULT_CAP = 2_000_000
-CONJUGACY_CAP = 100_000
 CYC_ORDER_CAP = 10_000  # a CycMatrix may have infinite order
-
-
-def _cap(cap: int | None) -> int:
-    """cap itself, else HYPERMONO_CAP when set, else DEFAULT_CAP; ValueError
-    unless the variable is a positive integer."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("HYPERMONO_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"HYPERMONO_CAP must be a positive integer, got {env!r}")
-    return value
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 def _powers(g, cap: int | None = None):
@@ -439,8 +416,6 @@ class MatGroup:
         sorted by position."""
         if self._classes is not None:
             return self._classes
-        if self.order > CONJUGACY_CAP:
-            raise CapExceeded(f"group order {self.order} above conjugacy cap {CONJUGACY_CAP}")
         perms = [self._conjugation_permutation(g) for g in self.generators]
         seen = bytearray(self.order)
         classes = []

@@ -21,17 +21,13 @@ from .algebra.fq import FqMatrix, field
 from .algebra.numth import is_prime, is_prime_power
 from .algebra.unity import unity
 from .gates import partitions
-from .repkit import CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
+from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
 from .weilgl import ExcludedCase, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
 DESK_CAP = 32
 
 
 class ModelError(RuntimeError):
-    pass
-
-
-class NormalizationError(ModelError):
     pass
 
 
@@ -386,14 +382,15 @@ class ProjectiveMatrix:
         return True
 
     # -- scalar data ------------------------------------------------------
-    def projective_order(self, cap: int = 2048) -> tuple[int, Cyc]:
+    def projective_order(self) -> tuple[int, Cyc]:
         """(k, c) with M^k = c * identity, k minimal."""
         if self._proj is None:
-            self._walk(cap)
+            self._walk()
         return self._proj
 
-    def _walk(self, cap: int) -> None:
-        """The one power walk M^0, M^1, ..., M^K = c * identity.
+    def _walk(self) -> None:
+        """The one power walk M^0, M^1, ..., M^K = c * identity, CapExceeded
+        past CYC_ORDER_CAP powers.
 
         It keeps (K, c), the traces tr(M^k) for k < K, and the simple-spectrum
         verdicts {sign: simple?}: sign 0 for the whole space and, when the
@@ -411,7 +408,7 @@ class ProjectiveMatrix:
         weight = Cyc.from_int(1)
         traces = []
         x = CycMatrix.identity(N)
-        for K in range(cap + 1):
+        for K in range(CYC_ORDER_CAP + 1):
             if K:
                 x = x * M if K > 1 else M
                 c = x.is_scalar()
@@ -426,7 +423,7 @@ class ProjectiveMatrix:
                 sums[-1] = sums[-1] + ((t - t_par) * half).abs2() * weight
             weight = weight * c2_inv
         else:
-            raise ModelError("projective order exceeds cap")
+            raise CapExceeded(f"the projective order of M passes cap {CYC_ORDER_CAP}")
         dims = {0: N}
         if halves:
             # dimension of a half: trace of the projector (1 +- P)/2
@@ -459,13 +456,13 @@ class ProjectiveMatrix:
         if not (a2.is_rational() and a2.rational() == 1):
             c2 = self.unitarity_scalar()
             if not c2.is_rational():
-                raise NormalizationError("unitarity scalar is irrational")
+                raise ModelError("unitarity scalar is irrational")
             delta = _magnitude_delta(self.model, c2.rational())
             s = delta.inverse()
             c = c / delta**k  # (M / delta)^k, from the stored walk
         u = c.as_root_of_unity()
         if u is None:
-            raise NormalizationError(f"projective scalar {c!r} is not a root of unity")
+            raise ModelError(f"projective scalar {c!r} is not a root of unity")
         # c = zeta_t^a has the k-th root lambda = zeta_(kt)^a; scale by 1/lambda
         return s * Cyc.root(unity(-u.num, k * u.den))
 
@@ -518,10 +515,7 @@ class ProjectiveMatrix:
         best = None
         for mono in self.model.monomials().values():
             cand = ProjectiveMatrix(self.mat * mono, self.model)
-            try:
-                kk, _ = cand.projective_order(cap=256)
-            except ModelError:
-                continue
+            kk, _ = cand.projective_order()
             if kk % 2 == 1 and (p == 2 or kk % p != 0):
                 if best is None or kk < best[0]:
                     best = (kk, cand)
@@ -541,7 +535,7 @@ def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
     """A cyclotomic delta with abs2(delta) == target: r * g^e with r rational
     and g a fixed element of known abs2 (a Gauss sum, or 1 + i at p = 2)."""
     if target <= 0:
-        raise NormalizationError("non-positive unitarity scalar")
+        raise ModelError("non-positive unitarity scalar")
     for g, gn in model.gauss_candidates():
         for e in (0, 1):
             rem = target / (gn**e)
@@ -549,7 +543,7 @@ def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
             if rn > 0 and isqrt(rn) ** 2 == rn and isqrt(rd) ** 2 == rd:
                 r = Fraction(isqrt(rn), isqrt(rd))
                 return Cyc.from_fraction(r) * (g**e)
-    raise NormalizationError(f"no cyclotomic magnitude with abs2 = {target}")
+    raise ModelError(f"no cyclotomic magnitude with abs2 = {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +557,7 @@ def sp_halves(model: HeisenbergModel, pm: ProjectiveMatrix) -> tuple[Cyc, Cyc]:
     holds it to (even - odd has abs2 1)."""
     c2 = pm.unitarity_scalar()
     if not c2.is_rational():
-        raise NormalizationError("unitarity scalar is irrational")
+        raise ModelError("unitarity scalar is irrational")
     delta = _magnitude_delta(model, c2.rational())
     M = pm.mat.scale(delta.inverse())
     P = model.parity_matrix()

@@ -7,10 +7,12 @@ import pytest
 from hypermono.algebra.cyc import Cyc, cyclotomic_poly, zeta
 from hypermono.algebra.fq import FqMatrix, companion_matrix, field, irreducibles, kernel_dim
 from hypermono.algebra.numth import (
+    CapExceeded,
     divisors,
     euler_phi,
     factor,
     is_prime,
+    least_prime_divisor,
     mult_order,
     p_part,
     p_prime_part,
@@ -161,6 +163,20 @@ class TestNumth:
         assert euler_phi(20) == 8
         assert divisors(28) == [1, 2, 4, 7, 14, 28]
 
+    def test_trial_division_stops_at_the_cap(self, monkeypatch):
+        """Under a cap of 10 the odd trial divisors are 3, 5, ..., 21, however
+        many calls factor makes: every n below 23^2 factors fully, so does n
+        with a cofactor below 23^2 once its primes up to 21 are out, and 23^2
+        is refused."""
+        monkeypatch.setenv("HYPERMONO_CAP", "10")
+        for n in range(2, 23 * 23):
+            assert least_prime_divisor(n) == min(factor(n))
+            assert is_prime(n) == (factor(n) == {n: 1})
+        assert factor(3 * 19 * 509) == {3: 1, 19: 1, 509: 1}
+        for call, n in ((is_prime, 23 * 23), (least_prime_divisor, 23 * 23), (factor, 3 * 19 * 23 * 509)):
+            with pytest.raises(CapExceeded, match="passes cap 10 odd divisors"):
+                call(n)
+
 
 class TestFq:
     def test_defining_poly_deterministic(self):
@@ -206,6 +222,13 @@ class TestFq:
         g = FqMatrix.from_rows(F3, [[1, 1], [0, 1]])
         assert g * g.inverse() == FqMatrix.identity(F3, 2)
         assert g.order() == 3
+
+    def test_order_of_a_singular_matrix_passes_the_cap(self, monkeypatch):
+        """A singular matrix never reaches the identity: its powers stop at the cap."""
+        monkeypatch.setenv("HYPERMONO_CAP", "50")
+        with pytest.raises(CapExceeded, match="pass cap 50"):
+            FqMatrix.from_rows(field(3), [[1, 0], [0, 0]]).order()
+        assert FqMatrix.from_rows(field(3), [[1, 1], [0, 1]]).order() == 3
 
     def test_companion_singer(self):
         F2 = field(2)

@@ -300,6 +300,62 @@ def test_unitary_oracle_past_the_closure():
     assert result["details"]["order"] == 52254720 and "excluded" in result["details"]
 
 
+P = "1000000000000000003"  # a prime past (2 cap)^2, which trial division cannot certify
+
+
+class TestEveryLoopIsCapped:
+    """An input whose loop would run past the cap exits 3 with one stderr line
+    in a child process: trial division, Landau's table, Char(N), q^n in the
+    formula commands, and a report integer too long to print."""
+
+    REFUSED = [
+        ["ss", "linear", "3", P],
+        ["ss", "symplectic", "2", P],
+        ["ss", "extraspecial", "5", P],
+        ["spectrum", "linear", "3", P],
+        ["gates", "meo", "Linear", "3", P],
+        ["gates", "ppd", P, "2"],
+        ["construct", "sawin", "11", "1", P],
+        ["analyze", "prime_past_cap.json"],
+        ["gates", "ppd", "3", "401"],
+        ["gates", "ppd", "2", "5000"],
+        ["gates", "landau", "100000000"],
+        ["gates", "meo", "Alternating", "100000000"],
+        ["construct", "special", "F_N", "3", "--N", "100000001"],
+        ["construct", "alt2", "100000001", "2"],
+        ["ss", "linear", "1000000000", "3"],
+        ["spectrum", "linear", "1000000000", "3"],
+        ["ss", "symplectic", "1000000000", "3"],
+        ["gates", "meo", "Linear", "1000000000", "3"],
+        ["ss", "linear", "10000", "3"],  # q^n forms, but has more digits than json.dumps prints
+        ["gates", "meo", "Linear", "10000", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: "_".join(argv).replace("-", ""))
+    def test_refused_with_one_line(self, argv):
+        code, out, err = run_cli_process([str(DATA / a) if a.endswith(".json") else a for a in argv])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+    def test_answers_within_the_cap(self):
+        """ppd(2, 200) = 401 needs trial divisors up to 2,787,601, under 2 cap;
+        charsheaf never forms q^n."""
+        code, out, _ = run_cli_process(["gates", "ppd", "2", "200"])
+        assert code == 0 and json.loads(out)["result"] == {"ppd": 401}
+        for name, argv in (("gates_landau_12", ["gates", "landau", "12"]), ("gates_ppd_2_6", ["gates", "ppd", "2", "6"])):
+            assert run_cli_process(argv) == (0, (GOLDEN / f"{name}.json").read_text(), "")
+        assert run_cli_process(["gates", "charsheaf", "12", "Linear", "1000000000", "3"])[0] == 0
+
+
+def test_symplectic_oracle_report():
+    """``ss symplectic 2 5 --exhaustive`` reports the Sp_4(5) oracle itself."""
+    from hypermono.stonevn import ss_sp_oracle
+
+    code, out = run_cli(["ss", "symplectic", "2", "5", "--exhaustive"])
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(json.dumps(ss_sp_oracle(2, 5)))
+
+
 class TestM4Input:
     """`m4` reports the generators it parsed, not where they came from."""
 

@@ -26,13 +26,21 @@ from hypermono.algebra.cyc import zeta
 from hypermono.cli import main
 
 CAP = "2000"
+# past the cap: a prime above 2 cap, two primes whose trial division passes
+# it, and an exponent whose q^n has more bits than the cap
+PAST_CAP = [4099, 10**9 + 7, 10**18 + 3, 10**4]
+
+
+def with_past_cap(values):
+    """values, or now and then one of PAST_CAP."""
+    return st.one_of(values, st.sampled_from(PAST_CAP))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     family=st.sampled_from(["linear", "unitary", "symplectic", "extraspecial"]),
-    n=st.integers(-1, 4),
-    q=st.integers(-1, 9),
+    n=with_past_cap(st.integers(-1, 4)),
+    q=with_past_cap(st.integers(-1, 9)),
     exhaustive=st.booleans(),
 )
 @example(family="symplectic", n=2, q=7, exhaustive=True)  # model dimension above the desk cap
@@ -45,8 +53,8 @@ def test_ss_reports_or_refuses(family, n, q, exhaustive):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     family=st.sampled_from(["linear", "unitary"]),
-    n=st.integers(-1, 4),
-    q=st.integers(-1, 9),
+    n=with_past_cap(st.integers(-1, 4)),
+    q=with_past_cap(st.integers(-1, 9)),
     index=st.integers(-1, 10),
 )
 @example(family="linear", n=4, q=7, index=1)  # torus order 2400: its square passes the cap
@@ -55,7 +63,7 @@ def test_spectrum_reports_or_refuses(family, n, q, index):
     check_report_or_refusal(["spectrum", family, str(n), str(q), "--index", str(index)])
 
 
-small = st.integers(-1, 12).map(str)
+small = with_past_cap(st.integers(-1, 12)).map(str)
 
 
 @st.composite
@@ -88,8 +96,8 @@ def family_gate_argvs(draw):
     argument.  Lie tags are drawn twice as often, since only they and the
     sporadic names carry meo data."""
     tag = draw(st.sampled_from(LIE_TAGS * 2 + OTHER_TAGS))
-    n = str(draw(st.integers(-1, 5)))
-    q = str(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 6, 1, 0, -1])))
+    n = str(draw(with_past_cap(st.integers(-1, 5))))
+    q = str(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 6, 1, 0, -1] + PAST_CAP)))
     if tag == "Sporadic":
         family = [tag, draw(st.sampled_from(["M", "J1", "Fi24'", "M11", "Co1", "PSL3(4)", "G2(3)", "Monster"]))]
     elif tag == "Alternating":
@@ -120,11 +128,14 @@ def test_family_gates_report_or_refuse(argv):
 
 @st.composite
 def construct_argvs(draw):
-    """argv for the sawin and alt2 descriptor factories."""
-    if draw(st.booleans()):
+    """argv for the sawin, alt2 and F_N descriptor factories."""
+    kind = draw(st.sampled_from(["sawin", "alt2", "F_N"]))
+    if kind == "sawin":
         argv = ["construct", "sawin", draw(small), draw(small), draw(small)]
         side = draw(st.sampled_from([None, "quotient-at-C", "quotient-at-A", "i", "ii"]))
         return argv + ([] if side is None else ["--side", side])
+    if kind == "F_N":
+        return ["construct", "special", "F_N", draw(small), "--N", draw(small)]
     argv = ["construct", "alt2", draw(small), draw(small)]
     return argv + ([] if draw(st.booleans()) else ["--k", draw(small)])
 

@@ -55,7 +55,7 @@ def test_the_guard_sees_relative_imports():
         for module, target, _ in _imports_from(path)
         if target == CYC
     }
-    assert {"hypermono.stonevn", "hypermono.weilgl", "hypermono.repkit", "hypermono.algebra"} <= seen
+    assert {"hypermono.stonevn", "hypermono.weilgl", "hypermono.repkit"} <= seen
 
 
 # public names with no caller outside the tests: each is the reference a test

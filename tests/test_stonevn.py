@@ -429,10 +429,10 @@ class TestSharedWalk:
         walks = 0
         walk = ProjectiveMatrix._walk
 
-        def counting_walk(self, cap):
+        def counting_walk(self):
             nonlocal walks
             walks += 1
-            return walk(self, cap)
+            return walk(self)
 
         monkeypatch.setattr(ProjectiveMatrix, "_walk", counting_walk)
         want = Spectrum.from_multiset(

@@ -114,6 +114,18 @@ class TestGroups:
         for g in symplectic_group(1, 3).elements:
             assert is_symplectic(g)
 
+    def test_unitary_order_checked_before_closure(self, monkeypatch):
+        """GU_3(3) has order 24,192: under a cap of 1000 it is refused from the
+        order formula, and closure is never called (past the group cache)."""
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("closure called past the cap")
+
+        monkeypatch.setattr(weilgl, "closure", no_closure)
+        monkeypatch.setenv("HYPERMONO_CAP", "1000")
+        with pytest.raises(repkit.CapExceeded, match="GU_3\\(3\\) has order 24192, above cap 1000"):
+            unitary_group.__wrapped__(3, 3)
+
 
 class TestFixedGenerators:
     """Each constructor closes over a short fixed list of structured elements,
