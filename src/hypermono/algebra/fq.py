@@ -207,6 +207,28 @@ class FqMatrix:
     def __hash__(self):
         return hash(self.data)
 
+    def right_multiplier(self):
+        """The map y -> y * self, row by row: row i of y * self is self^T
+        applied to row i of y, formed with ``mat_vec`` the first time the map
+        meets that row and looked up after.  The memo lives as long as the
+        map and holds at most one image per distinct row, q^n at most."""
+        F, n = self.F, self.n
+        q, mul, add, mat_vec = F.q, F.mul, F.add, _kernel.mat_vec
+        st, memo = self.transpose().data, {}
+        starts = range(0, n * n, n)
+
+        def times(y: FqMatrix) -> FqMatrix:
+            d, out = y.data, []
+            for i in starts:
+                row = d[i : i + n]
+                image = memo.get(row)
+                if image is None:
+                    image = memo[row] = mat_vec(st, row, n, q, mul, add)
+                out += image
+            return FqMatrix(F, n, out)
+
+        return times
+
     def digits(self) -> bytes:
         """The base-p digits of the entries, row-major, f per entry and the
         lowest first: bytes(data) when f = 1.  Equal keys mean equal matrices

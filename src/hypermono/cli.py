@@ -64,11 +64,14 @@ def _report(command: str, inputs, result) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot write {out_path}: {exc}")
 
 
 def _load_json(path: str):
@@ -579,6 +582,7 @@ def main(argv: list[str] | None = None) -> int:
             text = json.dumps(report, indent=2, sort_keys=True)
         except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
             raise CliError(EXIT_CAP, f"the report cannot be printed: {exc}")
+        _emit(text, args.out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -588,7 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Generic finite matrix-group engine.
 
 Closure from generators with a hard cap by Dimino's coset enumeration, which
-keeps only the irredundant generators; element orders; conjugacy classes as
+keeps only the irredundant generators and, over F_q, forms each coset as an
+earlier coset times a kept generator, one memoised row image at a time,
+with no full matrix product; element orders; conjugacy classes as
 the orbits of those kept generators' conjugation permutations on the element
 positions, over F_q read off a table of the generator's F_p-linear map on
 FqMatrix digit keys with no product per element (other elements take two
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
@@ -443,9 +445,14 @@ class MatGroup:
         conj = g.conjugation(ginv) if isinstance(g, FqMatrix) else None
         if conj is None:
             return self._product_permutation(g, ginv)
-        keys = [x.digits() for x in self.elements]
-        position = dict(zip(keys, range(self.order)))
-        return [position[y] for y in map(conj, keys)]
+        position = self._digit_positions  # its keys run in position order
+        return [position[y] for y in map(conj, position)]
+
+    @cached_property
+    def _digit_positions(self) -> dict[bytes, int]:
+        """Each FqMatrix element's digit key -> its position: formed once per
+        group, whatever number of kept generators reads it."""
+        return {x.digits(): i for i, x in enumerate(self.elements)}
 
     def _product_permutation(self, g, ginv) -> list[int]:
         """pi with elements[pi[i]] = g * elements[i] * ginv, two products per element."""
@@ -469,6 +476,14 @@ def closure(generators, cap: int | None = None) -> MatGroup:
     group keeps.  CapExceeded is raised exactly when the order exceeds cap,
     before the coset that would pass it is formed.
 
+    Each coset is a block of |H| positions that starts at its rep, so the
+    block of r holds elements[i] * r.  Over F_q the coset of t = r*s is
+    formed as the block of r times s, the same matrices elements[i] * t at
+    the same positions, through s's ``FqMatrix.right_multiplier``: one
+    matrix-vector product per distinct row, looked up after, for the whole
+    call.  Cyc and monomial elements are formed as elements[i] * t, one
+    product each.
+
     Cyc generators that each have exactly one root-of-unity entry per row
     and column are taken as MonomialMatrix over one exponent modulus, and
     the group's elements are then MonomialMatrix; any other Cyc list stays
@@ -489,18 +504,20 @@ def closure(generators, cap: int | None = None) -> MatGroup:
     for g in generators:
         if g.rank() != g.n:
             raise ValueError("singular generator")
+    blocks = isinstance(identity, FqMatrix)
     elements = [identity]
     index = {identity: 0}  # element -> its position in elements
-    kept = []
+    kept, times = [], []  # the kept generators s and the maps y -> y * s
     for g in generators:
         if g in index:
             continue
         kept.append(g)
+        times.append(g.right_multiplier() if blocks else lambda y, s=g: y * s)
         size = len(elements)  # |H|; elements[:size] is H, with the identity first
-        reps = [identity]
+        reps = [0]  # the coset reps' positions; the block of size elements there is H * rep
         for r in reps:  # grows by one rep per new coset
-            for s in kept:
-                t = r * s
+            for times_s in times:
+                t = times_s(elements[r])
                 if t in index:
                     continue
                 if len(elements) + size > cap:
@@ -508,13 +525,17 @@ def closure(generators, cap: int | None = None) -> MatGroup:
                         f"closure exceeded cap {cap}: {len(elements)} elements reached, "
                         f"{len(kept)} of {len(generators)} generators kept"
                     )
-                index[t] = len(elements)
+                start = len(elements)
+                if blocks:  # H * r * s, row by row through the memo of s
+                    coset = map(times_s, elements[r + 1 : r + size])
+                else:
+                    coset = [elements[i] * t for i in range(1, size)]
+                index[t] = start
                 elements.append(t)
-                for i in range(1, size):
-                    x = elements[i] * t
+                for x in coset:
                     index[x] = len(elements)
                     elements.append(x)
-                reps.append(t)
+                reps.append(start)
     return MatGroup(kept, elements, identity, index)
 
 

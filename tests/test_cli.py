@@ -152,6 +152,12 @@ class TestExitCodes:
         code = main(["analyze", str(DATA / "no_such_file.json")])
         assert code == 1
 
+    def test_unwritable_out_is_1(self, capsys, tmp_path):
+        assert main(["--out", str(tmp_path / "no_such_dir" / "x.json"), "gates", "landau", "5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: cannot write ")
+
     def test_cap_exceeded_is_3(self):
         code = main(["m4", str(DATA / "monomial_q3.json"), "--cap", "10"])
         assert code == 3

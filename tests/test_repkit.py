@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermono import weilgl
+from hypermono.algebra import _fqcore_py
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import UnityClass, unity
@@ -127,6 +128,57 @@ def bfs_closure(gens, identity):
     return seen
 
 
+def dimino_reference(gens):
+    """Reference: Dimino's coset enumeration with one full product per
+    element, each coset H*t formed as elements[i] * t.  Returns the
+    elements, the position index and the kept generators."""
+    identity = gens[0] ** 0
+    elements, index, kept = [identity], {identity: 0}, []
+    for g in gens:
+        if g in index:
+            continue
+        kept.append(g)
+        size, reps = len(elements), [identity]
+        for r in reps:
+            for s in kept:
+                t = r * s
+                if t not in index:
+                    for x in [elements[i] * t for i in range(size)]:
+                        index[x] = len(elements)
+                        elements.append(x)
+                    reps.append(t)
+    return elements, index, kept
+
+
+def check_against_reference(gens):
+    """closure lists the reference's elements, in its order, at its
+    positions, and keeps its generators."""
+    G = closure(gens)
+    elements, index, kept = dimino_reference(gens)
+    assert G.elements == elements
+    assert G.index == index
+    assert G.generators == kept
+
+
+def builder_generators(monkeypatch, build, *args):
+    """The generator list a weilgl group builder hands to closure."""
+    seen = []
+    monkeypatch.setattr(weilgl, "closure", lambda gens: seen.append(list(gens)) or closure(gens))
+    build.__wrapped__(*args)
+    return seen[0]
+
+
+def affine_generators(F):
+    """x -> wx, x -> x + 1 and x -> wx + 1 on F_q as 2 x 2 matrices (the
+    third lies in the group of the first two): q(q - 1) elements."""
+    return [FqMatrix.from_rows(F, rows) for rows in ([[F.gen, 0], [0, 1]], [[1, 0], [1, 1]], [[F.gen, 0], [1, 1]])]
+
+
+@st.composite
+def fq_matrices(draw, F, n):
+    return FqMatrix(F, n, draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n)))
+
+
 @st.composite
 def fq_generator_lists(draw):
     """1-4 invertible matrices, each drawn as P * L * U (every one arises)."""
@@ -203,11 +255,60 @@ class TestDimino:
     def test_monomial_matches_bfs(self, case):
         check_closure(*case)
 
+    @PROPS
+    @given(fq_generator_lists())
+    def test_fq_matches_the_reference(self, case):
+        check_against_reference(case[0])
+
+    @pytest.mark.parametrize("p, f", [(2, 2), (3, 2), (131, 1), (257, 1)], ids=["F4", "F9", "F131", "F257"])
+    def test_fields_match_the_reference(self, monkeypatch, p, f):
+        F = field(p, f)
+        check_against_reference(affine_generators(F))
+        if F.q < 10:
+            check_against_reference(builder_generators(monkeypatch, weilgl.general_linear_group, 2, F.q))
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (weilgl.general_linear_group, (3, 3)),
+            (weilgl.unitary_group, (3, 2)),
+            (weilgl.symplectic_group, (2, 2)),
+            (weilgl.symplectic_group, (1, 5)),
+        ],
+        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sp_2_5"],
+    )
+    def test_groups_match_the_reference(self, monkeypatch, build, args):
+        check_against_reference(builder_generators(monkeypatch, build, *args))
+
+    @PROPS
+    @given(st.data())
+    def test_right_multiplier(self, data):
+        """y -> y * s, the same map on first meeting a row and on looking it up."""
+        F = field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (131, 1)])))
+        n = data.draw(st.sampled_from((1, 2, 3)))
+        s = data.draw(fq_matrices(F, n))
+        ys = data.draw(st.lists(fq_matrices(F, n), min_size=1, max_size=8))
+        times = s.right_multiplier()
+        for y in ys + ys:
+            assert times(y) == y * s
+
     def test_gl33_forms_each_element_about_once(self, monkeypatch):
-        calls = count_fq_products(monkeypatch)
+        rows = [0]
+        mat_vec = _fqcore_py.mat_vec
+
+        def counted(*args):
+            rows[0] += 1
+            return mat_vec(*args)
+
+        monkeypatch.setattr(_fqcore_py, "mat_vec", counted)
+        products = count_fq_products(monkeypatch)
         G = weilgl.general_linear_group.__wrapped__(3, 3)  # uncached: the closure runs here
-        assert G.order == 11232
-        assert calls[0] <= 2 * G.order  # breadth-first closure made 7 * |G|
+        assert G.order == 11232 and len(G.generators) == 2
+        # each element is read off memoised row images: one row product per
+        # distinct row per kept generator, q^n = 27 at most, and no full product
+        # (the coset products elements[i] * t made 12,097)
+        assert rows[0] <= 27 * len(G.generators)
+        assert products[0] == 0
 
     def test_gu32_classes_search_kept_generators(self, monkeypatch):
         G = weilgl.unitary_group.__wrapped__(3, 2)
