@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .numth import euler_phi, factor
+from .numth import _power, euler_phi, factor
 from .unity import UnityClass
 
 
@@ -167,33 +167,33 @@ def _subfield_trace(x: "Cyc", p: int) -> "Cyc":
 class Cyc:
     __slots__ = ("m", "num", "den", "_key")
 
-    def __init__(self, m: int, num: tuple[int, ...], den: int = 1, _normalized=False):
+    def __init__(self, m: int, num: tuple[int, ...], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("Cyc denominator is zero")
-        if not _normalized:
-            if den < 0:
-                den, num = -den, tuple(-c for c in num)
-            if den != 1:  # at den = 1 the gcd is 1 whatever the coefficients
-                g = gcd(den, *num)
-                if g > 1:
-                    den //= g
-                    num = tuple(c // g for c in num)
-            if not any(num):
-                m, num, den = 1, (0,), 1
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyc is immutable")
+        if den < 0:
+            den, num = -den, tuple(-c for c in num)
+        if den != 1:  # at den = 1 the gcd is 1 whatever the coefficients
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = tuple(c // g for c in num)
+        if not any(num):
+            m, num, den = 1, (0,), 1
+        self.m, self.num, self.den, self._key = m, num, den, None
 
     # -- constructors ------------------------------------------------
+    @classmethod
+    def _make(cls, m: int, num: tuple[int, ...], den: int) -> "Cyc":
+        """Unchecked constructor for a value already in the normal form __init__ gives."""
+        x = object.__new__(cls)
+        x.m, x.num, x.den, x._key = m, num, den, None
+        return x
+
     @classmethod
     def from_int(cls, n: int) -> "Cyc":
         if n == 0:
             return ZERO
-        return cls(1, (n,), 1, _normalized=True)
+        return cls._make(1, (n,), 1)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "Cyc":
@@ -252,7 +252,7 @@ class Cyc:
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.m, tuple(-c for c in self.num), self.den, _normalized=True)
+        return Cyc._make(self.m, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "Cyc":
         other = _coerce(other)
@@ -275,16 +275,7 @@ class Cyc:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Cyc":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self.inverse() if k < 0 else self, abs(k), ONE)
 
     def conj(self) -> "Cyc":
         ctx = _ctx(self.m)
@@ -342,8 +333,7 @@ class Cyc:
         key = self._key
         if key is None:
             c = self.minimize()
-            key = (c.m, c.num, c.den)
-            object.__setattr__(self, "_key", key)
+            key = self._key = (c.m, c.num, c.den)
         return key
 
     def minimize(self) -> "Cyc":
@@ -443,8 +433,8 @@ def rref(rows: list[list], ncols: int) -> list[int]:
     return pivots
 
 
-ZERO = Cyc(1, (0,), 1, _normalized=True)
-ONE = Cyc(1, (1,), 1, _normalized=True)
+ZERO = Cyc._make(1, (0,), 1)
+ONE = Cyc._make(1, (1,), 1)
 
 
 def zeta(m: int) -> Cyc:

@@ -17,7 +17,7 @@ import operator
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
-from .numth import CapExceeded, _cap, is_prime
+from .numth import _power, _powers, is_prime
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -308,27 +308,12 @@ class FqMatrix:
         return FqMatrix(F, n, tuple(m[i][n + j] for i in range(n) for j in range(n)))
 
     def __pow__(self, e: int) -> "FqMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = FqMatrix.identity(self.F, self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self.inverse() if e < 0 else self, abs(e), FqMatrix.identity(self.F, self.n))
 
     def order(self) -> int:
         """The least k >= 1 with self^k = 1; CapExceeded past the cap (a
         singular matrix never reaches the identity)."""
-        ident, cap = FqMatrix.identity(self.F, self.n), _cap(None)
-        x = self
-        for k in range(1, cap + 1):
-            if x == ident:
-                return k
-            x = x * self
-        raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
+        return sum(1 for _ in _powers(self))
 
     def apply(self, v):
         F = self.F

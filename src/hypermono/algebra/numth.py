@@ -1,4 +1,4 @@
-"""Small integer number theory at trial-division scale, and the one cap.
+"""Small integer number theory at trial-division scale, the one cap, the one power and walk.
 
 Every loop whose length comes from the input is bounded by one cap:
 HYPERMONO_CAP when set, else DEFAULT_CAP (``_cap``); past it the loop raises
@@ -6,6 +6,8 @@ CapExceeded.  ``least_prime_divisor`` is the only trial division: its odd
 divisors stop at 2 cap + 1, so every number below (2 cap + 3)^2 still factors
 fully, and ``is_prime``, ``factor`` and everything built on them
 (``is_prime_power``, ``divisors``, ``euler_phi``) share that bound.
+``_power`` (square-and-multiply) is every ``**`` of the matrix types and Cyc,
+and ``_powers`` (the capped walk g^0, g^1, ...) every ``.order()`` and spectrum.
 """
 
 from __future__ import annotations
@@ -36,6 +38,31 @@ def _cap(cap: int | None) -> int:
 
 class CapExceeded(RuntimeError):
     pass
+
+
+def _power(x, e: int, one):
+    """x ** e for e >= 0 by square-and-multiply from the identity one."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
+
+
+def _powers(g, cap: int | None = None):
+    """g^0, g^1, ..., g^(K-1) for the order K of g, one product per step;
+    CapExceeded once cap powers (default as in ``_cap``) pass without
+    reaching the identity."""
+    cap = _cap(cap)
+    ident = x = g**0
+    for _ in range(cap):
+        yield x
+        x = x * g
+        if x == ident:
+            return
+    raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
 
 
 def is_prime(n: int) -> bool:

@@ -18,11 +18,7 @@ class UnityClass:
             raise ValueError("denominator must be a positive integer")
         num %= den
         g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("UnityClass is immutable")
+        self.num, self.den = num // g, den // g
 
     @property
     def order(self) -> int:
@@ -82,5 +78,3 @@ def unity(a: int, n: int) -> UnityClass:
     """The class a/n mod 1 (reduced)."""
     return UnityClass(a, n)
 
-
-ZERO = UnityClass(0, 1)

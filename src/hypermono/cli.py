@@ -226,7 +226,7 @@ def cmd_spectrum(args) -> dict:
     _check_weil_degree(spec)
     n, q = args.n, args.q
     torus_order = q**n - 1 if fam == LINEAR else q**n - (-1) ** n
-    # K^2 bounds the q^n or q^(2n) monics the torus search sieves; the
+    # K^2 bounds the at most q^(n+1) monics the torus search visits; the
     # inversion itself is K root sums of length lcm(K, trace conductors)
     cap = _cap(None)
     if torus_order * torus_order > cap:

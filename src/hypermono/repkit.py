@@ -28,25 +28,10 @@ from math import gcd, lcm
 
 from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
 from .algebra.fq import FqMatrix
-from .algebra.numth import CapExceeded, _cap
+from .algebra.numth import CapExceeded, _cap, _power, _powers
 from .algebra.unity import UnityClass
 
 CYC_ORDER_CAP = 10_000  # a CycMatrix may have infinite order
-
-
-def _powers(g, cap: int | None = None):
-    """g^0, g^1, ..., g^(K-1) for the order K of g, one product per step.
-
-    CapExceeded once cap powers pass without reaching the identity (cap
-    defaults as in ``_cap``).  The one walk behind every order and spectrum."""
-    cap = _cap(cap)
-    ident = x = g**0
-    for _ in range(cap):
-        yield x
-        x = x * g
-        if x == ident:
-            return
-    raise CapExceeded(f"the powers of g pass cap {cap} before reaching the identity")
 
 
 class CycMatrix:
@@ -216,14 +201,7 @@ class CycMatrix:
     def __pow__(self, e: int) -> "CycMatrix":
         if e < 0:
             raise ValueError("negative powers unsupported for CycMatrix (use order)")
-        out = CycMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, CycMatrix.identity(self.n))
 
     def rank(self) -> int:
         """Rank by Gauss-Jordan over the cyclotomic field."""
@@ -335,13 +313,7 @@ class MonomialMatrix:
     def __pow__(self, k: int) -> "MonomialMatrix":
         if k < 0:
             raise ValueError("negative powers unsupported for MonomialMatrix (use order)")
-        out, base = MonomialMatrix.identity(self.n, self.e), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, MonomialMatrix.identity(self.n, self.e))
 
     def __eq__(self, other):
         if isinstance(other, MonomialMatrix):

@@ -17,6 +17,7 @@ matrix groups I, Cayley Bulletin 3, 1987).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,7 @@ from .algebra.fq import (
     nullspace,
     poly_mul_fq,
 )
-from .algebra.numth import is_prime_power
+from .algebra.numth import is_prime_power, mult_order
 from .algebra.unity import unity
 from .repkit import CapExceeded, MatGroup, Spectrum, _cap, _powers, closure
 
@@ -130,7 +131,9 @@ def unitary_group(n: int, q: int) -> MatGroup:
     """GU_n(q) for the anti-diagonal form J, closed over [x, z y, z J, y, J y]
     (after Steinberg 1962 and Taylor 1987): x the torus element of order
     q^n + 1 (n odd) or q^n - 1 (n even), y = I + c E_1n with c + c^q = 0, and
-    z = diag(w, 1, ..., 1, w^-q), w the generator of F_(q^2)."""
+    z = diag(w, 1, ..., 1, w^-q), w the generator of F_(q^2).  The list needs
+    _form_torus's conjugate of x (18 of the 72 in GU_3(2) close to 162
+    elements), which TestTori.PINNED holds fixed."""
     p, f = _prime_power(q)
     order, cap = _gu_order(n, q), _cap(None)
     if order > cap:
@@ -345,8 +348,8 @@ def _x_walk(F: FieldSpec, f) -> tuple[int, dict[int, int]]:
 
 
 def _companions(F: FieldSpec, polys, order: int):
-    """The companion matrices of order ``order`` of the irreducibles polys:
-    those f with ord(x mod f) = order (_x_walk)."""
+    """The companion matrices of order ``order`` of the monics polys: those
+    f with ord(x mod f) = order (_x_walk)."""
     for poly in polys:
         if _x_walk(F, poly)[0] == order:
             yield companion_matrix(F, poly)
@@ -362,7 +365,7 @@ def _dual(F: FieldSpec, f, conj=None) -> tuple[int, ...]:
 
 def gl_singer(n: int, q: int) -> FqMatrix:
     """Companion matrix of order q^n - 1 acting irreducibly (Singer cycle)."""
-    F = field(*is_prime_power(q))
+    F = field(*_prime_power(q))
     return next(_companions(F, irreducibles(F, n), q**n - 1))
 
 
@@ -453,21 +456,29 @@ def _form_torus(F: FieldSpec, deg: int, order: int, conj=None) -> FqMatrix:
     or of Sp_deg (without) for the standard form: the first irreducible
     companion of that order with a nondegenerate invariant form, carried to
     the standard form by _standardize.  Only a self-dual f (f = _dual(f))
-    can carry such a form, so the order is tested on those alone."""
-    self_dual = (f for f in irreducibles(F, deg) if _dual(F, f, conj) == f)
-    for C in _companions(F, self_dual, order):
-        for G in _invariant_forms(C, conj):
-            if G.rank() == deg:
-                S = _standardize(G, conj)
-                return S.inverse() * C * S
-    group = f"GU_{deg}({F.p ** (F.f // 2)})" if conj is not None else f"Sp_{deg}({F.q})"
+    can carry such a form; they are listed in irreducibles' order, each
+    fixed by f_0 and its lower half, f_(deg-i) = f_0 bar(f_i).  With
+    gcd(order, |F|) = 1 and ord_order(|F|) = deg, an f of that order is
+    irreducible for the orders q^n + 1 asked for here: its factor degrees
+    divide deg with lcm deg, which proper divisors reach only when n has two
+    distinct odd primes."""
+    q, bar = F.q, conj if conj is not None else range(F.q)
+    if gcd(order, q) == 1 and mult_order(q, order) == deg:
+        halves = itertools.product(range(1, q), *[range(q)] * (deg // 2))  # f_0, f_1, ..., f_(deg // 2)
+        monics = (h + tuple(F.mul[h[0] * q + bar[c]] for c in h[(deg - 1) // 2 : 0 : -1]) + (1,) for h in halves)
+        for C in _companions(F, (f for f in monics if _dual(F, f, conj) == f), order):
+            for G in _invariant_forms(C, conj):
+                if G.rank() == deg:
+                    S = _standardize(G, conj)
+                    return S.inverse() * C * S
+    group = f"GU_{deg}({F.p ** (F.f // 2)})" if conj is not None else f"Sp_{deg}({q})"
     raise ExcludedCase(f"no {group} torus element of order {order} found")
 
 
 def _gu_split_torus(n: int, q: int) -> FqMatrix:
     """The order q^n - 1 torus of GU_n(q), n even: diag(A, conj(J A^-T J))
     with A a Singer block on a maximal totally isotropic half."""
-    p, f = is_prime_power(q)
+    p, f = _prime_power(q)
     F2 = field(p, 2 * f)
     k = n // 2
     A = gl_singer(k, q * q) if k > 1 else FqMatrix(F2, 1, (F2.gen,))
@@ -482,7 +493,7 @@ def _gu_split_torus(n: int, q: int) -> FqMatrix:
 def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
     """An element of GU_n(q) (anti-diagonal form) of the given order, built
     from an irreducible companion block and a Witt-basis change of basis."""
-    p, f = is_prime_power(q)
+    p, f = _prime_power(q)
     if n % 2 == 0 and order == q**n - 1:
         return _gu_split_torus(n, q)
     F2 = field(p, 2 * f)
@@ -495,7 +506,7 @@ def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
     """Block-diagonal unitary torus element; blocks = [(n_i, order_i)]: a
     generator of the T_a,b block tori that ss_enumerate lists, as TestTori
     builds them."""
-    p, f = is_prime_power(q)
+    p, f = _prime_power(q)
     F2 = field(p, 2 * f)
     mats = [gu_torus_element(b, q, o) if b > 1 else _gu1_element(q, o) for b, o in blocks]
     # assemble wrt the orthogonal sum of anti-diagonal forms, then standardize
@@ -508,7 +519,7 @@ def gu_block_torus(q: int, blocks: list[tuple[int, int]]) -> FqMatrix:
 
 
 def _gu1_element(q: int, order: int) -> FqMatrix:
-    p, f = is_prime_power(q)
+    p, f = _prime_power(q)
     F2 = field(p, 2 * f)
     if (q + 1) % order != 0:
         raise ExcludedCase(f"GU_1({q}) has no element of order {order}")
@@ -518,7 +529,7 @@ def _gu1_element(q: int, order: int) -> FqMatrix:
 
 def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
     """Generator of the cyclic torus of order q^n - eps in Sp_2n(q), eps=+-1."""
-    F = field(*is_prime_power(q))
+    F = field(*_prime_power(q))
     if eps == 1:
         A = gl_singer(n, q)
         g = _block_diagonal(F, [A, A.inverse().transpose()])

@@ -1,11 +1,14 @@
-"""Property tests for the exact linear algebra and the field tables.
+"""Property tests for the exact linear algebra, the field tables, and the
+powers and orders of group elements.
 
 Hypothesis runs derandomized with bounded example counts, so every run checks
 the same cases and the file stays within a few seconds.
 """
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -16,6 +19,7 @@ from hypermono.algebra.cyc import Cyc
 from hypermono.algebra.fq import FqMatrix, _defining_poly, _poly_mul_mod, field, irreducibles, nullspace
 from hypermono.algebra.numth import divisors, euler_phi, factor, is_prime_power
 from hypermono.algebra.unity import UnityClass
+from hypermono.repkit import CycMatrix, MonomialMatrix
 
 PROPS = settings(
     derandomize=True,
@@ -223,3 +227,71 @@ class TestRootSums:
         assert got == want and hash(got) == hash(want)
         if not want.is_zero():
             assert (got.m, got.num, got.den) == (m, want.lift(m).num, want.den)
+
+
+@st.composite
+def monomials(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    e = draw(st.integers(1, 6))
+    exps = draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))
+    return MonomialMatrix(draw(st.permutations(range(n))), exps, e)
+
+
+@st.composite
+def cyc_matrices(draw):
+    """U M U^-1 for a monomial M of size >= 2 and U = I + a E_12: finite
+    order, and not monomial once a != 0."""
+    m = draw(monomials().filter(lambda m: m.n > 1)).to_cyc()
+    a, n = draw(st.integers(-2, 2)), m.n
+
+    def unitriangular(b):  # I + b E_12
+        return CycMatrix(n, [int(i == j) + b * ((i, j) == (0, 1)) for i in range(n) for j in range(n)])
+
+    return unitriangular(a) * m * unitriangular(-a)
+
+
+class TestPowers:
+    """Every ``**`` is one square-and-multiply and every ``.order()`` one
+    capped walk: x ** e is the e-fold product, a negative power of an
+    FqMatrix or Cyc is that power of the inverse, and the order is the least
+    e >= 1 with x ** e == x ** 0."""
+
+    @staticmethod
+    def check(x, one, top):
+        """x ** e against the e-fold product for 0 <= e <= top; the powers."""
+        powers = [x**e for e in range(top + 1)]
+        assert powers == [reduce(operator.mul, [x] * e, one) for e in range(top + 1)]
+        return powers
+
+    def check_order(self, x, one):
+        order = x.order()
+        powers = self.check(x, one, order + 1)
+        assert powers[order] == powers[0] and all(y != powers[0] for y in powers[1:order])
+
+    @PROPS
+    @given(fq_matrices(qs=(2, 4, 5, 9), max_n=3), st.integers(1, 4))
+    def test_fq_matrix(self, g, e):
+        assume(g.rank() == g.n)
+        self.check_order(g, FqMatrix.identity(g.F, g.n))
+        assert g**-e == g.inverse() ** e
+
+    @PROPS
+    @given(cyc_matrices())
+    def test_cyc_matrix(self, g):
+        self.check_order(g, CycMatrix.identity(g.n))
+        with pytest.raises(ValueError):
+            g**-1
+
+    @PROPS
+    @given(monomials())
+    def test_monomial_matrix(self, g):
+        self.check_order(g, MonomialMatrix.identity(g.n))
+        with pytest.raises(ValueError):
+            g**-1
+
+    @PROPS
+    @given(cycs(), st.integers(1, 4))
+    def test_cyc(self, x, e):
+        assume(not x.is_zero())
+        self.check(x, Cyc.from_int(1), 6)
+        assert x**-e == x.inverse() ** e

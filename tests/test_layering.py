@@ -58,6 +58,29 @@ def test_the_guard_sees_relative_imports():
     assert {"hypermono.stonevn", "hypermono.weilgl", "hypermono.repkit"} <= seen
 
 
+def test_one_power_and_one_walk_and_no_setattr_override():
+    """The binary power and the capped walk over group elements are defined
+    once, in numth, and no value type guards its slots by overriding
+    __setattr__ or writes them through object.__setattr__."""
+    homes, setattr_uses = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_power", "_powers"):
+                homes.setdefault(node.name, []).append(path.relative_to(SRC).as_posix())
+            if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+                setattr_uses.append((path.name, node.lineno))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                setattr_uses.append((path.name, node.lineno))
+    numth = "hypermono/algebra/numth.py"
+    assert homes == {"_power": [numth], "_powers": [numth]}
+    assert setattr_uses == []
+
+
 # public names with no caller outside the tests: each is the reference a test
 # holds the package to, and its docstring names that test
 REFERENCES = {

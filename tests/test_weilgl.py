@@ -304,8 +304,9 @@ class TestTori:
 
     def test_form_tori_test_self_dual_polynomials_only(self, monkeypatch):
         """Only a self-dual f carries a nondegenerate form, so the GU and Sp
-        searches walk x modulo those alone: 43 walks for GU_3(7)'s order
-        344, where testing every cubic over F_49 first took 12,342 powers."""
+        searches walk x modulo those alone: 150 walks for GU_3(7)'s order
+        344, one per self-dual monic cubic over F_49 up to the first that
+        serves, where testing every cubic first took 12,342 powers."""
         tested = []
         x_walk = weilgl._x_walk
 
@@ -316,10 +317,25 @@ class TestTori:
         monkeypatch.setattr(weilgl, "_x_walk", recording)
         gu_torus_element(3, 7, 344)
         F, conj = field(7, 2), field(7, 2).subfield_power_map(1)
-        assert len(tested) == 43 and all(weilgl._dual(F, f, conj) == f for f in tested)
+        assert len(tested) == 150 and all(weilgl._dual(F, f, conj) == f for f in tested)
         tested.clear()
         sp_torus_element(2, 5, -1)
         assert tested and all(weilgl._dual(field(5), f) == f for f in tested)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (gl_singer, (3, 6)),
+            (weilgl._gu_split_torus, (2, 6)),
+            (gu_torus_element, (3, 6, 217)),
+            (gu_block_torus, (6, [(1, 7)])),
+            (weilgl._gu1_element, (6, 7)),
+            (sp_torus_element, (2, 6, -1)),
+        ],
+    )
+    def test_q_must_be_a_prime_power(self, build, args):
+        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+            build(*args)
 
     @pytest.mark.parametrize("p, e, top", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 2), (2, 3, 2), (3, 2, 2)])
     def test_x_walk_is_the_companion_order(self, p, e, top):
