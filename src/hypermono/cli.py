@@ -320,10 +320,8 @@ def _load_trace_tables(path: str) -> tuple[TraceTable, TraceTable, tuple[int, in
     type1 = obj["type1"]
     if not isinstance(type1, list) or len(type1) != 2:
         raise CliError(EXIT_VALIDATION, f"type1 must be [D, m], got {json.dumps(type1)}")
-    cap = _cap(None)
-    literal = functools.partial(_parse_entry, cap=cap)
-    t1, t2 = (_domain_call(TraceTable.from_json, obj[k], literal) for k in ("table1", "table2"))
-    _check_conductor(lcm(*(tr.m for t in (t1, t2) for _, _, tr in t.classes)), cap)  # where the traces are compared
+    t1, t2 = (_domain_call(TraceTable.from_json, obj[k], _parse_entry) for k in ("table1", "table2"))
+    _check_conductor(lcm(*(tr.m for t in (t1, t2) for _, _, tr in t.classes)))  # where the traces are compared
     return t1, t2, tuple(_domain_call(json_int, x, "type1 entry") for x in type1)
 
 
@@ -408,14 +406,15 @@ def cmd_tables(args) -> dict:
     return _report(f"tables/{args.table}", {"check": args.check}, result)
 
 
-def _check_conductor(m, cap: int) -> None:
+def _check_conductor(m) -> None:
     """Refuse (exit 3) a conductor N whose N x phi(N) power table exceeds the
     cap, before the table is built; phi is not needed once N itself does."""
+    cap = _cap(None)
     if isinstance(m, int) and m > 1 and (m > cap or m * euler_phi(m) > cap):
         raise CliError(EXIT_CAP, f"conductor {m} needs an N x phi(N) power table larger than the cap {cap}")
 
 
-def _parse_entry(e, cap: int) -> Cyc:
+def _parse_entry(e) -> Cyc:
     """A generator-file entry or trace: an integer, a root of unity "a/N", or
     a {"conductor": m, "coeffs": [...], "den": d} literal (phi(m)
     coefficients), its conductor checked against the cap first."""
@@ -424,10 +423,10 @@ def _parse_entry(e, cap: int) -> Cyc:
             u = UnityClass.parse(e)
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"bad root of unity {json.dumps(e)}")
-        _check_conductor(u.den, cap)
+        _check_conductor(u.den)
         return Cyc.root(u)
     if isinstance(e, dict):
-        _check_conductor(e.get("conductor"), cap)
+        _check_conductor(e.get("conductor"))
         return _domain_call(cyc_from_literal, e)
     return Cyc.from_int(_domain_call(json_int, e, "matrix entry"))
 
@@ -443,7 +442,7 @@ def _entry_json(c: Cyc):
     return {"conductor": c.m, "coeffs": list(c.num), "den": c.den}
 
 
-def _load_generators(path: str, cap: int) -> list[CycMatrix]:
+def _load_generators(path: str) -> list[CycMatrix]:
     obj = _load_json(path)
     mats = obj.get("matrices") if isinstance(obj, dict) else None
     n = len(mats[0]) if isinstance(mats, list) and mats and isinstance(mats[0], list) else 0
@@ -452,19 +451,17 @@ def _load_generators(path: str, cap: int) -> list[CycMatrix]:
         for mat in mats
     ):
         raise CliError(EXIT_VALIDATION, f"{path}: expected \"matrices\", square matrices of one size")
-    parsed = [[[_parse_entry(x, cap) for x in row] for row in mat] for mat in mats]
-    _check_conductor(lcm(*(x.m for mat in parsed for row in mat for x in row)), cap)  # where the products live
+    parsed = [[[_parse_entry(x) for x in row] for row in mat] for mat in mats]
+    _check_conductor(lcm(*(x.m for mat in parsed for row in mat for x in row)))  # where the products live
     return [CycMatrix.from_rows(mat) for mat in parsed]
 
 
 def cmd_m4(args) -> dict:
-    if args.cap is not None:
-        _check_at_least(1, **{"--cap": args.cap})
-    gens = _load_generators(args.generators, _cap(args.cap))
+    gens = _load_generators(args.generators)
     for g in gens:  # CapExceeded past CYC_ORDER_CAP powers: an infinite order, which closure never ends
         if g.rank() == g.n:  # closure refuses a singular generator
             g.order()
-    G = _domain_call(closure, gens, args.cap)  # a singular generator is a ValueError
+    G = _domain_call(closure, gens)  # a singular generator is a ValueError
     echo = []
     for g in gens:
         flat = [_entry_json(x) for x in g.entries()]
@@ -566,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("m4", help="fourth moment of a matrix group from a generators file")
     sp.add_argument("generators")
-    sp.add_argument("--cap", type=int, default=None)
     sp.set_defaults(func=cmd_m4)
 
     return p

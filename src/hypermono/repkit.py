@@ -413,7 +413,7 @@ class MatGroup:
         """pi with elements[pi[i]] = g * elements[i] * g^-1, from g's tabulated
         conjugation map on FqMatrix digit keys where it has one, else from
         products.  g^-1 is the last of g's powers."""
-        ginv = deque(_powers(g, self.order), maxlen=1)[0]
+        ginv = deque(_powers(g), maxlen=1)[0]
         conj = g.conjugation(ginv) if isinstance(g, FqMatrix) else None
         if conj is None:
             return self._product_permutation(g, ginv)
@@ -434,7 +434,7 @@ class MatGroup:
         return [c[0] for c in self.conjugacy_classes()]
 
 
-def closure(generators, cap: int | None = None) -> MatGroup:
+def closure(generators) -> MatGroup:
     """Full element enumeration of the group generated by the given matrices.
 
     Dimino's coset enumeration (G. Butler, *Fundamental Algorithms for
@@ -445,8 +445,9 @@ def closure(generators, cap: int | None = None) -> MatGroup:
     of right cosets H*t: for each coset rep r and kept generator s, a product
     t = r*s outside the group so far starts a new coset.  Each element is
     formed once, and recorded once, in the position index the returned
-    group keeps.  CapExceeded is raised exactly when the order exceeds cap,
-    before the coset that would pass it is formed.
+    group keeps.  CapExceeded is raised exactly when the order exceeds the one
+    cap (``_cap``: HYPERMONO_CAP, else DEFAULT_CAP), before the coset that
+    would pass it is formed.
 
     Each coset is a block of |H| positions that starts at its rep, so the
     block of r holds elements[i] * r.  Over F_q the coset of t = r*s is
@@ -464,7 +465,7 @@ def closure(generators, cap: int | None = None) -> MatGroup:
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    cap = _cap(cap)
+    cap = _cap(None)
     if all(isinstance(g, (CycMatrix, MonomialMatrix)) for g in generators):
         monomials = [g if isinstance(g, MonomialMatrix) else MonomialMatrix.from_cyc(g) for g in generators]
         if None in monomials:

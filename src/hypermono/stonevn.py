@@ -18,11 +18,11 @@ from math import gcd, isqrt
 
 from .algebra.cyc import Cyc
 from .algebra.fq import FqMatrix, field
-from .algebra.numth import is_prime, is_prime_power
+from .algebra.numth import is_prime
 from .algebra.unity import unity
 from .gates import partitions
 from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
-from .weilgl import ExcludedCase, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
+from .weilgl import ExcludedCase, _prime_power, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
 DESK_CAP = 32
 
@@ -258,7 +258,7 @@ class Extraspecial2Model(_MonomialModel):
                     gens.append(MonomialMatrix([x ^ bit for x in range(N)], [twist] * N, self.m))
                 else:
                     gens.append(MonomialMatrix(range(N), [(2 if x & bit else 0) + twist for x in range(N)], self.m))
-        order = closure(gens, cap=2 ** (2 * n + 2)).order
+        order = closure(gens).order
         if order != 2 ** (2 * n + 1):
             raise ModelError(f"extraspecial closure has order {order}")
         self._monomials = {v: self.word(v, gens) for v in itertools.product(range(2), repeat=2 * n)}
@@ -740,7 +740,7 @@ def ss_sp_oracle(n: int, q: int) -> dict:
     """Construct the enumerated symplectic torus generators in the model and
     check their projective spectra on both halves; negative controls must
     come out non-simple."""
-    p, f = is_prime_power(q)
+    p, f = _prime_power(q)
     model = HeisenbergModel(p, n, f)
     dims = ((q**n + 1) // 2, (q**n - 1) // 2)
     types = ss_sp_enumerate(n, q)

@@ -84,10 +84,10 @@ def hermitian_gram(F2: FieldSpec, n: int) -> FqMatrix:
     return FqMatrix.from_rows(F2, [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
 
 
-def is_unitary(g: FqMatrix, f: int, gram: FqMatrix | None = None) -> bool:
-    """g^T * G * conj(g) == G with conj the q-power map (q = p^f)."""
-    G = gram if gram is not None else hermitian_gram(g.F, g.n)
-    return g.transpose() * G * g.map_entries(g.F.subfield_power_map(f)) == G
+def is_unitary(g: FqMatrix, f: int) -> bool:
+    """g^T * J * conj(g) == J with conj the q-power map (q = p^f)."""
+    J = hermitian_gram(g.F, g.n)
+    return g.transpose() * J * g.map_entries(g.F.subfield_power_map(f)) == J
 
 
 def symplectic_gram(F: FieldSpec, n: int) -> FqMatrix:
@@ -98,8 +98,8 @@ def symplectic_gram(F: FieldSpec, n: int) -> FqMatrix:
     return FqMatrix.from_rows(F, rows)
 
 
-def is_symplectic(g: FqMatrix, gram: FqMatrix | None = None) -> bool:
-    G = gram if gram is not None else symplectic_gram(g.F, g.n // 2)
+def is_symplectic(g: FqMatrix) -> bool:
+    G = symplectic_gram(g.F, g.n // 2)
     return g.transpose() * G * g == G
 
 
@@ -149,7 +149,7 @@ def unitary_group(n: int, q: int) -> MatGroup:
         gens += [z * y, z * gram, y, gram * y]
     G = closure(gens)
     assert G.order == order, f"GU_{n}({q}) closure has wrong order {G.order}"
-    assert all(is_unitary(g, f, gram) for g in G.generators)
+    assert all(is_unitary(g, f) for g in G.generators)
     return G
 
 
@@ -170,7 +170,7 @@ def symplectic_group(n: int, q: int) -> MatGroup:
     coxeter = prod((t(*support) for support in chain), start=FqMatrix.identity(F, 2 * n))
     G = closure([coxeter, t(0), sp_torus_element(n, q, -1), t(n)])
     assert G.order == _sp_order(n, q), f"Sp_{2*n}({q}) closure has wrong order {G.order}"
-    assert all(is_symplectic(g, gram) for g in G.generators)
+    assert all(is_symplectic(g) for g in G.generators)
     return G
 
 
@@ -475,29 +475,30 @@ def _form_torus(F: FieldSpec, deg: int, order: int, conj=None) -> FqMatrix:
     raise ExcludedCase(f"no {group} torus element of order {order} found")
 
 
-def _gu_split_torus(n: int, q: int) -> FqMatrix:
-    """The order q^n - 1 torus of GU_n(q), n even: diag(A, conj(J A^-T J))
-    with A a Singer block on a maximal totally isotropic half."""
-    p, f = _prime_power(q)
-    F2 = field(p, 2 * f)
-    k = n // 2
-    A = gl_singer(k, q * q) if k > 1 else FqMatrix(F2, 1, (F2.gen,))
-    conj = F2.subfield_power_map(f)
-    Jk = hermitian_gram(F2, k)
-    B = (Jk * A.inverse().transpose() * Jk).map_entries(conj)
-    g = _block_diagonal(F2, [A, B])
-    assert is_unitary(g, f)
-    return g
+def _split_torus(A: FqMatrix, conj=None) -> FqMatrix:
+    """diag(A, A*) for A acting on a maximal totally isotropic half: A* =
+    A^-T for Sp, and conj(J A^-T J) for GU with conj (the q-power table), J
+    the anti-diagonal form of A's size (Taylor 1992)."""
+    B = A.inverse().transpose()
+    if conj is not None:
+        J = hermitian_gram(A.F, A.n)
+        B = (J * B * J).map_entries(conj)
+    return _block_diagonal(A.F, [A, B])
 
 
 def gu_torus_element(n: int, q: int, order: int) -> FqMatrix:
-    """An element of GU_n(q) (anti-diagonal form) of the given order, built
-    from an irreducible companion block and a Witt-basis change of basis."""
+    """An element of GU_n(q) (anti-diagonal form) of the given order: for
+    n even and order q^n - 1 the split torus of a Singer block on half the
+    space, else an irreducible companion block and a Witt-basis change of
+    basis."""
     p, f = _prime_power(q)
-    if n % 2 == 0 and order == q**n - 1:
-        return _gu_split_torus(n, q)
     F2 = field(p, 2 * f)
-    h = _form_torus(F2, n, order, F2.subfield_power_map(f))
+    conj = F2.subfield_power_map(f)
+    if n % 2 == 0 and order == q**n - 1:
+        k = n // 2
+        h = _split_torus(gl_singer(k, q * q) if k > 1 else FqMatrix(F2, 1, (F2.gen,)), conj)
+    else:
+        h = _form_torus(F2, n, order, conj)
     assert is_unitary(h, f)
     return h
 
@@ -530,12 +531,7 @@ def _gu1_element(q: int, order: int) -> FqMatrix:
 def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
     """Generator of the cyclic torus of order q^n - eps in Sp_2n(q), eps=+-1."""
     F = field(*_prime_power(q))
-    if eps == 1:
-        A = gl_singer(n, q)
-        g = _block_diagonal(F, [A, A.inverse().transpose()])
-        assert is_symplectic(g)
-        return g
-    h = _form_torus(F, 2 * n, q**n + 1)
+    h = _split_torus(gl_singer(n, q)) if eps == 1 else _form_torus(F, 2 * n, q**n + 1)
     assert is_symplectic(h)
     return h
 
@@ -791,13 +787,6 @@ class OracleReport:
         }
 
 
-def _weil_values_all(family: str, n: int, q: int, profile: tuple[int, ...]) -> list[Cyc]:
-    """Every Weil character's value at an element of the given kernel profile."""
-    if family == LINEAR:
-        return [tau_value(n, q, i, None, profile) for i in range(q - 1)]
-    return [zeta_value(n, q, i, None, profile) for i in range(q + 1)]
-
-
 def the_group(family: str, n: int, q: int) -> MatGroup:
     """GL_n(q) or GU_n(q), closed, for the element-by-element checks of
     test_criterion_4_weil_identities; ss_exhaustive_check closes no group."""
@@ -849,13 +838,13 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
         return tuple(prof)
 
     one = (n,) + (0,) * (len(scalars) - 1)
-    identity_values = _weil_values_all(family, n, q, one)
-    n_modules = len(identity_values)
-    degrees = [int(v.rational()) for v in identity_values]
-    abs2_rows: dict[tuple[int, ...], list[Cyc]] = {one: [v.abs2() for v in identity_values]}
+    specs = [WeilCharSpec(family, n, q, i) for i in range(len(scalars))]  # one module per character of the scalars
+    degrees = [spec.degree for spec in specs]
+    abs2_rows: dict[tuple[int, ...], list[Cyc]] = {}  # kernel profile -> |chi_i|^2 there, per module
 
-    ss_central: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # p'-elements
-    ss_central_p: dict[int, dict[int, int]] = {i: {} for i in range(n_modules)}  # the rest
+    # degree -> central order -> number of simple elements, over the modules of that degree
+    by_dim: dict[int, dict[int, int]] = {d: {} for d in degrees}  # p'-elements
+    by_dim_p: dict[int, dict[int, int]] = {d: {} for d in degrees}  # the rest
     pprime_counts: dict[int, int] = {}  # central order -> number of p'-elements
     for cls, cent_order in types:
         chain = [one]
@@ -864,34 +853,22 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
         g_order, weight = len(chain), order // cent_order
         assert g_order <= bound, f"{name}: element order {g_order} above the bound {bound}"
         cent = next(k for k in range(1, g_order + 1) if n in chain[k % g_order])
-        sums = [Cyc.from_int(0)] * n_modules
+        sums = [Cyc.from_int(0)] * len(specs)
         for prof, cnt in Counter(chain).items():
             row = abs2_rows.get(prof)
             if row is None:
-                row = abs2_rows[prof] = [v.abs2() for v in _weil_values_all(family, n, q, prof)]
-            for i in range(n_modules):
-                sums[i] = sums[i] + row[i] * cnt
+                row = abs2_rows[prof] = [weil_value(spec, None, prof).abs2() for spec in specs]
+            sums = [s + v * cnt for s, v in zip(sums, row)]
         if g_order % p != 0:
             pprime_counts[cent] = pprime_counts.get(cent, 0) + weight
-        target = ss_central if g_order % p != 0 else ss_central_p
-        for i in range(n_modules):
-            total = sums[i].rational()
+        target = by_dim if g_order % p != 0 else by_dim_p
+        for d, s in zip(degrees, sums):
+            total = s.rational()
             if total.denominator != 1:
                 raise RuntimeError("non-integral Parseval sum")
-            if total == g_order * degrees[i]:
-                target[i][cent] = target[i].get(cent, 0) + weight
+            if total == g_order * d:
+                target[d][cent] = target[d].get(cent, 0) + weight
 
-    # merge modules of equal degree
-    def merge(per_module):
-        by_dim: dict[int, dict[int, int]] = {}
-        for i, d in enumerate(degrees):
-            tgt = by_dim.setdefault(d, {})
-            for cent, cnt in per_module[i].items():
-                tgt[cent] = tgt.get(cent, 0) + cnt
-        return by_dim
-
-    by_dim = merge(ss_central)
-    by_dim_p = merge(ss_central_p)
     details = {
         "order": order,
         "degrees": degrees,

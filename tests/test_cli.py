@@ -158,8 +158,9 @@ class TestExitCodes:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: cannot write ")
 
-    def test_cap_exceeded_is_3(self):
-        code = main(["m4", str(DATA / "monomial_q3.json"), "--cap", "10"])
+    def test_cap_exceeded_is_3(self, monkeypatch):
+        monkeypatch.setenv("HYPERMONO_CAP", "10")
+        code = main(["m4", str(DATA / "monomial_q3.json")])
         assert code == 3
 
     def test_excluded_case_is_2(self):
@@ -210,8 +211,6 @@ class TestExitCodes:
             ["construct", "special", "F_N", "3", "--N", "-2"],
             ["construct", "sawin", "-1", "1", "2"],
             ["construct", "sawin", "0", "1", "2", "--side", "ii"],
-            ["m4", "monomial_q3.json", "--cap", "0"],
-            ["m4", "monomial_q3.json", "--cap", "-3"],
             ["ss", "symplectic", "2", "7", "--exhaustive"],
             ["gates", "brauerp", "--m11", "--tables", "no_such_tables.json"],  # --tables was ignored
             ["gates", "brauerp", "--m11", "--tables", "m11_row.json"],
@@ -232,7 +231,7 @@ class TestExitCodes:
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
         assert not out.err.startswith("error: '")  # the message itself, not a KeyError's repr
         for option, value in zip(argv, argv[1:]):
-            if option in ("--N", "--D", "--cap") and int(value) < 1:
+            if option in ("--N", "--D") and int(value) < 1:
                 assert option in out.err  # the message names the option at fault
 
 

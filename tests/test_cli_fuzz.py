@@ -1,13 +1,13 @@
 """Property tests for the ``ss``, ``spectrum``, ``m4``, ``gates``,
 ``construct``, ``analyze`` and ``splus`` command lines: every argv, every
-generator file and every descriptor file gives a report or a documented
-refusal.
+generator file, every trace-table file and every descriptor file gives a
+report or a documented refusal.
 
 Hypothesis drives ``cli.main`` in process, derandomized with a bounded
 example count and a small HYPERMONO_CAP, so every run checks the same inputs
 and the file stays within a few seconds.  Each run either exits 0 with a
 schema ``hypermono/1`` report on stdout, or exits 2 (validation), 3 (cap)
-or 4 (oracle), and for ``m4`` also 1 (I/O), with one stderr line and nothing
+or 4 (oracle), and for ``m4`` and ``brauerp --tables`` also 1 (I/O), with one stderr line and nothing
 on stdout.  An exception that escapes ``main`` fails the test with its
 traceback.
 """
@@ -212,6 +212,64 @@ def test_m4_reports_or_refuses(text):
         with open(path, "w") as fh:
             fh.write(text)
         check_report_or_refusal(["m4", path], refusals=(1, 2, 3, 4))
+
+
+@st.composite
+def trace_table_files(draw):
+    """A ``gates brauerp --tables`` file's text: two well-formed tables over
+    one list of class ids (1A's trace the degree, the flags shared, type1's
+    D table1's degree, integer traces or literals inside the cap), and in
+    most files one defect: a degree that is a bool, a float or a str, a
+    class id that is an int, a p_class that is an int, a trace that is a
+    float, a bool or a literal past the cap, a type1 of length 1 or 3, or a
+    key left out of the file, a table or a class."""
+    ids = draw(st.lists(st.sampled_from(["1A", "2A", "3A"]), min_size=1, max_size=3, unique=True))
+    flags = {cid: draw(st.booleans()) for cid in ids}
+    in_cap = st.one_of(st.integers(-2, 2), st.sampled_from([{"conductor": 3, "coeffs": [0, 1]},
+                                                           {"conductor": 4, "coeffs": [1, 1], "den": 2}]))
+
+    def table():
+        degree = draw(st.integers(1, 4))
+        classes = [{"id": cid, "p_class": flags[cid], "trace": degree if cid == "1A" else draw(in_cap)} for cid in ids]
+        return {"degree": degree, "classes": classes}
+
+    body = {"table1": table(), "table2": table()}
+    body["type1"] = [body["table1"]["degree"], draw(st.integers(1, 4))]
+    table = body[draw(st.sampled_from(["table1", "table2"]))]
+    row = draw(st.sampled_from(table["classes"]))
+    defect = draw(st.sampled_from([None, "degree", "id", "p_class", "trace", "type1", "missing"]))
+    if defect == "degree":
+        table["degree"] = draw(st.sampled_from([True, 2.0, "2"]))
+    elif defect == "id":
+        row["id"] = 3
+    elif defect == "p_class":
+        row["p_class"] = int(row["p_class"])
+    elif defect == "trace":
+        past_cap = {"conductor": draw(st.sampled_from(PAST_CAP)), "coeffs": [1]}
+        row["trace"] = draw(st.sampled_from([1.0, 0.5, True, False, past_cap]))
+    elif defect == "type1":
+        body["type1"] = draw(st.sampled_from([body["type1"][:1], body["type1"] + [2]]))
+    elif defect == "missing":
+        parent = draw(st.sampled_from([body, table, row]))
+        del parent[draw(st.sampled_from(sorted(parent)))]
+    return json.dumps(body)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(text=trace_table_files())
+@example(text=json.dumps({"table1": {"degree": 2, "classes": [{"id": "1A", "p_class": True, "trace": 2}]},
+                          "table2": {"degree": 3, "classes": [{"id": "1A", "p_class": True, "trace": 3}]},
+                          "type1": [2, 1]}))  # a report: type2 [3, 2]
+@example(text=json.dumps({"table1": {"degree": 2, "classes": [{"id": "1A", "p_class": True, "trace": 2}]},
+                          "table2": {"degree": 3, "classes": [{"id": "1A", "p_class": True,
+                                                               "trace": {"conductor": 4099, "coeffs": [1]}}]},
+                          "type1": [2, 1]}))  # a conductor past the cap: exit 3
+def test_brauerp_tables_report_or_refuse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tables.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        check_report_or_refusal(["gates", "brauerp", "--tables", path], refusals=(1, 2, 3))
 
 
 # operands of the charset grammar, well-formed first, and its operators

@@ -4,6 +4,9 @@ The coefficient layout of cyclotomic numbers stays behind Cyc and CycMatrix:
 only repkit, home of the flat CycMatrix kernel, may import the underscore
 helpers of hypermono.algebra.cyc; every other module goes through Cyc.
 
+The cap is set in one place: no function but numth's _cap and _powers
+takes a cap, and the CLI has no --cap option.
+
 Every public module-level function and class has a caller in the package or
 in perfbench, or is a reference implementation that a named test compares
 against.
@@ -79,6 +82,30 @@ def test_one_power_and_one_walk_and_no_setattr_override():
     numth = "hypermono/algebra/numth.py"
     assert homes == {"_power": [numth], "_powers": [numth]}
     assert setattr_uses == []
+
+
+def test_one_cap_parameter_and_no_cap_option():
+    """The cap is set in one place, HYPERMONO_CAP: only numth._cap (which
+    reads it) and numth._powers (whose walks CYC_ORDER_CAP also bounds) take
+    a parameter named cap, and the CLI declares no --cap option."""
+    takers, options = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if any(arg.arg == "cap" for arg in a.posonlyargs + a.args + a.kwonlyargs):
+                    takers.append((path.relative_to(SRC).as_posix(), getattr(node, "name", "<lambda>")))
+            if isinstance(node, ast.FunctionDef) and node.name == "build_parser":
+                options += [
+                    arg.value
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"
+                    for arg in call.args
+                    if isinstance(arg, ast.Constant)
+                ]
+    numth = "hypermono/algebra/numth.py"
+    assert sorted(takers) == [(numth, "_cap"), (numth, "_powers")]
+    assert "--out" in options and "--cap" not in options  # the walk sees the options
 
 
 # public names with no caller outside the tests: each is the reference a test

@@ -64,19 +64,21 @@ class TestClosure:
         G = monomial_group(3)
         assert G.order == 162  # 27 * 6
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         F3 = field(3)
         a = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
         b = FqMatrix.from_rows(F3, [[1, 1], [0, 1]])
+        monkeypatch.setenv("HYPERMONO_CAP", "10")
         with pytest.raises(CapExceeded):
-            closure([a, b], cap=10)
+            closure([a, b])
 
-    def test_cap_message_names_cap_and_size(self):
+    def test_cap_message_names_cap_and_size(self, monkeypatch):
         F3 = field(3)
         a = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
         b = FqMatrix.from_rows(F3, [[1, 1], [0, 1]])
+        monkeypatch.setenv("HYPERMONO_CAP", "10")
         with pytest.raises(CapExceeded) as exc:
-            closure([a, b], cap=10)
+            closure([a, b])
         msg = str(exc.value)
         assert msg.startswith("closure exceeded cap 10: ")
         reached = int(re.search(r"(\d+) elements reached", msg).group(1))
@@ -89,13 +91,14 @@ class TestClosure:
         with pytest.raises(ValueError, match=f"^HYPERMONO_CAP must be a positive integer, got '{value}'$"):
             closure([FqMatrix.from_rows(F3, [[0, 2], [1, 0]])])
 
-    def test_singular_generator_rejected(self):
+    def test_singular_generator_rejected(self, monkeypatch):
         F3 = field(3)
         with pytest.raises(ValueError):
             closure([FqMatrix.from_rows(F3, [[1, 0], [0, 0]])])
         w = zeta(3)
+        monkeypatch.setenv("HYPERMONO_CAP", "100")
         with pytest.raises(ValueError):  # determinant w * w - 1 * w^2 = 0
-            closure([CycMatrix.from_rows([[w, 1], [w * w, w]])], cap=100)
+            closure([CycMatrix.from_rows([[w, 1], [w * w, w]])])
 
     def test_trace_product(self):
         """A monomial P reads tr(P x) = tr(x P) off its n entries."""
@@ -223,10 +226,13 @@ def check_closure(gens, identity):
     assert all(any(k == g for g in rest) for k in G.generators)  # a subsequence
     for i, k in enumerate(G.generators):
         assert k not in bfs_closure(G.generators[:i], identity)
-    assert closure(gens, cap=G.order).order == G.order
-    if G.order > 1:  # the identity alone is never checked against the cap
-        with pytest.raises(CapExceeded):
-            closure(gens, cap=G.order - 1)
+    with pytest.MonkeyPatch.context() as mp:  # a function-scoped fixture would span every example
+        mp.setenv("HYPERMONO_CAP", str(G.order))
+        assert closure(gens).order == G.order
+        if G.order > 1:  # the identity alone is never checked against the cap
+            mp.setenv("HYPERMONO_CAP", str(G.order - 1))
+            with pytest.raises(CapExceeded):
+                closure(gens)
 
 
 def count_fq_products(monkeypatch):

@@ -334,6 +334,10 @@ class TestSpOracle:
         with pytest.raises(ModelError):
             ss_sp_oracle(3, 5)
 
+    def test_q_must_be_a_prime_power(self):
+        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+            ss_sp_oracle(1, 6)
+
 
 def reference_is_simple(pm, parity=None, sign=0):
     """The autocorrelation test for one sign, walked on its own: a power loop

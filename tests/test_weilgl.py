@@ -326,7 +326,7 @@ class TestTori:
         "build, args",
         [
             (gl_singer, (3, 6)),
-            (weilgl._gu_split_torus, (2, 6)),
+            (gu_torus_element, (2, 6, 35)),
             (gu_torus_element, (3, 6, 217)),
             (gu_block_torus, (6, [(1, 7)])),
             (weilgl._gu1_element, (6, 7)),
