@@ -1,8 +1,10 @@
-"""Finite-field matrix kernel: the inner loops behind ``fq.FqMatrix``.
+"""Finite-field matrix kernel: the inner loops behind ``fq.FqMatrix``
+(product, Gauss-Jordan, matrix-vector).
 
 Matrices are flat row-major tuples of field elements encoded as ints in
 [0, q); arithmetic goes through flat lookup tables (mul[a*q+b], add[a*q+b],
-neg[a], inv[a]).
+neg[a], inv[a]).  ``rref`` is the one Gauss-Jordan over F_q, behind
+``FqMatrix.rank``, ``FqMatrix.inverse`` and ``fq.nullspace``.
 """
 
 from __future__ import annotations
@@ -24,32 +26,40 @@ def mat_mul(a, b, n, q, mul, add):
     return tuple(out)
 
 
-def mat_rank(a, n, q, mul, add, neg, inv):
-    m = [list(a[i * n : (i + 1) * n]) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = -1
-        for r in range(rank, n):
-            if m[r][col]:
+def rref(rows, ncols, q, mul, add, neg, inv):
+    """Gauss-Jordan over F_q, in place: reduce the rows (lists of equal
+    length) to reduced row echelon form, pivoting in the first ncols columns
+    (later columns ride along, as in an augmented matrix).  Returns the
+    pivot columns."""
+    pivots, nrows, width = [], len(rows), len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank, piv = len(pivots), -1
+        for r in range(rank, nrows):
+            if rows[r][col]:
                 piv = r
                 break
         if piv < 0:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivinv = inv[m[rank][col]]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivinv = inv[rows[rank][col]]
         if pivinv != 1:
-            m[rank] = [mul[pivinv * q + v] for v in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col]:
-                f = neg[m[r][col]]
-                mr, mk = m[r], m[rank]
-                for j in range(col, n):
+            rows[rank] = [mul[pivinv * q + v] for v in rows[rank]]
+        mk = rows[rank]
+        for r in range(nrows):
+            mr = rows[r]
+            if r != rank and mr[col]:
+                f = neg[mr[col]] * q
+                for j in range(col, width):
                     if mk[j]:
-                        mr[j] = add[mr[j] * q + mul[f * q + mk[j]]]
-        rank += 1
-        if rank == n:
+                        mr[j] = add[mr[j] * q + mul[f + mk[j]]]
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return pivots
+
+
+def mat_rank(a, n, q, mul, add, neg, inv):
+    return len(rref([list(a[i * n : (i + 1) * n]) for i in range(n)], n, q, mul, add, neg, inv))
 
 
 def mat_vec(a, v, n, q, mul, add):

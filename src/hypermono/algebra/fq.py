@@ -4,7 +4,7 @@ Elements of F_(p^f) are ints in [0, p^f) encoding coefficient vectors base p
 against the deterministic defining polynomial: the monic irreducible of
 degree f whose non-leading coefficient vector (a_{f-1}, ..., a_0), read as a
 base-p integer, is least.  Matrices are flat row-major tuples; the hot
-matrix loops (product, rank, matrix-vector) live in ``_fqcore_py``.  A
+matrix loops (product, Gauss-Jordan, matrix-vector) live in ``_fqcore_py``.  A
 matrix's digit key (``FqMatrix.digits``) spells the same encoding out in
 base-p digits, the coordinates in which conjugation is an F_p-linear map that
 ``FqMatrix.conjugation`` tabulates.
@@ -303,7 +303,7 @@ class FqMatrix:
     def inverse(self) -> "FqMatrix":
         F, n = self.F, self.n
         m = [list(self.data[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        if len(rref(F, m, n)) < n:
+        if len(_kernel.rref(m, n, F.q, F.mul, F.add, F.neg, F.inv)) < n:
             raise ZeroDivisionError("singular matrix")
         return FqMatrix(F, n, tuple(m[i][n + j] for i in range(n) for j in range(n)))
 
@@ -386,34 +386,10 @@ def poly_mul_fq(F: FieldSpec, a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rref(F: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan over F_q, in place: reduce rows to reduced row echelon
-    form, pivoting in the first ncols columns (later columns ride along, as
-    in an augmented matrix).  Returns the pivot columns."""
-    q, mul, add, neg, inv = F.q, F.mul, F.add, F.neg, F.inv
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivinv = inv[rows[r][col]]
-        if pivinv != 1:
-            rows[r] = [mul[pivinv * q + v] for v in rows[r]]
-        prow = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = neg[row[col]]
-                rows[i] = [add[a * q + mul[f * q + b]] for a, b in zip(row, prow)]
-        pivots.append(col)
-    return pivots
-
-
 def nullspace(F: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of {v in F_q^ncols : rows v = 0}, one vector per free column."""
     rows = [list(r) for r in rows]
-    pivots = rref(F, rows, ncols)
+    pivots = _kernel.rref(rows, ncols, F.q, F.mul, F.add, F.neg, F.inv)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols

@@ -450,12 +450,12 @@ def closure(generators) -> MatGroup:
     would pass it is formed.
 
     Each coset is a block of |H| positions that starts at its rep, so the
-    block of r holds elements[i] * r.  Over F_q the coset of t = r*s is
-    formed as the block of r times s, the same matrices elements[i] * t at
-    the same positions, through s's ``FqMatrix.right_multiplier``: one
-    matrix-vector product per distinct row, looked up after, for the whole
-    call.  Cyc and monomial elements are formed as elements[i] * t, one
-    product each.
+    block of r holds elements[i] * r, and the coset of t = r*s is formed as
+    the block of r times s: the same matrices elements[i] * t at the same
+    positions.  Over F_q the map y -> y * s is s's
+    ``FqMatrix.right_multiplier``, one matrix-vector product per distinct
+    row, looked up after, for the whole call; Cyc and monomial elements
+    take one product y * s each.
 
     Cyc generators that each have exactly one root-of-unity entry per row
     and column are taken as MonomialMatrix over one exponent modulus, and
@@ -477,7 +477,6 @@ def closure(generators) -> MatGroup:
     for g in generators:
         if g.rank() != g.n:
             raise ValueError("singular generator")
-    blocks = isinstance(identity, FqMatrix)
     elements = [identity]
     index = {identity: 0}  # element -> its position in elements
     kept, times = [], []  # the kept generators s and the maps y -> y * s
@@ -485,7 +484,7 @@ def closure(generators) -> MatGroup:
         if g in index:
             continue
         kept.append(g)
-        times.append(g.right_multiplier() if blocks else lambda y, s=g: y * s)
+        times.append(g.right_multiplier() if isinstance(g, FqMatrix) else lambda y, s=g: y * s)
         size = len(elements)  # |H|; elements[:size] is H, with the identity first
         reps = [0]  # the coset reps' positions; the block of size elements there is H * rep
         for r in reps:  # grows by one rep per new coset
@@ -499,13 +498,9 @@ def closure(generators) -> MatGroup:
                         f"{len(kept)} of {len(generators)} generators kept"
                     )
                 start = len(elements)
-                if blocks:  # H * r * s, row by row through the memo of s
-                    coset = map(times_s, elements[r + 1 : r + size])
-                else:
-                    coset = [elements[i] * t for i in range(1, size)]
                 index[t] = start
                 elements.append(t)
-                for x in coset:
+                for x in map(times_s, elements[r + 1 : r + size]):  # H * r * s
                     index[x] = len(elements)
                     elements.append(x)
                 reps.append(start)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .algebra.cyc import Cyc
 from .algebra.fq import FqMatrix, field
-from .algebra.numth import is_prime
+from .algebra.numth import _cap, is_prime
 from .algebra.unity import unity
-from .gates import partitions
 from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
 from .weilgl import ExcludedCase, _prime_power, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
@@ -400,7 +399,7 @@ class ProjectiveMatrix:
         M = self.mat
         N = M.n
         P = self.model.parity_matrix()
-        halves = P is not None and _commutes_with_permutation(M, P)
+        halves = P is not None and M.monomial_product(P) == M.monomial_product(P, left=True)
         signs = (0, 1, -1) if halves else (0,)
         sums = dict.fromkeys(signs, Cyc.from_int(0))
         half = Fraction(1, 2)
@@ -524,13 +523,6 @@ class ProjectiveMatrix:
         return best[1]
 
 
-def _commutes_with_permutation(M: CycMatrix, P: MonomialMatrix) -> bool:
-    """M P == P M for a permutation matrix P, without a product: with
-    P delta_x = delta_pi(x) this reads M[pi(r), pi(c)] == M[r, c] for all r, c."""
-    N, pi, a = P.n, P.perm, M.coeffs
-    return all(a[pi[r] * N + pi[c]] == a[r * N + c] for r in range(N) for c in range(N))
-
-
 def _magnitude_delta(model: _MonomialModel, target: Fraction) -> Cyc:
     """A cyclotomic delta with abs2(delta) == target: r * g^e with r rational
     and g a fixed element of known abs2 (a Gauss sum, or 1 + i at p = 2)."""
@@ -582,22 +574,45 @@ def sp_mod1_check(model: HeisenbergModel, pm: ProjectiveMatrix) -> bool:
 
 def ss_extr_enumerate(p: int, n: int, override: bool = False) -> list[int]:
     """Central orders of simple-spectrum p'-elements over extraspecial groups;
-    ValueError below the classification's p^n >= 11, unless override."""
+    ValueError below the classification's p^n >= 11, unless override.
+
+    For p = 2, the products of 2^a + 1 over the sets of parts a of n whose
+    factors are pairwise coprime, in ``gates.partitions(n)`` order: since
+    gcd(2^a + 1, 2^b + 1) = 2^gcd(a, b) + 1 if v_2(a) = v_2(b) and 1 if not,
+    the sets whose parts have pairwise distinct 2-adic valuations.  There are
+    c(n) of them, c(0) = 1, c(2m) = c(m), c(2m + 1) = c(0) + ... + c(m), and
+    CapExceeded comes before any is listed when c(n) * n bits pass the cap."""
     if p**n < 11 and not override:
         raise ValueError(f"the classification needs p^n >= 11, got {p}^{n} = {p**n}")
     if p != 2:
         return [p**n + 1]
-    out = []
-    for parts in partitions(n):
-        if len(set(parts)) < len(parts):
-            continue
-        vals = [2**a + 1 for a in parts]
-        if all(gcd(x, y) == 1 for i, x in enumerate(vals) for y in vals[i + 1 :]):
-            prod = 1
-            for v in vals:
-                prod *= v
-            out.append(prod)
-    return out
+    cap = _cap(None)
+    half = n // (n & -n or 1) // 2  # n is 2^k (2 half + 1), so c(n) >= half + 1
+    count = half + 1
+    if count * n <= cap:  # so half < sqrt(cap)
+        c, s = [1], [1]  # c(k) and c(0) + ... + c(k)
+        for k in range(1, half + 1):
+            c.append(s[k // 2] if k % 2 else c[k // 2])
+            s.append(s[-1] + c[-1])
+        count = s[-1]
+    if count * n > cap:
+        raise CapExceeded(f"at least {count} central orders of about {n} bits each pass the cap {cap}")
+    return [prod(2**a + 1 for a in parts) for parts in sorted(_valuation_sets(n), reverse=True)]
+
+
+def _valuation_sets(n: int) -> list[tuple[int, ...]]:
+    """The sets of parts summing to n with pairwise distinct 2-adic
+    valuations, as descending tuples: for even n every part is even, and for
+    odd n exactly one part is odd."""
+    if n == 0:
+        return [()]
+    if n % 2 == 0:
+        return [tuple(2 * a for a in parts) for parts in _valuation_sets(n // 2)]
+    return [
+        tuple(sorted((o, *(2 * a for a in parts)), reverse=True))
+        for o in range(1, n + 1, 2)
+        for parts in _valuation_sets((n - o) // 2)
+    ]
 
 
 class SpTorusClass:
@@ -671,7 +686,8 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
     keeps Q on all of F_2^(2n), and its columns have the basis's
     nondegenerate Gram matrix, so it is invertible: the candidates are the
     elements of the orthogonal group (120 on the minus model at n = 2).
-    They meet the order test in increasing order of that sum."""
+    They meet the order test in increasing order of that sum; CapExceeded
+    once the candidates after a column pass the cap."""
     F2 = field(2)
     dim = 2 * model.n
     basis, Q = model.generators(), model.Q
@@ -680,7 +696,7 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
         return Q[tuple(a ^ b for a, b in zip(u, v))] ^ Q[u] ^ Q[v]
 
     vecs = list(itertools.product(range(2), repeat=dim))
-    partial = [()]
+    partial, cap = [()], _cap(None)
     for c in range(dim):
         grams = [form(basis[i], basis[c]) for i in range(c)]
         allowed = [v for v in vecs if Q[v] == Q[basis[c]]]
@@ -690,6 +706,8 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
             for v in allowed
             if all(form(u, v) == f for u, f in zip(cols, grams))
         ]
+        if len(partial) > cap:
+            raise CapExceeded(f"{len(partial)} candidates after column {c + 1} pass the cap {cap}")
     datas = [tuple(cols[c][r] for r in range(dim) for c in range(dim)) for cols in partial]
     for data in sorted(datas, key=lambda d: d[::-1]):  # d[::-1] compares like the sum
         g = FqMatrix(F2, dim, data)

@@ -587,9 +587,7 @@ def ss_enumerate(family: str, n: int, q: int) -> list[SsClass]:
             raise ExcludedCase(f"Unitary n={n} < 3 outside the classification")
         if (n, q) in UNITARY_EXCLUSIONS:
             raise ExcludedCase(f"Unitary ({n},{q}) is an excluded case")
-        s = (-1) ** n
-        small = (q**n + q * s) // (q + 1)
-        big = (q**n - s) // (q + 1)
+        small, big = (WeilCharSpec(UNITARY, n, q, i).degree for i in (0, 1))
         out = []
         if n % 2 == 0:
             out.append(SsClass(UNITARY, "Singer", (q**n - 1) // (q + 1), [big], blocks=[(n, q**n - 1)]))

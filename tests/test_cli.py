@@ -334,6 +334,7 @@ class TestEveryLoopIsCapped:
         ["gates", "meo", "Linear", "1000000000", "3"],
         ["ss", "linear", "10000", "3"],  # q^n forms, but has more digits than json.dumps prints
         ["gates", "meo", "Linear", "10000", "3"],
+        ["ss", "extraspecial", "1023", "2"],  # c(1023) = 74,555,322 orders of about 1023 bits
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: "_".join(argv).replace("-", ""))
@@ -350,6 +351,8 @@ class TestEveryLoopIsCapped:
         for name, argv in (("gates_landau_12", ["gates", "landau", "12"]), ("gates_ppd_2_6", ["gates", "ppd", "2", "6"])):
             assert run_cli_process(argv) == (0, (GOLDEN / f"{name}.json").read_text(), "")
         assert run_cli_process(["gates", "charsheaf", "12", "Linear", "1000000000", "3"])[0] == 0
+        code, out = run_cli(["ss", "extraspecial", "100", "2"])  # 37 of the 190,569,292 partitions of 100
+        assert code == 0 and len(json.loads(out)["result"]["central_orders"]) == 37
 
 
 def test_symplectic_oracle_report():

@@ -1,15 +1,15 @@
 """Property tests for the ``ss``, ``spectrum``, ``m4``, ``gates``,
-``construct``, ``analyze`` and ``splus`` command lines: every argv, every
-generator file, every trace-table file and every descriptor file gives a
-report or a documented refusal.
+``construct``, ``tables``, ``analyze`` and ``splus`` command lines: every
+argv, every generator file, every trace-table file and every descriptor file
+gives a report or a documented refusal.
 
 Hypothesis drives ``cli.main`` in process, derandomized with a bounded
 example count and a small HYPERMONO_CAP, so every run checks the same inputs
 and the file stays within a few seconds.  Each run either exits 0 with a
-schema ``hypermono/1`` report on stdout, or exits 2 (validation), 3 (cap)
-or 4 (oracle), and for ``m4`` and ``brauerp --tables`` also 1 (I/O), with one stderr line and nothing
-on stdout.  An exception that escapes ``main`` fails the test with its
-traceback.
+schema ``hypermono/1`` report on stdout (or in the ``--out`` file), or exits
+2 (validation), 3 (cap) or 4 (oracle), and for ``m4``, ``brauerp --tables``
+and ``--out`` also 1 (I/O), with one stderr line and nothing on stdout.  An
+exception that escapes ``main`` fails the test with its traceback.
 """
 
 import io
@@ -17,6 +17,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from hypermono.algebra.cyc import zeta
 from hypermono.cli import main
 
+DATA = Path(__file__).parent / "data"
 CAP = "2000"
 # past the cap: a prime above 2 cap, two primes whose trial division passes
 # it, and an exponent whose q^n has more bits than the cap
@@ -272,6 +274,86 @@ def test_brauerp_tables_report_or_refuse(text):
         check_report_or_refusal(["gates", "brauerp", "--tables", path], refusals=(1, 2, 3))
 
 
+TABLES = json.dumps({"table1": {"degree": 2, "classes": [{"id": "1A", "p_class": True, "trace": 2}]},
+                     "table2": {"degree": 3, "classes": [{"id": "1A", "p_class": True, "trace": 3}]},
+                     "type1": [2, 1]})
+CHIS = ["1/3", "2/5", "-1/4", "1/2", "0", "3", "1/0", "x", "1/100000001"]
+# --out: none, a writable file, a path in no directory, or a directory
+OUTS = st.sampled_from([None, "report.json", "no_such_dir/report.json", "."])
+
+
+@st.composite
+def brauerp_argvs(draw):
+    """``gates brauerp`` with none, one or both of --m11 and --tables FILE
+    (a trace-table file, a descriptor file or no file)."""
+    argv = ["gates", "brauerp"] + (["--m11"] if draw(st.booleans()) else [])
+    if draw(st.booleans()):
+        argv += ["--tables", draw(st.sampled_from(["tables.json", "m11_row.json", "no_such_tables.json"]))]
+    return argv
+
+
+@st.composite
+def g_d_argvs(draw):
+    """``construct special G_D`` over a small p, a prime three times in
+    four, with a drawn --D and --chi, each now and then left out, and now
+    and then a stray --N."""
+    p = draw(with_past_cap(st.sampled_from([2, 3, 5, 7, 11] * 3 + [4, 1, 0, -1])))
+    argv = ["construct", "special", "G_D", str(p)]
+    if draw(st.integers(0, 3)) < 3:
+        argv += ["--D", str(draw(with_past_cap(st.sampled_from([7, 3, 5, 2, 1, 12, 0, -1]))))]
+    if draw(st.integers(0, 3)) < 3:
+        argv.append(f"--chi={draw(st.sampled_from(CHIS))}")  # argparse would read a lone -1/4 as an option
+    if draw(st.integers(0, 3)) == 3:
+        argv += ["--N", draw(small)]
+    return argv
+
+
+@st.composite
+def tables_argvs(draw):
+    """``tables 1|2|3`` with and without --check."""
+    return ["tables", draw(st.sampled_from(["1", "2", "3"]))] + (["--check"] if draw(st.booleans()) else [])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(argv=brauerp_argvs(), out=OUTS)
+@example(argv=["gates", "brauerp", "--m11", "--tables", "tables.json"], out=None)  # both: exit 2
+@example(argv=["gates", "brauerp", "--tables", "tables.json"], out="report.json")  # a report: type2 [3, 2]
+def test_brauerp_flags_report_or_refuse(argv, out):
+    check_with_out(argv, out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(argv=g_d_argvs(), out=OUTS)
+@example(argv=["construct", "special", "G_D", "5", "--D", "7", "--chi=1/3"], out="report.json")  # a report
+@example(argv=["construct", "special", "G_D", "5", "--D", "7", "--chi=1/3"], out=".")  # it cannot be written
+def test_g_d_flags_report_or_refuse(argv, out):
+    check_with_out(argv, out)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(argv=tables_argvs(), out=OUTS)
+@example(argv=["tables", "3", "--check"], out="no_such_dir/report.json")  # a report that cannot be written
+def test_tables_flags_report_or_refuse(argv, out):
+    check_with_out(argv, out)
+
+
+def check_with_out(argv, out):
+    """Run argv, with ``--out`` in a fresh directory when out is drawn: each
+    run writes its report (to stdout, or to --out when that opens) or
+    refuses with one line, exit 1 among the refusals."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "tables.json"), "w") as fh:
+            fh.write(TABLES)
+        files = {"tables.json": os.path.join(tmp, "tables.json"), "m11_row.json": str(DATA / "m11_row.json"),
+                 "no_such_tables.json": os.path.join(tmp, "no_such_tables.json")}
+        argv = [files.get(a, a) for a in argv]
+        if out is not None:
+            argv = ["--out", os.path.normpath(os.path.join(tmp, out))] + argv
+        report = check_report_or_refusal(argv, refusals=(1, 2, 3, 4))
+        if out not in (None, "report.json"):
+            assert report is None
+
+
 # operands of the charset grammar, well-formed first, and its operators
 OPERANDS = ["Char(6)", "Char*(5)", "xi(4)", "xi(3)^-1", "{1}", "{1/2, 1/3}", "1/4", "-1/3", "2"]
 BAD_OPERANDS = ["Char(0)", "Char*(100000000)", "xi(0)", "{}", "{1/0}", "{a}", "1/0", "x", "("]
@@ -317,15 +399,21 @@ def test_descriptor_reports_or_refuses(text, command):
 
 
 def check_report_or_refusal(argv, refusals=(2, 3, 4)):
-    """The report of an exit-0 run, or None after a documented refusal."""
+    """The report of an exit-0 run, or None after a documented refusal.  An
+    argv that starts with ``--out FILE`` reports into FILE, not stdout."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("HYPERMONO_CAP", CAP)
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     if code == 0:
+        if argv[0] == "--out":
+            assert out.getvalue() == ""
+            with open(argv[1]) as fh:
+                out = io.StringIO(fh.read())
+            argv = argv[2:]
         report = json.loads(out.getvalue())
-        command = "/".join(argv[:2]) if argv[0] in ("gates", "construct") else argv[0]
+        command = "/".join(argv[:2]) if argv[0] in ("gates", "construct", "tables") else argv[0]
         assert report["schema"] == "hypermono/1" and report["command"] == command
         assert err.getvalue() == ""
         return report

@@ -7,6 +7,8 @@ helpers of hypermono.algebra.cyc; every other module goes through Cyc.
 The cap is set in one place: no function but numth's _cap and _powers
 takes a cap, and the CLI has no --cap option.
 
+Gauss-Jordan over F_q is written once, in the kernel module.
+
 Every public module-level function and class has a caller in the package or
 in perfbench, or is a reference implementation that a named test compares
 against.
@@ -106,6 +108,23 @@ def test_one_cap_parameter_and_no_cap_option():
     numth = "hypermono/algebra/numth.py"
     assert sorted(takers) == [(numth, "_cap"), (numth, "_powers")]
     assert "--out" in options and "--cap" not in options  # the walk sees the options
+
+
+def test_one_gauss_jordan_over_fq():
+    """Gauss-Jordan over F_q is written once, as the kernel's rref, and
+    mat_rank calls it with no loop of its own; the only other rref is cyc's,
+    over Fraction and Cyc entries."""
+    homes, mat_rank = [], None
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "rref":
+                homes.append(path.relative_to(SRC).as_posix())
+            if isinstance(node, ast.FunctionDef) and node.name == "mat_rank" and path.name == "_fqcore_py.py":
+                mat_rank = node
+    assert homes == ["hypermono/algebra/_fqcore_py.py", "hypermono/algebra/cyc.py"]
+    calls = {n.func.id for n in ast.walk(mat_rank) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "rref" in calls
+    assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(mat_rank))
 
 
 # public names with no caller outside the tests: each is the reference a test

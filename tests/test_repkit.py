@@ -226,6 +226,10 @@ def check_closure(gens, identity):
     assert all(any(k == g for g in rest) for k in G.generators)  # a subsequence
     for i, k in enumerate(G.generators):
         assert k not in bfs_closure(G.generators[:i], identity)
+    # the last kept generator's cosets: block j of h = |H| positions is H times its first element
+    h = closure(G.generators[:-1]).order if len(G.generators) > 1 else 1
+    for start in range(0, G.order, h):
+        assert G.elements[start : start + h] == [x * G.elements[start] for x in G.elements[:h]]
     with pytest.MonkeyPatch.context() as mp:  # a function-scoped fixture would span every example
         mp.setenv("HYPERMONO_CAP", str(G.order))
         assert closure(gens).order == G.order

@@ -1,12 +1,14 @@
 import itertools
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
-from hypermono.repkit import CycMatrix, MonomialMatrix, Spectrum, closure, m4
+from hypermono.gates import partitions
+from hypermono.repkit import CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, m4
 from hypermono.stonevn import (
     Extraspecial2Model,
     HeisenbergModel,
@@ -280,6 +282,13 @@ class TestExtraspecialSpectra:
             assert find_orthogonal_element(plus, order).data == data
 
 
+    def test_orthogonal_search_is_capped(self, monkeypatch):
+        """At n = 3 the column search lists the 51,840 elements of O-_6(2);
+        past the cap it refuses after a column instead."""
+        monkeypatch.setenv("HYPERMONO_CAP", "1000")
+        with pytest.raises(CapExceeded):
+            find_orthogonal_element(Extraspecial2Model(3, "-"), 5)
+
 class TestEnumerators:
     def test_ss_extr_odd(self):
         assert ss_extr_enumerate(3, 3) == [28]
@@ -293,6 +302,28 @@ class TestEnumerators:
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
             ss_extr_enumerate(3, 1)
+
+    def test_ss_extr_p2_is_the_partition_filter(self):
+        """Through n = 40 the listing gives what filtering every partition
+        of n gives: a product of 2^a + 1 over distinct parts a whose factors
+        are pairwise coprime, in partitions(n) order."""
+        for n in range(1, 41):
+            want = []
+            for parts in partitions(n):
+                factors = [2**a + 1 for a in parts]
+                if len(set(parts)) == len(parts) and all(gcd(x, y) == 1 for x, y in itertools.combinations(factors, 2)):
+                    want.append(prod(factors))
+            assert ss_extr_enumerate(2, n, override=True) == want, n
+
+    def test_ss_extr_p2_is_capped(self, monkeypatch):
+        """c(100) = 37 orders of about 100 bits fit the default cap, while
+        c(1023) = 74,555,322 are refused before any is listed."""
+        assert len(ss_extr_enumerate(2, 100)) == 37
+        with pytest.raises(CapExceeded):
+            ss_extr_enumerate(2, 1023)
+        monkeypatch.setenv("HYPERMONO_CAP", str(37 * 100 - 1))
+        with pytest.raises(CapExceeded):
+            ss_extr_enumerate(2, 100)
 
     def test_ss_sp(self):
         types = ss_sp_enumerate(2, 5)
