@@ -482,9 +482,17 @@ def vars_without(args, skip):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through add_subparsers each of its subparsers,
+    whose refusal is one stderr line ``error: ...`` and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hypermono", description=__doc__)
+    p = _Parser(prog="hypermono", description=__doc__)
     p.add_argument("--out", help="write the JSON report to this file")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -339,6 +339,12 @@ class MonomialMatrix:
     def rank(self) -> int:
         return self.n
 
+    def is_scalar(self) -> Cyc | None:
+        """zeta_e^k when self is zeta_e^k times the identity, else None."""
+        if self.perm != tuple(range(self.n)) or len(set(self.exps)) != 1:
+            return None
+        return Cyc.root(UnityClass(self.exps[0], self.e))
+
     def order(self) -> int:
         return sum(1 for _ in _powers(self))
 

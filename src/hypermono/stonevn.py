@@ -395,6 +395,15 @@ class ProjectiveMatrix:
         verdicts {sign: simple?}: sign 0 for the whole space and, when the
         model has a parity P that M commutes with, +1 and -1 for the halves
         (1 +- P)/2, whose traces tr(M^k P) are read off P's nonzero entries.
+
+        Dense products stop at the first k0 where M^k0 = a * Q, with Q a
+        MonomialMatrix: M^k0 has exactly N nonzero entries, a is the first.
+        Then M^(r k0 + j) = a^r Q^r M^j for j < k0, so each later trace is an
+        O(N) read, a^r tr(Q^r M^j) and a^r tr(P Q^r M^j), of a head power
+        M^j, and M^(r k0) is scalar exactly when Q^r is.  No power strictly
+        between is scalar, or some M^j with j < k0 would be a scalar times a
+        monomial matrix.  The head M^0, ..., M^(k0 - 1) lives only in this
+        call, and every power, head or tail, counts against the cap.
         """
         M = self.mat
         N = M.n
@@ -406,18 +415,37 @@ class ProjectiveMatrix:
         c2_inv = self.unitarity_scalar().inverse()
         weight = Cyc.from_int(1)
         traces = []
-        x = CycMatrix.identity(N)
+        head = []  # M^0, ..., M^(k0 - 1)
+        x, k0 = CycMatrix.identity(N), 0  # k0 stays 0 until M^k0 = a * Q
         for K in range(CYC_ORDER_CAP + 1):
-            if K:
+            if K and not k0:
                 x = x * M if K > 1 else M
                 c = x.is_scalar()
                 if c is not None:
                     break
-            t = x.trace()
+                if x.coeffs.count(None) == N * N - N:
+                    a = next(Cyc(x.m, v, x.den) for v in x.coeffs if v is not None)
+                    Q = MonomialMatrix.from_cyc(x.scale(a.inverse()))
+                    if Q is not None:
+                        k0, a_r, Q_r = K, Cyc.from_int(1), MonomialMatrix.identity(N)
+            if k0:
+                j = K % k0
+                if not j:  # M^K = a^r Q^r
+                    a_r, Q_r = a_r * a, Q_r * Q
+                    c = Q_r.is_scalar()
+                    if c is not None:
+                        c = a_r * c
+                        break
+                    PQ_r = P * Q_r if halves else None
+                t = a_r * Q_r.trace_product(head[j])
+                t_par = a_r * PQ_r.trace_product(head[j]) if halves else None
+            else:
+                head.append(x)
+                t = x.trace()
+                t_par = P.trace_product(x) if halves else None
             traces.append(t)
             sums[0] = sums[0] + t.abs2() * weight
             if halves:
-                t_par = P.trace_product(x)
                 sums[1] = sums[1] + ((t + t_par) * half).abs2() * weight
                 sums[-1] = sums[-1] + ((t - t_par) * half).abs2() * weight
             weight = weight * c2_inv

@@ -134,13 +134,24 @@ class TestParserReuse:
         code, out = run_cli(["spectrum", "linear", "3", "3"])
         assert code == 0 and json.loads(out)["input"]["index"] == 0
 
-    @pytest.mark.parametrize("argv", [["gates", "landau", "x"], ["spectrum", "cubic", "3", "3"], []])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gates", "landau", "x"],
+            ["spectrum", "cubic", "3", "3"],
+            [],
+            ["construct", "special", "G_D", "5", "--D", "7", "--chi", "-1/4"],
+        ],
+    )
     def test_argparse_error_still_exits_2(self, capsys, argv):
+        """A refusal by the parser or a subparser is one stderr line, exit 2."""
         run_cli(["gates", "landau", "5"])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: "), out.err
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import gcd, prod
 
@@ -370,29 +371,53 @@ class TestSpOracle:
             ss_sp_oracle(1, 6)
 
 
-def reference_is_simple(pm, parity=None, sign=0):
-    """The autocorrelation test for one sign, walked on its own: a power loop
-    for K, then K full products x * parity for the half traces."""
-    M = pm.mat
-    x, K = M, 1
+def dense_powers(M):
+    """M^0, ..., M^(K-1) and c with M^K = c * identity, K minimal: one full
+    product per power."""
+    powers, x = [CycMatrix.identity(M.n)], M
     while x.is_scalar() is None:
-        x, K = x * M, K + 1
-    if parity is not None and M * parity != parity * M:
-        raise ModelError("matrix does not preserve the parity halves")
+        powers.append(x)
+        x = x * M
+    return powers, x.is_scalar()
+
+
+def reference_verdict(pm, powers, parity=None, sign=0):
+    """The autocorrelation test for one sign over the dense powers, with
+    full products x * parity for the half traces."""
+    M, K = pm.mat, len(powers)
     c2_inv = pm.unitarity_scalar().inverse()
     half = Fraction(1, 2)
-    acc, weight, x = Cyc.from_int(0), Cyc.from_int(1), CycMatrix.identity(M.n)
-    for _ in range(K):
+    acc, weight = Cyc.from_int(0), Cyc.from_int(1)
+    for x in powers:
         tr = x.trace()
         if parity is not None:
             tr = (tr + sign * (x * parity).trace()) * half
         acc = acc + tr.abs2() * weight
         weight = weight * c2_inv
-        x = x * M
     d = M.n if parity is None else int(((Cyc.from_int(M.n) + sign * parity.trace()) * half).rational())
     total = acc.rational() / K
     assert total.denominator == 1
     return int(total) == d
+
+
+def reference_is_simple(pm, parity=None, sign=0):
+    """The autocorrelation test for one sign, walked on its own."""
+    M = pm.mat
+    if parity is not None and M * parity != parity * M:
+        raise ModelError("matrix does not preserve the parity halves")
+    return reference_verdict(pm, dense_powers(M)[0], parity, sign)
+
+
+def reference_walk(pm):
+    """(K, c, traces, verdicts) as ProjectiveMatrix._walk keeps them, from
+    the dense powers: every trace read off its dense power."""
+    M = pm.mat
+    P = pm.model.parity_matrix()
+    powers, c = dense_powers(M)
+    verdicts = {0: reference_verdict(pm, powers)}
+    if P is not None and M * P == P * M:
+        verdicts.update({sign: reference_verdict(pm, powers, P, sign) for sign in (1, -1)})
+    return len(powers), c, [x.trace() for x in powers], verdicts
 
 
 def sp4_5_intertwiners(model):
@@ -438,8 +463,9 @@ class TestSharedWalk:
         assert pm.is_simple() == reference_is_simple(pm) is True
 
     def test_one_walk_per_intertwiner(self, monkeypatch):
-        """T- of Sp_4(5): projective order and both halves cost K + 2 products
-        (K - 1 for the walk, 2 for the parity check), not one walk per call."""
+        """T- of Sp_4(5): projective order and both halves cost the 12 products
+        up to M^13 = a * Q (g^13 = -1), not one walk per call: the rest of the
+        walk to K = 26 reads the monomial tail."""
         model = HeisenbergModel(5, 2)
         pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
         products = 0
@@ -454,11 +480,13 @@ class TestSharedWalk:
         K, _ = pm.projective_order()
         even, odd = pm.is_simple(+1), pm.is_simple(-1)
         assert (K, even, odd) == (26, True, True)
-        assert products <= K + 2
+        assert products == 12
 
     def test_one_walk_in_any_call_order(self, monkeypatch):
         """The order, every verdict, the finite-order form and the spectrum
-        come from one walk, K - 1 products, whichever is asked first."""
+        come from one walk, whichever is asked first.  T+ of Sp_2(7) is split,
+        so M is a scalar times a monomial matrix and the walk makes no dense
+        product."""
         model = HeisenbergModel(7, 1)
         g = sp_torus_element(1, 7, 1)
         walks = 0
@@ -485,7 +513,33 @@ class TestSharedWalk:
             ]
             results = {k: steps[k]() for k in calls}
             assert results[0][0] == 6 and results[1] == [False, False, True] and results[3] == want, calls
-            assert walks == 1 and counter["products"] == 6 - 1, calls
+            assert walks == 1 and counter["products"] == 0, calls
+
+    def test_sp_oracle_products(self, monkeypatch):
+        """Dense products per Sp_4(5) intertwiner walk, and per ss_sp_oracle(2, 5)
+        call: only T- (up to M^13) and the transvection (K = 5, no monomial
+        power before) multiply."""
+        want = {"T+": 0, "T-": 12, "identity": 0, "transvection": 4, "central": 0}
+        counter = count_products(monkeypatch)
+        for label, pm in sp4_5_intertwiners(HeisenbergModel(5, 2)).items():
+            counter["products"] = 0
+            pm.is_simple()
+            assert counter["products"] == want[label], label
+        counter["products"] = 0
+        ss_sp_oracle(2, 5)
+        assert counter["products"] == 16
+
+    @pytest.mark.parametrize("eps, K", [(1, 24), (-1, 26)])
+    def test_cap_counts_the_tail(self, monkeypatch, eps, K):
+        """T+ of Sp_4(5) walks wholly in the tail (k0 = 1), T- enters it at
+        k0 = 13: each passes with the cap at K and raises CapExceeded below."""
+        model = HeisenbergModel(5, 2)
+        g = sp_torus_element(2, 5, eps)
+        monkeypatch.setattr("hypermono.stonevn.CYC_ORDER_CAP", K - 1)
+        with pytest.raises(CapExceeded):
+            outer_intertwiner_odd(model, g).projective_order()
+        monkeypatch.setattr("hypermono.stonevn.CYC_ORDER_CAP", K)
+        assert outer_intertwiner_odd(model, g).projective_order()[0] == K
 
     def test_projective_spectrum_makes_no_product(self, monkeypatch):
         """The minus model at order 5: the spectrum inverts the walk's traces."""
@@ -522,12 +576,82 @@ class TestSharedWalk:
         assert tables == 1
 
 
+def extraspecial_candidates(eps):
+    """The intertwiner of ss_extr_oracle's element on Extraspecial2Model(2, eps)
+    and every coset candidate M rho(e) that odd_projective_rep searches."""
+    model = Extraspecial2Model(2, eps)
+    g = find_orthogonal_element(model, 5) if eps == "-" else sp_torus_element(2, 2, 1)
+    pm = outer_intertwiner_2(model, g)
+    return [pm] + [ProjectiveMatrix(pm.mat * mono, model) for mono in model.monomials().values()]
+
+
+class TestWalkEquivalence:
+    """The walk with its monomial tail keeps the (K, c), the traces and the
+    verdicts of the dense reference walk."""
+
+    @staticmethod
+    def check(pm):
+        K, c, traces, verdicts = reference_walk(pm)
+        assert pm.projective_order() == (K, c)
+        assert pm._traces == traces
+        assert pm._verdicts == verdicts
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_every_element_of_sp2(self, q):
+        model = HeisenbergModel(q, 1)
+        for g in symplectic_group(1, q).elements:
+            self.check(outer_intertwiner_odd(model, g))
+
+    @pytest.mark.parametrize("n, q", [(2, 3), (1, 11)])
+    def test_class_representatives(self, n, q):
+        model = HeisenbergModel(q, n)
+        for g in symplectic_group(n, q).class_representatives():
+            self.check(outer_intertwiner_odd(model, g))
+
+    def test_sp4_5_intertwiners(self):
+        for pm in sp4_5_intertwiners(HeisenbergModel(5, 2)).values():
+            self.check(pm)
+
+    @pytest.mark.parametrize("eps", ["+", "-"])
+    def test_extraspecial_candidates(self, eps):
+        for pm in extraspecial_candidates(eps):
+            self.check(pm)
+
+
+class TestPinnedOutputs:
+    """The oracles' reports and the heisenberg_108 generator, pinned."""
+
+    SP_2_5 = (
+        '{"agree": true, "dims": [13, 12], "n": 2, "negative_controls_simple": {"central_involution": false, '
+        '"identity": false, "transvection": false}, "q": 5, "types": [{"as_expected": true, "central_order": 12, '
+        '"simple_even": false, "simple_odd": true, "torus": "T+", "warning": "the minus-half torus order '
+        '(q^n-1)/2 cannot arise from local data unless (n,q) is on the small exception list"}, '
+        '{"as_expected": true, "central_order": 13, "simple_even": true, "simple_odd": true, "torus": "T-", '
+        '"warning": null}]}'
+    )
+    EXTR_2 = (
+        '{"agree": true, "enumerate": [5], "minus": {"matches": true, "simple": true, "spectrum": '
+        '{"0/1": 1, "1/5": 1, "2/5": 1, "3/5": 1}, "torus_order": 5}, "plus": {"matches": true, '
+        '"simple": false, "spectrum": {"0/1": 2, "1/3": 1, "2/3": 1}, "torus_order": 3}}'
+    )
+
+    def test_oracle_reports(self):
+        assert json.dumps(ss_sp_oracle(2, 5), sort_keys=True) == self.SP_2_5
+        assert json.dumps(ss_extr_oracle(2), sort_keys=True) == self.EXTR_2
+
+    def test_finite_order_form_hash(self):
+        """The generator M0 of the 108-element group (order 4, g^2 = -1)."""
+        g4 = FqMatrix.from_rows(field(3), [[0, 2], [1, 0]])
+        M0 = outer_intertwiner_odd(HeisenbergModel(3, 1), g4).finite_order_form()
+        assert hash(M0) == 4476011971548836841
+
+
 class TestParityCheck:
     """Whether M commutes with the parity is read off the permutation."""
 
     def test_parity_check_makes_no_product(self, monkeypatch):
-        """T- of Sp_4(5): projective order and both halves cost the K - 1
-        products of the walk alone."""
+        """T- of Sp_4(5): projective order and both halves cost the walk's
+        own products alone, at most K - 1."""
         model = HeisenbergModel(5, 2)
         pm = outer_intertwiner_odd(model, sp_torus_element(2, 5, -1))
         products = 0
