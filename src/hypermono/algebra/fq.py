@@ -244,9 +244,14 @@ class FqMatrix:
         The map is F_p-linear in the N = n^2 f digits of y.  They are cut into
         chunks of w digits, p^w <= 256, and each chunk gets a table from its
         digit patterns to the images, built from the images of the N basis
-        digits: 2N products in all.  An image is then one table read per
-        chunk and one int sum, whose byte k is image digit k before reduction
-        mod p, and one translate."""
+        digits: 2N products in all.  Images are ints whose byte k is image
+        digit k.  A chunk's table grows one digit at a time: each pattern,
+        extended by digit d, adds d times that digit's basis image (reduced
+        mod p), one int sum per entry whose bytes stay at most
+        w(p-1) <= p^w - 1 <= 255, so none carries into the next; each entry is
+        then reduced mod p by one translate.  The image of y is one table read
+        per chunk and one int sum, whose bytes stay at most chunks * (p-1),
+        and one translate."""
         F, n = self.F, self.n
         p, f = F.p, F.f
         size = n * n * f
@@ -259,20 +264,20 @@ class FqMatrix:
         for k in range(size):
             e = [0] * (n * n)
             e[k // f] = p ** (k % f)
-            basis.append(list((self * FqMatrix(F, n, e) * inverse).digits()))
+            basis.append((self * FqMatrix(F, n, e) * inverse).digits())
         digit = [bytes((d,)) for d in range(p)]
+        reduce = bytes(b % p for b in range(256))
+        from_bytes = int.from_bytes
         tables = []
         for lo in range(0, size, w):
-            patterns = [(b"", [0] * size)]  # (digit pattern of the chunk, its image digits)
+            table = {b"": 0}  # digit pattern of the chunk -> its image, unreduced
             for col in basis[lo : lo + w]:
-                patterns = [
-                    (pat + digit[d], [(a + d * b) % p for a, b in zip(img, col)])
-                    for pat, img in patterns
-                    for d in range(p)
-                ]
-            tables.append({pat: int.from_bytes(bytes(img), "little") for pat, img in patterns})
+                multiples = [from_bytes(bytes(d * b % p for b in col), "little") for d in range(p)]
+                table = {pat + digit[d]: v + multiples[d] for pat, v in table.items() for d in range(p)}
+            tables.append(
+                {pat: from_bytes(v.to_bytes(size, "little").translate(reduce), "little") for pat, v in table.items()}
+            )
         chunks = list(zip(tables, [slice(lo, lo + w) for lo in range(0, size, w)]))
-        reduce = bytes(b % p for b in range(256))
 
         def conj(key: bytes) -> bytes:
             acc = 0

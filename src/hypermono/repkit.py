@@ -6,7 +6,8 @@ earlier coset times a kept generator, one memoised row image at a time,
 with no full matrix product; element orders; conjugacy classes as
 the orbits of those kept generators' conjugation permutations on the element
 positions, over F_q read off a table of the generator's F_p-linear map on
-FqMatrix digit keys with no product per element (other elements take two
+FqMatrix digit keys with no product per element, each chunk's table grown
+one digit at a time by integer additions (other elements take two
 products each); exact spectra by discrete Fourier inversion of the power
 traces, one root sum per eigenvalue index with no Cyc product; and the
 fourth moment M4.
@@ -466,7 +467,8 @@ def closure(generators) -> MatGroup:
     Cyc generators that each have exactly one root-of-unity entry per row
     and column are taken as MonomialMatrix over one exponent modulus, and
     the group's elements are then MonomialMatrix; any other Cyc list stays
-    on CycMatrix.
+    on CycMatrix.  Generators of different matrix types, sizes or fields
+    raise ValueError before any product.
     """
     generators = list(generators)
     if not generators:
@@ -479,10 +481,17 @@ def closure(generators) -> MatGroup:
         else:
             e = lcm(*(g.e for g in monomials))
             generators = [g.lift(e) for g in monomials]
-    identity = generators[0] ** 0
+    first = generators[0]
     for g in generators:
+        if type(g) is not type(first):
+            raise ValueError(f"generators mix {type(first).__name__} and {type(g).__name__}")
+        if g.n != first.n:
+            raise ValueError(f"generators mix sizes {first.n} and {g.n}")
+        if isinstance(g, FqMatrix) and g.F is not first.F:
+            raise ValueError(f"generators mix fields {first.F} and {g.F}")
         if g.rank() != g.n:
             raise ValueError("singular generator")
+    identity = first**0
     elements = [identity]
     index = {identity: 0}  # element -> its position in elements
     kept, times = [], []  # the kept generators s and the maps y -> y * s

@@ -46,6 +46,9 @@ def monomial_group(q):
     return closure(monomial_generators(q))
 
 
+FIB = [[0, 1], [1, 1]]
+
+
 class TestClosure:
     def test_three_cycle(self):
         G = closure([perm_matrix([1, 2, 0])])
@@ -99,6 +102,21 @@ class TestClosure:
         monkeypatch.setenv("HYPERMONO_CAP", "100")
         with pytest.raises(ValueError):  # determinant w * w - 1 * w^2 = 0
             closure([CycMatrix.from_rows([[w, 1], [w * w, w]])])
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([FqMatrix.from_rows(field(7), FIB), FqMatrix.from_rows(field(5), FIB)], "mix fields F_7 and F_5"),
+            ([FqMatrix.from_rows(field(3), FIB), FqMatrix.from_rows(field(3, 2), FIB)], "mix fields F_3 and F_9"),
+            ([FqMatrix.from_rows(field(7), FIB), FqMatrix.identity(field(7), 3)], "mix sizes 2 and 3"),
+            ([FqMatrix.from_rows(field(7), FIB), perm_matrix([1, 0])], "mix FqMatrix and CycMatrix"),
+            ([perm_matrix([1, 0]), perm_matrix([1, 2, 0])], "mix sizes 2 and 3"),
+        ],
+        ids=["F7_F5", "F3_F9", "2x2_3x3", "fq_cyc", "monomial_2x2_3x3"],
+    )
+    def test_mismatched_generators_rejected(self, gens, message):
+        with pytest.raises(ValueError, match=f"^generators {message}$"):
+            closure(gens)
 
     def test_trace_product(self):
         """A monomial P reads tr(P x) = tr(x P) off its n entries."""
@@ -412,13 +430,41 @@ class TestConjugationTables:
             lambda: weilgl.symplectic_group(1, 3),
             lambda: weilgl.general_linear_group(2, 9),
             lambda: weilgl.unitary_group(2, 3),
+            lambda: closure(affine_generators(field(13))),
+            lambda: closure(affine_generators(field(17))),
         ],
-        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sl_2_3", "gl_2_9", "gu_2_3"],
+        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sl_2_3", "gl_2_9", "gu_2_3", "aff_13", "aff_17"],
     )
     def test_matches_the_product_search(self, build):
         check_conjugation_tables(build())
 
-    @pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)], ids=["F2", "F3", "F4", "F5", "F9"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: weilgl.general_linear_group(3, 3),
+            lambda: weilgl.unitary_group(3, 2),
+            lambda: weilgl.symplectic_group(2, 2),
+            lambda: weilgl.symplectic_group(2, 3),
+            lambda: weilgl.general_linear_group(2, 9),
+            lambda: weilgl.unitary_group(2, 3),
+            lambda: weilgl.symplectic_group(1, 5),
+            lambda: weilgl.symplectic_group(1, 7),
+            lambda: closure(affine_generators(field(13))),
+            lambda: closure(affine_generators(field(17))),
+        ],
+        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sp_4_3", "gl_2_9", "gu_2_3", "sp_2_5", "sp_2_7", "aff_13", "aff_17"],
+    )
+    def test_criterion_groups_are_tabulated(self, build):
+        """Every kept generator of these groups has a table, so none falls
+        back to two products per element."""
+        for g in build().generators:
+            assert g.conjugation(g**-1) is not None
+
+    @pytest.mark.parametrize(
+        "p, f",
+        [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)],
+        ids=["F2", "F3", "F4", "F5", "F7", "F8", "F9"],
+    )
     def test_random_two_generator_groups(self, p, f):
         @settings(PROPS, max_examples=10)
         @given(fq_two_generator_groups(field(p, f)))
