@@ -7,7 +7,7 @@ base-p integer, is least.  Matrices are flat row-major tuples; the hot
 matrix loops (product, Gauss-Jordan, matrix-vector) live in ``_fqcore_py``.  A
 matrix's digit key (``FqMatrix.digits``) spells the same encoding out in
 base-p digits, the coordinates in which conjugation is an F_p-linear map that
-``FqMatrix.conjugation`` tabulates.
+``FqMatrix.conjugation`` applies to the digit planes of many keys at once.
 """
 
 from __future__ import annotations
@@ -238,52 +238,39 @@ class FqMatrix:
         return b"".join(map(self.F.digit_bytes.__getitem__, self.data))
 
     def conjugation(self, inverse: "FqMatrix"):
-        """The map y -> self * y * inverse on digit keys (``digits``), or None
-        when its digit sums could pass a byte (p > 256 or chunks * (p-1) > 255).
-
-        The map is F_p-linear in the N = n^2 f digits of y.  They are cut into
-        chunks of w digits, p^w <= 256, and each chunk gets a table from its
-        digit patterns to the images, built from the images of the N basis
-        digits: 2N products in all.  Images are ints whose byte k is image
-        digit k.  A chunk's table grows one digit at a time: each pattern,
-        extended by digit d, adds d times that digit's basis image (reduced
-        mod p), one int sum per entry whose bytes stay at most
-        w(p-1) <= p^w - 1 <= 255, so none carries into the next; each entry is
-        then reduced mod p by one translate.  The image of y is one table read
-        per chunk and one int sum, whose bytes stay at most chunks * (p-1),
-        and one translate."""
+        """The map y -> self * y * inverse on digit planes, or None when
+        p > 128: plane d holds digit d of many keys (``digits``), that is
+        ``b"".join(keys)[d::N]`` with N = n^2 f.  The map is F_p-linear, with
+        matrix L read off the images of the N basis digits (2N products).
+        Image plane d' sums plane d read through the byte table
+        y -> L[d', d] y mod p over d, as ints (byte k of the int is byte k of
+        the plane), reduced by one translate before a byte could carry; a
+        reduced sum takes one more term without a carry when 2(p - 1) <= 255."""
         F, n = self.F, self.n
         p, f = F.p, F.f
-        size = n * n * f
-        w = 0
-        while p ** (w + 1) <= 256:
-            w += 1
-        if w == 0 or -(-size // w) * (p - 1) > 255:
+        per = 255 // (p - 1) - 1  # terms a reduced sum takes before a byte could carry
+        if per < 1:
             return None
+        size = n * n * f
         basis = []  # image digits of each basis digit: x^(k % f) at entry k // f
         for k in range(size):
             e = [0] * (n * n)
             e[k // f] = p ** (k % f)
             basis.append((self * FqMatrix(F, n, e) * inverse).digits())
-        digit = [bytes((d,)) for d in range(p)]
+        times = [bytes(c * b % p for b in range(p)).ljust(256, b"\0") for c in range(p)]  # digits are < p
         reduce = bytes(b % p for b in range(256))
         from_bytes = int.from_bytes
-        tables = []
-        for lo in range(0, size, w):
-            table = {b"": 0}  # digit pattern of the chunk -> its image, unreduced
-            for col in basis[lo : lo + w]:
-                multiples = [from_bytes(bytes(d * b % p for b in col), "little") for d in range(p)]
-                table = {pat + digit[d]: v + multiples[d] for pat, v in table.items() for d in range(p)}
-            tables.append(
-                {pat: from_bytes(v.to_bytes(size, "little").translate(reduce), "little") for pat, v in table.items()}
-            )
-        chunks = list(zip(tables, [slice(lo, lo + w) for lo in range(0, size, w)]))
 
-        def conj(key: bytes) -> bytes:
-            acc = 0
-            for table, span in chunks:
-                acc += table[key[span]]
-            return acc.to_bytes(size, "little").translate(reduce)
+        def conj(planes: list[bytes]) -> list[bytes]:
+            m, images = len(planes[0]), []
+            for row in range(size):
+                terms = [from_bytes(x.translate(times[c[row]]), "little") for x, c in zip(planes, basis) if c[row]]
+                image = bytes(m)
+                for lo in range(0, len(terms), per):
+                    image = from_bytes(image, "little") + sum(terms[lo : lo + per])
+                    image = image.to_bytes(m, "little").translate(reduce)
+                images.append(image)
+            return images
 
         return conj
 

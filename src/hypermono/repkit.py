@@ -5,12 +5,11 @@ keeps only the irredundant generators and, over F_q, forms each coset as an
 earlier coset times a kept generator, one memoised row image at a time,
 with no full matrix product; element orders; conjugacy classes as
 the orbits of those kept generators' conjugation permutations on the element
-positions, over F_q read off a table of the generator's F_p-linear map on
-FqMatrix digit keys with no product per element, each chunk's table grown
-one digit at a time by integer additions (other elements take two
-products each); exact spectra by discrete Fourier inversion of the power
-traces, one root sum per eigenvalue index with no Cyc product; and the
-fourth moment M4.
+positions, over F_q with p <= 128 by the generator's F_p-linear map on the
+digit planes of all the elements at once, with no product per element
+(other elements take two products each); exact spectra by discrete
+Fourier inversion of the power traces, one root sum per eigenvalue index
+with no Cyc product; and the fourth moment M4.
 Works for matrices over a FieldSpec or over a cyclotomic field, and for
 monomial matrices with root-of-unity entries, which closure takes as
 MonomialMatrix; elements only need ``*``, ``**``, equality and hashing.
@@ -26,6 +25,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from struct import iter_unpack
 
 from .algebra.cyc import Cyc, _apply_rows, _ctx, _lift_rows, _mul_vec, _reduce, _times_root, rref
 from .algebra.fq import FqMatrix
@@ -244,6 +244,8 @@ class MonomialMatrix:
     __slots__ = ("perm", "exps", "e", "_hash")
 
     def __init__(self, perm, exps, e: int):
+        if e < 1:
+            raise ValueError(f"the exponent modulus must be >= 1, got {e}")
         perm, exps = tuple(perm), tuple(k % e for k in exps)
         if sorted(perm) != list(range(len(perm))) or len(exps) != len(perm):
             raise ValueError("a monomial matrix needs a permutation and one exponent per column")
@@ -417,21 +419,33 @@ class MatGroup:
         return classes
 
     def _conjugation_permutation(self, g) -> list[int]:
-        """pi with elements[pi[i]] = g * elements[i] * g^-1, from g's tabulated
-        conjugation map on FqMatrix digit keys where it has one, else from
-        products.  g^-1 is the last of g's powers."""
+        """pi with elements[pi[i]] = g * elements[i] * g^-1, from g's conjugation
+        map on the digit planes of all FqMatrix elements where it has one, else
+        from products.  g^-1 is the last of g's powers."""
         ginv = deque(_powers(g), maxlen=1)[0]
         conj = g.conjugation(ginv) if isinstance(g, FqMatrix) else None
         if conj is None:
             return self._product_permutation(g, ginv)
-        position = self._digit_positions  # its keys run in position order
-        return [position[y] for y in map(conj, position)]
+        planes, position = self._digit_planes, self._digit_positions
+        size = len(planes)
+        out = bytearray(size * self.order)
+        for d, plane in enumerate(conj(planes)):
+            out[d::size] = plane
+        return [position[y] for (y,) in iter_unpack(f"{size}s", out)]
 
     @cached_property
     def _digit_positions(self) -> dict[bytes, int]:
         """Each FqMatrix element's digit key -> its position: formed once per
         group, whatever number of kept generators reads it."""
         return {x.digits(): i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def _digit_planes(self) -> list[bytes]:
+        """Plane d: digit d of every element, in position order."""
+        keys, size = bytearray(), len(self.identity.digits())
+        for key in self._digit_positions:  # b"".join would hold an 80-byte buffer view per key
+            keys += key
+        return [keys[d::size] for d in range(size)]
 
     def _product_permutation(self, g, ginv) -> list[int]:
         """pi with elements[pi[i]] = g * elements[i] * ginv, two products per element."""

@@ -610,6 +610,8 @@ def ss_extr_enumerate(p: int, n: int, override: bool = False) -> list[int]:
     the sets whose parts have pairwise distinct 2-adic valuations.  There are
     c(n) of them, c(0) = 1, c(2m) = c(m), c(2m + 1) = c(0) + ... + c(m), and
     CapExceeded comes before any is listed when c(n) * n bits pass the cap."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p**n < 11 and not override:
         raise ValueError(f"the classification needs p^n >= 11, got {p}^{n} = {p**n}")
     if p != 2:
@@ -667,7 +669,7 @@ class SpTorusClass:
 
 def ss_sp_enumerate(n: int, q: int) -> list[SpTorusClass]:
     """Torus types of the odd-characteristic symplectic classification."""
-    if q % 2 == 0:
+    if _prime_power(q)[0] == 2:
         raise ValueError("q must be odd")
     if n < 2:
         raise ValueError("need n >= 2")

@@ -117,6 +117,8 @@ def general_linear_group(n: int, q: int) -> MatGroup:
     """GL_n(q), closed over Taylor's pair [B, A] (Taylor 1987): B has first
     row (-1, 0, ..., 0, 1) and -1 on the subdiagonal; A = diag(w, 1, ..., 1),
     w the generator of F_q, or I + E_12 when q = 2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     F = field(*_prime_power(q))
     minus = F.neg[1]
     B = _matrix(F, n, {(0, 0): minus, (0, n - 1): 1, **{(i, i - 1): minus for i in range(1, n)}}, diagonal=0)
@@ -134,6 +136,8 @@ def unitary_group(n: int, q: int) -> MatGroup:
     z = diag(w, 1, ..., 1, w^-q), w the generator of F_(q^2).  The list needs
     _form_torus's conjugate of x (18 of the 72 in GU_3(2) close to 162
     elements), which TestTori.PINNED holds fixed."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     p, f = _prime_power(q)
     order, cap = _gu_order(n, q), _cap(None)
     if order > cap:
@@ -160,6 +164,8 @@ def symplectic_group(n: int, q: int) -> MatGroup:
     element t_a1 ... t_a(2n+1) of the chain e_1, f_1, e_1 + e_2, f_2, ...,
     e_(n-1) + e_n, f_n, e_n, and s the torus element of order q^n + 1.  c
     comes first: s and t_e1 alone generate O_4^-(2) in Sp_4(2)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     F = field(*_prime_power(q))
     gram = symplectic_gram(F, n)
 
@@ -575,6 +581,7 @@ def weil_degrees(family: str, n: int, q: int) -> list[int]:
 
 def ss_enumerate(family: str, n: int, q: int) -> list[SsClass]:
     """Torus types whose generators may have simple spectrum on a Weil module."""
+    _prime_power(q)
     if family == LINEAR:
         if n < 3:
             raise ExcludedCase(f"Linear n={n} < 3 outside the classification")
@@ -807,6 +814,8 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
     bound on the element orders; above the HYPERMONO_CAP cap, CapExceeded
     is raised before any class is listed.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     p = _prime_power(q)[0]
     if family == LINEAR:
         name, order, bound = f"GL_{n}({q})", _gl_order(n, q), q**n - 1

@@ -473,6 +473,19 @@ class TestConjugationTables:
 
         check()
 
+    @pytest.mark.parametrize("p, f", [(67, 1), (127, 1), (2, 4), (5, 2), (3, 3), (3, 4)])
+    def test_affine_groups(self, p, f):
+        """Up to q(q - 1) = 16,002 elements, p up to 127 and f up to 4."""
+        check_conjugation_tables(closure(affine_generators(field(p, f))))
+
+    def test_maps_stop_past_p_128(self):
+        """Two reduced digits stay at most 2 * 126 <= 255 over F_127; over
+        F_131 and F_257 they could pass a byte."""
+        rows = [[0, 1], [-1, 3]]
+        for p, tabulated in ((127, True), (131, False), (257, False)):
+            g = FqMatrix.from_rows(field(p), rows)
+            assert (g.conjugation(g**-1) is not None) == tabulated, p
+
     def test_trivial_group(self):
         one = FqMatrix.identity(field(3), 2)
         G = closure([one])
@@ -499,7 +512,7 @@ class TestConjugationTables:
         F257, F131 = field(257), field(131)
         g = FqMatrix.scalar(F257, 1, 3)
         h = FqMatrix.from_rows(F131, [[0, 1], [130, 0]])
-        for x in (g, h):  # p > 256; four chunks of one digit, 4 * 130 > 255
+        for x in (g, h):  # p > 128: two reduced digits could pass a byte
             assert x.conjugation(x**-1) is None
         check_conjugation_tables(closure([g]))
         check_conjugation_tables(closure([h, FqMatrix.from_rows(F131, [[1, 0], [0, 130]])]))
@@ -539,6 +552,11 @@ class TestMonomialTwin:
         same = MonomialMatrix([1, 0], [3, 9], 12)
         assert i2 == same and hash(i2) == hash(same) and i2.to_cyc() == same.to_cyc()
         assert (i2 * MonomialMatrix([0, 1], [1, 0], 3)).e == 12
+
+    @pytest.mark.parametrize("e", [0, -1, -3])
+    def test_exponent_modulus_below_1_is_refused(self, e):
+        with pytest.raises(ValueError, match=f"^the exponent modulus must be >= 1, got {e}$"):
+            MonomialMatrix([1, 0], [1, 2], e)
 
     def test_non_monomial_and_non_root_entries_are_refused(self):
         w = zeta(3)

@@ -304,6 +304,13 @@ class TestEnumerators:
         with pytest.raises(ValueError):
             ss_extr_enumerate(3, 1)
 
+    @pytest.mark.parametrize("p, n", [(6, 2), (1, 4), (9, 1), (-3, 3)])
+    def test_ss_extr_p_must_be_prime(self, p, n):
+        """Checked before the p^n >= 11 guard: (6, 2) gave [37]."""
+        for override in (False, True):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                ss_extr_enumerate(p, n, override=override)
+
     def test_ss_extr_p2_is_the_partition_filter(self):
         """Through n = 40 the listing gives what filtering every partition
         of n gives: a product of 2^a + 1 over distinct parts a whose factors
@@ -336,6 +343,13 @@ class TestEnumerators:
             ss_sp_enumerate(2, 3)
         with pytest.raises(ExcludedCase):
             ss_sp_enumerate(3, 3)
+
+    @pytest.mark.parametrize("n, q", [(2, 15), (2, -3), (1, 6), (3, 1)])
+    def test_ss_sp_q_must_be_a_prime_power(self, n, q):
+        """Checked before the parity and n rules: (2, 15) and (2, -3) gave
+        T+ and T- classes."""
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            ss_sp_enumerate(n, q)
 
     def test_beta_coprimality_claim(self):
         """The two block orders of an admissible (a, b) pair are coprime

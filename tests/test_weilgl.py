@@ -114,6 +114,20 @@ class TestGroups:
         for g in symplectic_group(1, 3).elements:
             assert is_symplectic(g)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (general_linear_group, (0, 3)),
+            (unitary_group, (0, 2)),
+            (symplectic_group, (0, 3)),
+            (weilgl.ss_exhaustive_check, ("Linear", 0, 3)),
+            (weilgl.ss_exhaustive_check, ("Unitary", -1, 2)),
+        ],
+    )
+    def test_n_below_1_is_refused(self, build, args):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            build(*args)
+
     def test_unitary_order_checked_before_closure(self, monkeypatch):
         """GU_3(3) has order 24,192: under a cap of 1000 it is refused from the
         order formula, and closure is never called (past the group cache)."""
@@ -451,6 +465,13 @@ class TestEnumerate:
         types = ss_enumerate("Unitary", 4, 4)
         by_label = {t.label: t.central_order for t in types}
         assert by_label["Singer"] == 51 and by_label["T_3,1"] == 65
+
+    @pytest.mark.parametrize("family, n, q", [("Linear", 3, 6), ("Unitary", 3, 10), ("Linear", 2, 6), ("Linear", 3, -3)])
+    def test_q_must_be_a_prime_power(self, family, n, q):
+        """Checked before the family's n and exclusion rules: GL_3(6) gave a
+        Singer class of order 43."""
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            ss_enumerate(family, n, q)
 
     def test_excluded(self):
         with pytest.raises(ExcludedCase):
