@@ -23,8 +23,6 @@ from .algebra.unity import unity
 from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
 from .weilgl import ExcludedCase, _prime_power, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
-DESK_CAP = 32
-
 
 class ModelError(RuntimeError):
     pass
@@ -40,13 +38,21 @@ class _MonomialModel:
     monomial: a MonomialMatrix over zeta_m, with rho delta_x =
     zeta_m^exps[x] delta_perm[x].
 
-    A subclass sets p, n, F, m, dim and _irreducible = None, and provides
-    monomials() (label -> MonomialMatrix), generators() (labels generating
-    the group modulo its center), parity_matrix() and gauss_candidates().
+    A subclass calls _set_dim right after its argument checks, sets p, n, F,
+    m and _irreducible = None, and provides monomials() (label -> MonomialMatrix),
+    generators() (labels generating the group modulo its center),
+    parity_matrix() and gauss_candidates().
     The commutator form of both models on F^(2n) is the standard
     alternating form of weilgl.symplectic_gram, up to sign and mod 2
     (Gerardin, J. Algebra 46, 1977).
     """
+
+    def _set_dim(self, p: int, e: int) -> None:
+        """dim = p^e; CapExceeded when dim^3, a table of dim^2 monomials of dim columns, passes the cap."""
+        cap = _cap(None)
+        if 3 * e > cap.bit_length() or p ** (3 * e) > cap:  # the first test spares forming a huge p^(3e)
+            raise CapExceeded(f"a model of dimension {p}^{e}: its table of dimension^3 entries passes the cap {cap}")
+        self.dim = p**e
 
     def preserves_structure(self, g: FqMatrix) -> bool:
         """Whether g is a 2n x 2n matrix over the model's field that keeps
@@ -91,14 +97,13 @@ class HeisenbergModel(_MonomialModel):
     def __init__(self, p: int, n: int, f: int = 1):
         if not is_prime(p) or p == 2:
             raise ModelError("odd p required (use extraspecial2 for p = 2)")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self._set_dim(p, n * f)
         self.p, self.n, self.f = p, n, f
         self.m = p
         self.F = field(p, f)
-        q = self.F.q
-        self.q = q
-        if q**n > DESK_CAP:
-            raise ModelError(f"model dimension {q**n} above desk cap {DESK_CAP}")
-        self.dim = q**n
+        self.q = q = self.F.q
         self.points = list(itertools.product(range(q), repeat=n))
         self.point_index = {x: i for i, x in enumerate(self.points)}
         self.half = self.F.inv[2 % p]  # 1/2 in F_p < F_q
@@ -239,14 +244,15 @@ class Extraspecial2Model(_MonomialModel):
     def __init__(self, n: int, eps: str):
         if eps not in ("+", "-"):
             raise ModelError("eps must be '+' or '-'")
-        if 2**n > DESK_CAP:
-            raise ModelError(f"model dimension {2**n} above desk cap {DESK_CAP}")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self._set_dim(2, n)
         self.n = n
         self.eps = eps
         self.p = 2
         self.F = field(2)
         self.m = 4
-        self.dim = N = 2**n
+        N = self.dim
         self._irreducible = None
         gens = []
         for kind in ("X", "Z"):
@@ -747,7 +753,7 @@ def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
 
 
 def ss_extr_oracle(n: int = 2) -> dict:
-    """Verify the extraspecial p = 2 torus spectra at desk scale.
+    """Verify the extraspecial p = 2 torus spectra in the model of 2^(1+2n).
 
     For the minus type the odd torus generator has spectrum mu_(2^n+1) minus
     the trivial class (simple); for the plus type the block torus has the
@@ -787,16 +793,16 @@ def ss_extr_oracle(n: int = 2) -> dict:
 def ss_sp_oracle(n: int, q: int) -> dict:
     """Construct the enumerated symplectic torus generators in the model and
     check their projective spectra on both halves; negative controls must
-    come out non-simple."""
+    come out non-simple.  ExcludedCase, before the model, if a block type T_a,b is listed."""
     p, f = _prime_power(q)
+    types = ss_sp_enumerate(n, q)
+    if blocks := [cls.label for cls in types if cls.a is not None]:
+        raise ExcludedCase(f"no block torus is built: {', '.join(blocks)}")
     model = HeisenbergModel(p, n, f)
     dims = ((q**n + 1) // 2, (q**n - 1) // 2)
-    types = ss_sp_enumerate(n, q)
     results = {"n": n, "q": q, "dims": list(dims), "types": []}
     agree = True
     for cls in types:
-        if cls.a is not None:
-            continue  # block types exceed desk scale for all admissible (n, q)
         eps = -1 if cls.label == "T-" else 1
         g = sp_torus_element(n, q, eps)
         pm = outer_intertwiner_odd(model, g)

@@ -222,7 +222,7 @@ class TestExitCodes:
             ["construct", "special", "F_N", "3", "--N", "-2"],
             ["construct", "sawin", "-1", "1", "2"],
             ["construct", "sawin", "0", "1", "2", "--side", "ii"],
-            ["ss", "symplectic", "2", "7", "--exhaustive"],
+            ["ss", "symplectic", "3", "5", "--exhaustive"],  # the block type T_2,1 has no torus built
             ["gates", "brauerp", "--m11", "--tables", "no_such_tables.json"],  # --tables was ignored
             ["gates", "brauerp", "--m11", "--tables", "m11_row.json"],
             ["tables", "1", "--check"],  # table 1 has no check
@@ -346,6 +346,7 @@ class TestEveryLoopIsCapped:
         ["ss", "linear", "10000", "3"],  # q^n forms, but has more digits than json.dumps prints
         ["gates", "meo", "Linear", "10000", "3"],
         ["ss", "extraspecial", "1023", "2"],  # c(1023) = 74,555,322 orders of about 1023 bits
+        ["ss", "symplectic", "2", "13", "--exhaustive"],  # a model table of 169^3 entries
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: "_".join(argv).replace("-", ""))
@@ -373,6 +374,18 @@ def test_symplectic_oracle_report():
     code, out = run_cli(["ss", "symplectic", "2", "5", "--exhaustive"])
     assert code == 0
     assert json.loads(out)["result"] == json.loads(json.dumps(ss_sp_oracle(2, 5)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ss", "symplectic", "2", "7", "--exhaustive"], ["ss", "symplectic", "2", "9", "--exhaustive"]],
+    ids=lambda argv: "_".join(argv).replace("-", ""),
+)
+def test_symplectic_oracle_answers_within_the_cap(argv):
+    """Sp_4(7) and Sp_4(9): models of dimension 49 and 81, whose tables of
+    N^3 entries are within the cap, agree with the enumeration."""
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["result"]["agree"] is True
 
 
 class TestM4Input:

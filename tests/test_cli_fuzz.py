@@ -45,7 +45,7 @@ def with_past_cap(values):
     q=with_past_cap(st.integers(-1, 9)),
     exhaustive=st.booleans(),
 )
-@example(family="symplectic", n=2, q=7, exhaustive=True)  # model dimension above the desk cap
+@example(family="symplectic", n=2, q=7, exhaustive=True)  # a model table of 49^3 entries, above the cap
 @example(family="unitary", n=4, q=4, exhaustive=True)  # 470 classes, walks above the cap
 @example(family="linear", n=4, q=3, exhaustive=True)  # 78 classes, walks above the cap
 def test_ss_reports_or_refuses(family, n, q, exhaustive):

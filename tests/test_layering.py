@@ -5,7 +5,8 @@ only repkit, home of the flat CycMatrix kernel, may import the underscore
 helpers of hypermono.algebra.cyc; every other module goes through Cyc.
 
 The cap is set in one place: no function but numth's _cap and _powers
-takes a cap, and the CLI has no --cap option.
+takes a cap, the CLI has no --cap option, and no module-level name ending
+in _CAP is bound outside CAP_NAMES.
 
 Gauss-Jordan over F_q is written once, in the kernel module.
 
@@ -108,6 +109,29 @@ def test_one_cap_parameter_and_no_cap_option():
     numth = "hypermono/algebra/numth.py"
     assert sorted(takers) == [(numth, "_cap"), (numth, "_powers")]
     assert "--out" in options and "--cap" not in options  # the walk sees the options
+
+
+# the module-level names ending in _CAP: the cap's default, the bound on a
+# CycMatrix walk (which may never end), the exit code of a refusal, and the
+# element scan that perfbench still traces
+CAP_NAMES = {
+    "hypermono.algebra.numth.DEFAULT_CAP",
+    "hypermono.repkit.CYC_ORDER_CAP",
+    "hypermono.cli.EXIT_CAP",
+    "hypermono.weilgl.ELEMENT_SCAN_CAP",
+}
+
+
+def test_no_second_cap():
+    """No module in src binds a module-level name ending in _CAP beyond
+    CAP_NAMES: a model's or a loop's size is held to the one cap."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names |= {f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.endswith("_CAP")}
+    assert names == CAP_NAMES
 
 
 def test_one_gauss_jordan_over_fq():

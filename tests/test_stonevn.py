@@ -9,6 +9,7 @@ from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
 from hypermono.gates import partitions
+from hypermono import stonevn
 from hypermono.repkit import CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, m4
 from hypermono.stonevn import (
     Extraspecial2Model,
@@ -51,9 +52,30 @@ class TestModels:
         m = HeisenbergModel(5, 2)
         assert m.dim == 25 and model_group(m).order == 5**5
 
-    def test_cap(self):
-        with pytest.raises(ModelError):
-            HeisenbergModel(3, 4)  # 81 > 32
+    def test_cap(self, monkeypatch):
+        """A model of dimension N is refused when N^3, its table of N^2
+        monomials of N columns, passes the cap (N = 169 and 256 here), and
+        before the field's q^2 tables are built."""
+        with pytest.raises(CapExceeded):
+            HeisenbergModel(13, 2)
+        with pytest.raises(CapExceeded):
+            Extraspecial2Model(8, "+")
+
+        def no_field(*args):
+            raise AssertionError("the field is built before the size check")
+
+        monkeypatch.setattr(stonevn, "field", no_field)
+        with pytest.raises(CapExceeded):
+            HeisenbergModel(1000003, 2)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(HeisenbergModel, 0), (HeisenbergModel, -1), (Extraspecial2Model, 0), (Extraspecial2Model, -1)],
+    )
+    def test_n_below_1_is_refused(self, build, n):
+        args = (3, n) if build is HeisenbergModel else (n, "+")
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            build(*args)
 
     def test_generators_at_prime_q_are_the_unit_vectors(self):
         assert HeisenbergModel(3, 2).generators() == [
@@ -376,8 +398,15 @@ class TestSpOracle:
         assert not by_label["T+"]["simple_even"] and by_label["T+"]["simple_odd"]
         assert not any(rep["negative_controls_simple"].values())
 
-    def test_cap(self):
-        with pytest.raises(ModelError):
+    def test_cap(self, monkeypatch):
+        """Sp_6(5) lists the block type T_2,1, whose torus the oracle does not
+        build: refused by name before the model is built."""
+
+        def no_model(*args):
+            raise AssertionError("the model is built before the refusal")
+
+        monkeypatch.setattr(stonevn, "HeisenbergModel", no_model)
+        with pytest.raises(ExcludedCase, match="^no block torus is built: T_2,1$"):
             ss_sp_oracle(3, 5)
 
     def test_q_must_be_a_prime_power(self):
