@@ -17,7 +17,7 @@ import operator
 from functools import lru_cache
 
 from . import _fqcore_py as _kernel
-from .numth import _power, _powers, is_prime
+from .numth import CapExceeded, _cap, _power, _powers, is_prime
 
 KERNEL_IMPLEMENTATION = "python"  # the only kernel; perfbench prints it on its env line
 
@@ -161,7 +161,12 @@ class FieldSpec:
 
 
 def field(p: int, f: int = 1) -> FieldSpec:
-    """The one FieldSpec of F_(p^f), however f is spelled: field(3) is field(3, 1)."""
+    """The one FieldSpec of F_(p^f), however f is spelled: field(3) is field(3, 1).
+    CapExceeded, before the cache, when its tables of q^2 entries pass the cap
+    in force, so the answer does not depend on the cap that first built it."""
+    q, cap = p**f, _cap(None)
+    if q * q > cap:
+        raise CapExceeded(f"the tables of F_{q}, q^2 = {q * q} entries, pass the cap {cap}")
     return _field(p, f)
 
 

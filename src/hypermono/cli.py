@@ -120,11 +120,7 @@ def _check_weil_degree(spec) -> None:
 
 
 def _load_descriptor(path: str) -> HypDescriptor:
-    obj = _load_json(path)
-    try:
-        return HypDescriptor.from_json(obj)
-    except DescriptorError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    return HypDescriptor.from_json(_load_json(path))
 
 
 def _spectrum_json(s) -> dict:
@@ -349,28 +345,25 @@ def _parse_family(tokens: list[str]) -> GroupFamily:
 def cmd_construct(args) -> dict:
     from .constructions import alt2_family, sawin, special_family
 
-    try:
-        if args.kind == "sawin":
-            h = sawin(args.A, args.B, args.p, args.side)
-            extra = {}
-        elif args.kind == "alt2":
-            h, grp, ct = alt2_family(args.n, args.k, args.p)
-            extra = {"expected_group": grp, "i0_cycle_type": ct}
-        elif args.kind == "special":
-            params = {"N": args.N} if args.name == "F_N" else {"D": args.D, "chi": args.chi}
-            foreign = [f"--{k}" for k in ("N", "D", "chi") if k not in params and getattr(args, k) is not None]
-            if foreign:
-                raise CliError(EXIT_VALIDATION, f"{args.name} does not take {' or '.join(foreign)}")
-            missing = [f"--{k}" for k, v in params.items() if v is None]
-            if missing:
-                raise CliError(EXIT_VALIDATION, f"{args.name} needs {' and '.join(missing)}")
-            _check_at_least(1, **{f"--{k}": v for k, v in params.items() if k != "chi"})
-            h = _domain_call(special_family, args.name, params, args.p)  # a bad --chi or --D is a ValueError
-            extra = {}
-        else:
-            raise CliError(EXIT_VALIDATION, f"unknown construction {args.kind}")
-    except DescriptorError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    if args.kind == "sawin":
+        h = sawin(args.A, args.B, args.p, args.side)
+        extra = {}
+    elif args.kind == "alt2":
+        h, grp, ct = alt2_family(args.n, args.k, args.p)
+        extra = {"expected_group": grp, "i0_cycle_type": ct}
+    elif args.kind == "special":
+        params = {"N": args.N} if args.name == "F_N" else {"D": args.D, "chi": args.chi}
+        foreign = [f"--{k}" for k in ("N", "D", "chi") if k not in params and getattr(args, k) is not None]
+        if foreign:
+            raise CliError(EXIT_VALIDATION, f"{args.name} does not take {' or '.join(foreign)}")
+        missing = [f"--{k}" for k, v in params.items() if v is None]
+        if missing:
+            raise CliError(EXIT_VALIDATION, f"{args.name} needs {' and '.join(missing)}")
+        _check_at_least(1, **{f"--{k}": v for k, v in params.items() if k != "chi"})
+        h = _domain_call(special_family, args.name, params, args.p)  # a bad --chi or --D is a ValueError
+        extra = {}
+    else:
+        raise CliError(EXIT_VALIDATION, f"unknown construction {args.kind}")
     result = {"descriptor": h.to_json(), "type": list(h.type), "W": h.W, **extra}
     return _report(f"construct/{args.kind}", vars_without(args, {"func", "out"}), result)
 

@@ -711,45 +711,34 @@ def ss_sp_enumerate(n: int, q: int) -> list[SpTorusClass]:
 # ---------------------------------------------------------------------------
 
 
-def find_orthogonal_element(model: Extraspecial2Model, order: int) -> FqMatrix:
-    """The F_2 matrix of the given order preserving the model's quadratic
-    structure whose row-major entries data give the smallest sum of
-    data[k] * 2^k.
+def minus_torus_element(model: Extraspecial2Model) -> FqMatrix:
+    """An element of order 2^n + 1 keeping the model's quadratic form Q.
 
-    The columns, the images of the basis vectors, are chosen one at a time:
-    column c keeps Q(e_c) and the form B(u, v) = Q(u + v) + Q(u) + Q(v)
-    against every earlier column.  By that polarization every candidate
-    keeps Q on all of F_2^(2n), and its columns have the basis's
-    nondegenerate Gram matrix, so it is invertible: the candidates are the
-    elements of the orthogonal group (120 on the minus model at n = 2).
-    They meet the order test in increasing order of that sum; CapExceeded
-    once the candidates after a column pass the cap."""
-    F2 = field(2)
-    dim = 2 * model.n
-    basis, Q = model.generators(), model.Q
-
-    def form(u, v):
-        return Q[tuple(a ^ b for a, b in zip(u, v))] ^ Q[u] ^ Q[v]
-
-    vecs = list(itertools.product(range(2), repeat=dim))
-    partial, cap = [()], _cap(None)
-    for c in range(dim):
-        grams = [form(basis[i], basis[c]) for i in range(c)]
-        allowed = [v for v in vecs if Q[v] == Q[basis[c]]]
-        partial = [
-            cols + (v,)
-            for cols in partial
-            for v in allowed
-            if all(form(u, v) == f for u, f in zip(cols, grams))
-        ]
-        if len(partial) > cap:
-            raise CapExceeded(f"{len(partial)} candidates after column {c + 1} pass the cap {cap}")
-    datas = [tuple(cols[c][r] for r in range(dim) for c in range(dim)) for cols in partial]
-    for data in sorted(datas, key=lambda d: d[::-1]):  # d[::-1] compares like the sum
-        g = FqMatrix(F2, dim, data)
-        if g.order() == order:
-            return g
-    raise ModelError(f"no structure-preserving element of order {order}")
+    1. T = sp_torus_element(n, 2, -1) has order 2^n + 1 and keeps the form
+       B of symplectic_gram, the model's commutator form.  It acts
+       irreducibly, so 1 + T is invertible.
+    2. Since T keeps B, v -> Q(Tv) + Q(v) is linear; c_k is its value on
+       the basis label e_k.
+    3. The u with (G (1 + T))^T u = c gives Q(Tv) + Q(v) = B(u, (1 + T) v)
+       for all v, so Q_T = Q + B(u, .) is a quadratic form that T keeps.
+    4. By Arf(Q + B(u, .)) = Arf(Q) + Q(u) (Arf, J. reine angew. Math. 183,
+       1941; Taylor, The Geometry of the Classical Groups, 1992), and since
+       T keeps only forms of minus type, Q(u) = 0 exactly on the minus
+       model; the plus model, which has no element of order 2^n + 1,
+       raises ModelError.
+    5. With Q(u) = 0 the transvection t_u: x -> x + B(x, u) u is an
+       involution with Q(t_u x) = Q(x) + B(x, u) = Q_T(x), so
+       t_u T t_u keeps Q and B and has T's order.
+    """
+    n, F2 = model.n, field(2)
+    T = sp_torus_element(n, 2, -1)
+    G = symplectic_gram(F2, n)
+    c = [model.Q[tuple(T.apply(e))] ^ model.Q[e] for e in model.generators()]
+    u = tuple((G * T.sub_scalar(1)).transpose().inverse().apply(c))  # T - 1 is 1 + T over F_2
+    if model.Q[u]:
+        raise ModelError(f"the {model.eps} model has no element of order {2**n + 1}")
+    t = _symplectic_transvection(F2, G, u)
+    return t * T * t
 
 
 def ss_extr_oracle(n: int = 2) -> dict:
@@ -757,12 +746,13 @@ def ss_extr_oracle(n: int = 2) -> dict:
 
     For the minus type the odd torus generator has spectrum mu_(2^n+1) minus
     the trivial class (simple); for the plus type the block torus has the
-    trivial class twice (not simple).
+    trivial class twice (not simple).  The minus generator is the symplectic
+    torus element conjugated by one transvection onto the model's quadratic
+    form (minus_torus_element), so every n whose model fits the cap answers.
     """
     out = {}
     minus = Extraspecial2Model(n, "-")
-    g5 = find_orthogonal_element(minus, 2**n + 1)
-    pm = outer_intertwiner_2(minus, g5).odd_projective_rep()
+    pm = outer_intertwiner_2(minus, minus_torus_element(minus)).odd_projective_rep()
     spec = pm.projective_spectrum()
     want = Spectrum.from_multiset([unity(k, 2**n + 1) for k in range(1, 2**n + 1)]).canonical_rotation()
     out["minus"] = {

@@ -202,6 +202,16 @@ class TestFq:
         assert field(3) is field(3, 1) is field(3, f=1)
         assert FqMatrix.from_rows(field(3), [[0, 2], [1, 0]]) in general_linear_group(2, 3)
 
+    def test_field_tables_are_capped(self, monkeypatch):
+        """The q^2-entry tables are refused under the cap in force, even for a
+        field already built under a larger one."""
+        assert field(37).q == 37  # 1369 entries, built at the default cap
+        monkeypatch.setenv("HYPERMONO_CAP", "1000")
+        with pytest.raises(CapExceeded):
+            field(37)
+        monkeypatch.setenv("HYPERMONO_CAP", "50")
+        assert field(3).q == 3
+
     def test_kernel_dim_examples(self):
         F2 = field(2)
         assert kernel_dim(FqMatrix.identity(F2, 3), 1) == 3

@@ -347,6 +347,7 @@ class TestEveryLoopIsCapped:
         ["gates", "meo", "Linear", "10000", "3"],
         ["ss", "extraspecial", "1023", "2"],  # c(1023) = 74,555,322 orders of about 1023 bits
         ["ss", "symplectic", "2", "13", "--exhaustive"],  # a model table of 169^3 entries
+        ["spectrum", "unitary", "1", "47", "--index", "2"],  # the tables of F_(47^2), 47^4 entries
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: "_".join(argv).replace("-", ""))

@@ -16,7 +16,7 @@ from hypermono.stonevn import (
     HeisenbergModel,
     ModelError,
     ProjectiveMatrix,
-    find_orthogonal_element,
+    minus_torus_element,
     outer_intertwiner_2,
     outer_intertwiner_odd,
     sp_halves,
@@ -254,7 +254,7 @@ class TestHalves:
 class TestExtraspecialSpectra:
     def test_c5_minus(self):
         minus = Extraspecial2Model(2, "-")
-        g5 = find_orthogonal_element(minus, 5)
+        g5 = minus_torus_element(minus)
         pm = outer_intertwiner_2(minus, g5).odd_projective_rep()
         want = Spectrum.from_multiset([unity(k, 5) for k in range(1, 5)]).canonical_rotation()
         assert pm.projective_spectrum() == want
@@ -274,43 +274,37 @@ class TestExtraspecialSpectra:
         rep = ss_extr_oracle(2)
         assert rep["agree"]
 
-    @pytest.mark.parametrize(
-        "order, data",
-        [
-            (5, (1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)),
-            (3, (1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0)),
-            (2, (0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)),
-            (1, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
-        ],
-    )
-    def test_orthogonal_element_is_the_first_in_scan_order(self, order, data):
-        """The column search returns the hit with the smallest sum of
-        data[k] * 2^k, the first a scan over all bit patterns would meet."""
-        g = find_orthogonal_element(Extraspecial2Model(2, "-"), order)
-        assert g.data == data
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_minus_torus_element_keeps_q(self, n):
+        minus = Extraspecial2Model(n, "-")
+        g = minus_torus_element(minus)
+        assert minus.preserves_structure(g)
+        assert g.order() == 2**n + 1
 
-    @pytest.mark.parametrize(
-        "order, data",
-        [
-            (3, (1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0)),
-            (5, None),  # 5 does not divide |O+_4(2)| = 72
-        ],
-    )
-    def test_orthogonal_element_on_the_plus_model(self, order, data):
+    def test_minus_torus_element_is_in_the_brute_force_list(self):
+        minus = Extraspecial2Model(2, "-")
+        listed = structure_preserving_elements(minus, 5)
+        assert len(listed) == 24
+        assert minus_torus_element(minus) in listed
+
+    def test_plus_model_has_no_minus_torus(self):
+        """5 does not divide |O+_4(2)| = 72; the construction finds Q(u) = 1."""
         plus = Extraspecial2Model(2, "+")
-        if data is None:
+        assert structure_preserving_elements(plus, 5) == []
+        for n in (1, 2, 3):
             with pytest.raises(ModelError):
-                find_orthogonal_element(plus, order)
-        else:
-            assert find_orthogonal_element(plus, order).data == data
+                minus_torus_element(Extraspecial2Model(n, "+"))
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_oracle_agrees(self, n):
+        assert ss_extr_oracle(n)["agree"]
 
-    def test_orthogonal_search_is_capped(self, monkeypatch):
-        """At n = 3 the column search lists the 51,840 elements of O-_6(2);
-        past the cap it refuses after a column instead."""
+    def test_oracle_needs_only_its_model_under_the_cap(self, monkeypatch):
+        """At n = 3 the model table has 8^3 = 512 entries, inside a cap of 1000;
+        no search through O-_6(2) (51,840 elements) stands in the way."""
         monkeypatch.setenv("HYPERMONO_CAP", "1000")
-        with pytest.raises(CapExceeded):
-            find_orthogonal_element(Extraspecial2Model(3, "-"), 5)
+        assert ss_extr_oracle(3)["agree"]
+
 
 class TestEnumerators:
     def test_ss_extr_odd(self):
@@ -502,7 +496,7 @@ class TestSharedWalk:
 
     def test_extraspecial_matches_reference(self):
         minus = Extraspecial2Model(2, "-")
-        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5)).odd_projective_rep()
+        pm = outer_intertwiner_2(minus, minus_torus_element(minus)).odd_projective_rep()
         assert pm.is_simple() == reference_is_simple(pm) is True
 
     def test_one_walk_per_intertwiner(self, monkeypatch):
@@ -587,7 +581,7 @@ class TestSharedWalk:
     def test_projective_spectrum_makes_no_product(self, monkeypatch):
         """The minus model at order 5: the spectrum inverts the walk's traces."""
         minus = Extraspecial2Model(2, "-")
-        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5)).odd_projective_rep()
+        pm = outer_intertwiner_2(minus, minus_torus_element(minus)).odd_projective_rep()
         pm.projective_order()
         counter = count_products(monkeypatch)
         want = Spectrum.from_multiset([unity(k, 5) for k in range(1, 5)]).canonical_rotation()
@@ -623,7 +617,7 @@ def extraspecial_candidates(eps):
     """The intertwiner of ss_extr_oracle's element on Extraspecial2Model(2, eps)
     and every coset candidate M rho(e) that odd_projective_rep searches."""
     model = Extraspecial2Model(2, eps)
-    g = find_orthogonal_element(model, 5) if eps == "-" else sp_torus_element(2, 2, 1)
+    g = minus_torus_element(model) if eps == "-" else sp_torus_element(2, 2, 1)
     pm = outer_intertwiner_2(model, g)
     return [pm] + [ProjectiveMatrix(pm.mat * mono, model) for mono in model.monomials().values()]
 
@@ -678,9 +672,23 @@ class TestPinnedOutputs:
         '"simple": false, "spectrum": {"0/1": 2, "1/3": 1, "2/3": 1}, "torus_order": 3}}'
     )
 
+    EXTR_1 = (
+        '{"agree": true, "enumerate": [3], "minus": {"matches": true, "simple": true, "spectrum": '
+        '{"0/1": 1, "1/3": 1}, "torus_order": 3}, "plus": {"matches": true, "simple": false, "spectrum": '
+        '{"0/1": 2}, "torus_order": 1}}'
+    )
+    EXTR_3 = (
+        '{"agree": true, "enumerate": [9, 15], "minus": {"matches": true, "simple": true, "spectrum": '
+        '{"0/1": 1, "1/3": 1, "1/9": 1, "2/3": 1, "2/9": 1, "4/9": 1, "5/9": 1, "7/9": 1}, "torus_order": 9}, '
+        '"plus": {"matches": true, "simple": false, "spectrum": {"0/1": 2, "1/7": 1, "2/7": 1, "3/7": 1, '
+        '"4/7": 1, "5/7": 1, "6/7": 1}, "torus_order": 7}}'
+    )
+
     def test_oracle_reports(self):
         assert json.dumps(ss_sp_oracle(2, 5), sort_keys=True) == self.SP_2_5
+        assert json.dumps(ss_extr_oracle(1), sort_keys=True) == self.EXTR_1
         assert json.dumps(ss_extr_oracle(2), sort_keys=True) == self.EXTR_2
+        assert json.dumps(ss_extr_oracle(3), sort_keys=True) == self.EXTR_3
 
     def test_finite_order_form_hash(self):
         """The generator M0 of the 108-element group (order 4, g^2 = -1)."""
@@ -726,7 +734,7 @@ class TestParityCheck:
 
     def test_extraspecial_models_have_no_halves(self):
         minus = Extraspecial2Model(2, "-")
-        pm = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5))
+        pm = outer_intertwiner_2(minus, minus_torus_element(minus))
         with pytest.raises(ModelError, match="does not preserve the parity halves"):
             pm.is_simple(1)
 
@@ -739,7 +747,8 @@ class TestParityCheck:
 
 def structure_preserving_elements(model, order):
     """The F_2 matrices of the given order preserving the model's quadratic
-    structure, built column by column as find_orthogonal_element does."""
+    structure, built column by column: each column keeps Q on its basis
+    vector and the polarization of Q against every earlier column."""
     dim, F2 = 2 * model.n, field(2)
     basis, Q = model.generators(), model.Q
 
@@ -831,7 +840,7 @@ class TestMonomialModels:
 
     def test_extraspecial_intertwiner_makes_no_product(self, monkeypatch):
         minus = Extraspecial2Model(2, "-")
-        g = find_orthogonal_element(minus, 5)
+        g = minus_torus_element(minus)
         counter = count_products(monkeypatch)
         outer_intertwiner_2(minus, g)
         assert counter["products"] == 0
@@ -846,7 +855,8 @@ class TestMonomialModels:
 
     def test_one_extraspecial_certificate_per_model(self, monkeypatch):
         minus = Extraspecial2Model(2, "-")
-        elements = [find_orthogonal_element(minus, k) for k in (5, 3)] + [FqMatrix.identity(field(2), 4)]
+        order3 = structure_preserving_elements(minus, 3)[0]
+        elements = [minus_torus_element(minus), order3, FqMatrix.identity(field(2), 4)]
         bodies = 0
         body = Extraspecial2Model._character_norm_sum
 
@@ -885,7 +895,7 @@ class TestMonomialModels:
     def test_verify_rejects_a_non_intertwiner(self):
         odd = outer_intertwiner_odd(HeisenbergModel(3, 1), FqMatrix.from_rows(field(3), [[0, 2], [1, 0]]))
         minus = Extraspecial2Model(2, "-")
-        two = outer_intertwiner_2(minus, find_orthogonal_element(minus, 5))
+        two = outer_intertwiner_2(minus, minus_torus_element(minus))
         for pm in (odd, two):
             wrong = ProjectiveMatrix(CycMatrix.identity(pm.mat.n), pm.model, pm.pairs)
             with pytest.raises(ModelError):
