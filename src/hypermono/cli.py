@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from math import lcm
+from math import gcd, lcm
 
 from . import __version__
 from .algebra.cyc import Cyc, cyc_from_literal, json_int
@@ -220,11 +220,17 @@ def cmd_spectrum(args) -> dict:
     _check_weil_degree(spec)
     n, q = args.n, args.q
     torus_order = q**n - 1 if fam == LINEAR else q**n - (-1) ** n
-    # K^2 bounds the at most q^(n+1) monics the torus search visits; the
-    # inversion itself is K root sums of length lcm(K, trace conductors)
+    # K^2 bounds the at most q^(n+1) monics the torus search visits, K m phi(m)
+    # the K Weil values' reductions of a root sum of length m to phi(m)
+    # coordinates; the inversion is K root sums of length lcm(K, conductors)
     cap = _cap(None)
     if torus_order * torus_order > cap:
         raise CapExceeded(f"torus order {torus_order}: its square {torus_order * torus_order} exceeds cap {cap}")
+    order = q - 1 if fam == LINEAR else q + 1
+    m = order // gcd(args.index, order)
+    reductions = torus_order * m * euler_phi(m)
+    if reductions > cap:
+        raise CapExceeded(f"torus order {torus_order} at index {args.index}: {reductions} reductions exceed cap {cap}")
     g = gl_singer(n, q) if fam == LINEAR else gu_torus_element(n, q, torus_order)
     s = weil_spectrum(spec, g)
     return _report(

@@ -20,7 +20,7 @@ from .algebra.cyc import Cyc
 from .algebra.fq import FqMatrix, field
 from .algebra.numth import _cap, is_prime
 from .algebra.unity import unity
-from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, monomial_traces
+from .repkit import CYC_ORDER_CAP, CapExceeded, CycMatrix, MonomialMatrix, Spectrum, monomial_traces
 from .weilgl import ExcludedCase, _prime_power, _symplectic_transvection, is_symplectic, sp_torus_element, symplectic_gram
 
 
@@ -232,13 +232,14 @@ def outer_intertwiner_odd(model: HeisenbergModel, g: FqMatrix) -> "ProjectiveMat
 
 
 class Extraspecial2Model(_MonomialModel):
-    """2^(1+2n)_eps acting on (C^2)^(tensor n) via signed Pauli generators.
+    """2^(1+2n)_eps acting on (C^2)^(tensor n) via signed Pauli matrices.
 
-    Generator k < n is X on tensor slot k, generator n + k is Z on slot k;
-    for the minus type both generators on the last slot carry a factor i.
-    The coset label v in F_2^(2n) stands for the section s(v), the product
-    of the generators k with v[k] = 1 in ascending k, and phases are
-    exponents of zeta_4.
+    The label v = (a, b) in F_2^n x F_2^n (slot k the bit 2^(n-1-k) of a
+    point, slot 0 the leftmost tensor factor) stands for the section
+    s(v) = i^t X^a Z^b: s(v) delta_x = i^(2 b.x + t) delta_(x + a), with
+    t = a_(n-1) + b_(n-1) on the minus type and 0 on the plus type.  s(v) is
+    the product of the s(e_k) with v[k] = 1 in ascending k, and s(v)^2 =
+    (-1)^Q(v) with Q(v) = a.b + t mod 2.
     """
 
     def __init__(self, n: int, eps: str):
@@ -252,36 +253,15 @@ class Extraspecial2Model(_MonomialModel):
         self.p = 2
         self.F = field(2)
         self.m = 4
-        N = self.dim
         self._irreducible = None
-        gens = []
-        for kind in ("X", "Z"):
-            for slot in range(n):
-                bit = 1 << (n - 1 - slot)  # slot 0 is the leftmost tensor factor
-                twist = 1 if eps == "-" and slot == n - 1 else 0
-                if kind == "X":
-                    gens.append(MonomialMatrix([x ^ bit for x in range(N)], [twist] * N, self.m))
-                else:
-                    gens.append(MonomialMatrix(range(N), [(2 if x & bit else 0) + twist for x in range(N)], self.m))
-        order = closure(gens).order
-        if order != 2 ** (2 * n + 1):
-            raise ModelError(f"extraspecial closure has order {order}")
-        self._monomials = {v: self.word(v, gens) for v in itertools.product(range(2), repeat=2 * n)}
-        # the quadratic form Q(v): s(v)^2 = (-1)^Q
-        self.Q = {}
-        for v, mono in self._monomials.items():
-            square = mono * mono
-            if square.perm != tuple(range(N)) or len(set(square.exps)) != 1 or square.exps[0] not in (0, 2):
-                raise ModelError("section square is not +-1 (bug)")
-            self.Q[v] = square.exps[0] // 2
-
-    def word(self, v, gens):
-        """The product of gens[k] over the k with v[k] = 1, ascending."""
-        out = MonomialMatrix.identity(self.dim, self.m)
-        for bit, gen in zip(v, gens):
-            if bit:
-                out = out * gen
-        return out
+        points = range(self.dim)
+        shift = [tuple([x ^ a for x in points]) for a in points]
+        phase = [[tuple([(2 * (b & x).bit_count() + t) % 4 for x in points]) for t in range(3)] for b in points]
+        self._monomials, self.Q = {}, {}
+        for v, (a, b) in zip(itertools.product(range(2), repeat=2 * n), itertools.product(points, repeat=2)):
+            t = (eps == "-") * ((a & 1) + (b & 1))
+            self._monomials[v] = MonomialMatrix._make(shift[a], phase[b][t], 4)
+            self.Q[v] = ((a & b).bit_count() + t) % 2
 
     def monomials(self) -> dict:
         """The section s(v) for each label v in F_2^(2n)."""
@@ -301,20 +281,25 @@ class Extraspecial2Model(_MonomialModel):
         return [(Cyc.from_int(1), 1), (Cyc.from_root_sum(4, [1, 1]), 2)]
 
     def preserves_structure(self, g: FqMatrix) -> bool:
-        """The form check of every model, and Q kept on every vector."""
-        return super().preserves_structure(g) and all(self.Q[tuple(g.apply(v))] == Q for v, Q in self.Q.items())
+        """The form check of every model, and Q kept on the basis, hence on
+        every vector: Q(u + w) = Q(u) + Q(w) + B(u, w), and g keeps B."""
+        return super().preserves_structure(g) and all(self.Q[tuple(g.apply(e))] == self.Q[e] for e in self.generators())
 
 
 def outer_intertwiner_2(model: Extraspecial2Model, g: FqMatrix) -> "ProjectiveMatrix":
-    """Intertwiner for an automorphism over an orthogonal outer element g."""
+    """Intertwiner for an automorphism over an orthogonal outer element g:
+    sigma(s(e_k)) = s(g e_k), and as g keeps both forms (checked above),
+    sigma(s(v)) = sigma(s(v')) s(g e_k) for v' = v with its last set bit k
+    cleared, which is label i & (i - 1) for label i in the table's order."""
     if not model.preserves_structure(g):
         raise ModelError(f"not a {2 * model.n} x {2 * model.n} matrix over {model.F} preserving the quadratic structure")
     table = model.monomials()
-    # generator images: sigma(gen_k) = s(g . e_k); relations are preserved
-    # exactly because g preserves both forms (checked above), so sigma(s(v))
-    # is the product of the images over the word of v
     gen_imgs = [table[tuple(g.apply(lab))] for lab in model.generators()]
-    return _average(model, lambda v: model.word(v, gen_imgs))
+    top = len(gen_imgs)
+    images = [MonomialMatrix.identity(model.dim, model.m)]
+    for i in range(1, len(table)):
+        images.append(images[i & (i - 1)] * gen_imgs[top - (i & -i).bit_length()])
+    return _average(model, dict(zip(table, images)).__getitem__)
 
 
 # ---------------------------------------------------------------------------

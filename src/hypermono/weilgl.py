@@ -130,7 +130,7 @@ def general_linear_group(n: int, q: int) -> MatGroup:
 
 @lru_cache(maxsize=None)
 def unitary_group(n: int, q: int) -> MatGroup:
-    """GU_n(q) for the anti-diagonal form J, closed over [x, z y, z J, y, J y]
+    """GU_n(q) for the anti-diagonal form J, closed over [x, z y, z J]
     (after Steinberg 1962 and Taylor 1987): x the torus element of order
     q^n + 1 (n odd) or q^n - 1 (n even), y = I + c E_1n with c + c^q = 0, and
     z = diag(w, 1, ..., 1, w^-q), w the generator of F_(q^2).  The list needs
@@ -150,7 +150,7 @@ def unitary_group(n: int, q: int) -> MatGroup:
         c = next(c for c in range(1, q2) if F2.add[c * q2 + conj[c]] == 0)
         y = _matrix(F2, n, {(0, n - 1): c})
         z = _matrix(F2, n, {(0, 0): w, (n - 1, n - 1): F2.inv[conj[w]]})
-        gens += [z * y, z * gram, y, gram * y]
+        gens += [z * y, z * gram]
     G = closure(gens)
     assert G.order == order, f"GU_{n}({q}) closure has wrong order {G.order}"
     assert all(is_unitary(g, f) for g in G.generators)
@@ -159,7 +159,7 @@ def unitary_group(n: int, q: int) -> MatGroup:
 
 @lru_cache(maxsize=None)
 def symplectic_group(n: int, q: int) -> MatGroup:
-    """Sp_2n(q) for the standard form, closed over [c, t_e1, s, t_f1] (after
+    """Sp_2n(q) for the standard form, closed over [c, t_e1, s] (after
     Taylor 1987): t_v the transvection x -> x + <x, v> v, c the Coxeter
     element t_a1 ... t_a(2n+1) of the chain e_1, f_1, e_1 + e_2, f_2, ...,
     e_(n-1) + e_n, f_n, e_n, and s the torus element of order q^n + 1.  c
@@ -174,7 +174,7 @@ def symplectic_group(n: int, q: int) -> MatGroup:
 
     chain = [(0,), (n,)] + [v for i in range(1, n) for v in ((i - 1, i), (n + i,))] + [(n - 1,)]
     coxeter = prod((t(*support) for support in chain), start=FqMatrix.identity(F, 2 * n))
-    G = closure([coxeter, t(0), sp_torus_element(n, q, -1), t(n)])
+    G = closure([coxeter, t(0), sp_torus_element(n, q, -1)])
     assert G.order == _sp_order(n, q), f"Sp_{2*n}({q}) closure has wrong order {G.order}"
     assert all(is_symplectic(g) for g in G.generators)
     return G
@@ -207,14 +207,19 @@ def _symplectic_transvection(F: FieldSpec, gram: FqMatrix, v) -> FqMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _check_family(family: str) -> None:
+    """ValueError unless family is Linear or Unitary."""
+    if family not in (LINEAR, UNITARY):
+        raise ValueError(f"family must be Linear or Unitary, got {family!r}")
+
+
 class WeilCharSpec:
     """A Weil character label: family, n, q, and the twist index i."""
 
     __slots__ = ("family", "n", "q", "i")
 
     def __init__(self, family: str, n: int, q: int, i: int):
-        if family not in (LINEAR, UNITARY):
-            raise ValueError("family must be Linear or Unitary")
+        _check_family(family)
         hi = q - 2 if family == LINEAR else q
         if not 0 <= i <= max(hi, 0):
             raise ValueError(f"index {i} out of range 0..{hi}")
@@ -795,6 +800,7 @@ class OracleReport:
 def the_group(family: str, n: int, q: int) -> MatGroup:
     """GL_n(q) or GU_n(q), closed, for the element-by-element checks of
     test_criterion_4_weil_identities; ss_exhaustive_check closes no group."""
+    _check_family(family)
     return general_linear_group(n, q) if family == LINEAR else unitary_group(n, q)
 
 
@@ -814,6 +820,7 @@ def ss_exhaustive_check(family: str, n: int, q: int) -> OracleReport:
     bound on the element orders; above the HYPERMONO_CAP cap, CapExceeded
     is raised before any class is listed.
     """
+    _check_family(family)
     if n < 1:
         raise ValueError("n must be >= 1")
     p = _prime_power(q)[0]

@@ -348,6 +348,7 @@ class TestEveryLoopIsCapped:
         ["ss", "extraspecial", "1023", "2"],  # c(1023) = 74,555,322 orders of about 1023 bits
         ["ss", "symplectic", "2", "13", "--exhaustive"],  # a model table of 169^3 entries
         ["spectrum", "unitary", "1", "47", "--index", "2"],  # the tables of F_(47^2), 47^4 entries
+        ["spectrum", "linear", "1", "1409", "--index", "1"],  # 1408 values, each 1408 x phi(1408) steps
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: "_".join(argv).replace("-", ""))
@@ -366,6 +367,19 @@ class TestEveryLoopIsCapped:
         assert run_cli_process(["gates", "charsheaf", "12", "Linear", "1000000000", "3"])[0] == 0
         code, out = run_cli(["ss", "extraspecial", "100", "2"])  # 37 of the 190,569,292 partitions of 100
         assert code == 0 and len(json.loads(out)["result"]["central_orders"]) == 37
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "unitary", "1", "37", "--index", "2"],  # 38 x 19 x 18 = 12,996 reduction steps
+            ["spectrum", "linear", "3", "11", "--index", "1"],  # 1330 x 10 x 4 = 53,200
+            ["spectrum", "unitary", "3", "11", "--index", "1"],  # 1332 x 12 x 4 = 63,936
+        ],
+        ids=lambda argv: "_".join(argv).replace("-", ""),
+    )
+    def test_spectrum_answers_under_the_reduction_bound(self, argv):
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out)["result"]["degree"] > 0
 
 
 def test_symplectic_oracle_report():

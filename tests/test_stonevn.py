@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,7 +10,7 @@ from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import unity
 from hypermono.gates import partitions
-from hypermono import stonevn
+from hypermono import repkit, stonevn
 from hypermono.repkit import CapExceeded, CycMatrix, MonomialMatrix, Spectrum, closure, m4
 from hypermono.stonevn import (
     Extraspecial2Model,
@@ -29,6 +30,7 @@ from hypermono.stonevn import (
 from hypermono.weilgl import (
     ExcludedCase,
     _symplectic_transvection,
+    is_symplectic,
     sp_torus_element,
     symplectic_gram,
     symplectic_group,
@@ -690,6 +692,32 @@ class TestPinnedOutputs:
         assert json.dumps(ss_extr_oracle(2), sort_keys=True) == self.EXTR_2
         assert json.dumps(ss_extr_oracle(3), sort_keys=True) == self.EXTR_3
 
+    EXTR_4 = (
+        '{"agree": true, "enumerate": [17], "minus": {"matches": true, "simple": true, '
+        '"spectrum": {"0/1": 1, "1/17": 1, "10/17": 1, "11/17": 1, "12/17": 1, "13/17": 1, "14/17": 1, '
+        '"15/17": 1, "2/17": 1, "3/17": 1, "4/17": 1, "5/17": 1, "6/17": 1, "7/17": 1, "8/17": 1, '
+        '"9/17": 1}, "torus_order": 17}, "plus": {"matches": true, "simple": false, "spectrum": {"0/1": 2, '
+        '"1/15": 1, "1/3": 1, "1/5": 1, "11/15": 1, "13/15": 1, "14/15": 1, "2/15": 1, "2/3": 1, "2/5": 1, '
+        '"3/5": 1, "4/15": 1, "4/5": 1, "7/15": 1, "8/15": 1}, "torus_order": 15}}'
+    )
+
+    EXTR_5 = (
+        '{"agree": true, "enumerate": [33, 51, 45], "minus": {"matches": true, "simple": true, '
+        '"spectrum": {"0/1": 1, "1/11": 1, "1/3": 1, "1/33": 1, "10/11": 1, "10/33": 1, "13/33": 1, '
+        '"14/33": 1, "16/33": 1, "17/33": 1, "19/33": 1, "2/11": 1, "2/3": 1, "2/33": 1, "20/33": 1, '
+        '"23/33": 1, "25/33": 1, "26/33": 1, "28/33": 1, "29/33": 1, "3/11": 1, "31/33": 1, "4/11": 1, '
+        '"4/33": 1, "5/11": 1, "5/33": 1, "6/11": 1, "7/11": 1, "7/33": 1, "8/11": 1, "8/33": 1, "9/11": 1}, '
+        '"torus_order": 33}, "plus": {"matches": true, "simple": false, "spectrum": {"0/1": 2, "1/31": 1, '
+        '"10/31": 1, "11/31": 1, "12/31": 1, "13/31": 1, "14/31": 1, "15/31": 1, "16/31": 1, "17/31": 1, '
+        '"18/31": 1, "19/31": 1, "2/31": 1, "20/31": 1, "21/31": 1, "22/31": 1, "23/31": 1, "24/31": 1, '
+        '"25/31": 1, "26/31": 1, "27/31": 1, "28/31": 1, "29/31": 1, "3/31": 1, "30/31": 1, "4/31": 1, '
+        '"5/31": 1, "6/31": 1, "7/31": 1, "8/31": 1, "9/31": 1}, "torus_order": 31}}'
+    )
+
+    def test_extraspecial_reports_at_n_4_and_5(self):
+        assert json.dumps(ss_extr_oracle(4), sort_keys=True) == self.EXTR_4
+        assert json.dumps(ss_extr_oracle(5), sort_keys=True) == self.EXTR_5
+
     def test_finite_order_form_hash(self):
         """The generator M0 of the 108-element group (order 4, g^2 = -1)."""
         g4 = FqMatrix.from_rows(field(3), [[0, 2], [1, 0]])
@@ -743,6 +771,45 @@ class TestParityCheck:
         pm = outer_intertwiner_odd(HeisenbergModel(3, 1), FqMatrix.identity(field(3), 2))
         with pytest.raises(ValueError):
             pm.is_simple(sign)
+
+
+def pauli_word(v, gens, dim):
+    """The product of gens[k] over the k with v[k] = 1, ascending."""
+    out = MonomialMatrix.identity(dim, 4)
+    for bit, gen in zip(v, gens):
+        if bit:
+            out = out * gen
+    return out
+
+
+def pauli_reference(n, eps):
+    """The sections s(v) as words in the signed Pauli generators, X then Z on
+    tensor slots 0..n-1 (slot k the bit 2^(n-1-k)), a factor i on both of
+    the last slot's generators for the minus type; and Q from s(v)^2 = (-1)^Q."""
+    N = 2**n
+    gens = []
+    for kind in "XZ":
+        for slot in range(n):
+            bit, twist = 1 << (n - 1 - slot), int(eps == "-" and slot == n - 1)
+            if kind == "X":
+                gens.append(MonomialMatrix([x ^ bit for x in range(N)], [twist] * N, 4))
+            else:
+                gens.append(MonomialMatrix(range(N), [2 * bool(x & bit) + twist for x in range(N)], 4))
+    table, Q = {}, {}
+    for v in itertools.product(range(2), repeat=2 * n):
+        table[v] = s = pauli_word(v, gens, N)
+        square = s * s
+        assert square.perm == tuple(range(N)) and len(set(square.exps)) == 1 and square.exps[0] in (0, 2)
+        Q[v] = square.exps[0] // 2
+    return table, Q
+
+
+def full_scan_preserves(model, g):
+    """The symplectic form kept, and Q kept on all 4^n vectors."""
+    return (
+        g.F.q == 2 and g.n == 2 * model.n and is_symplectic(g)
+        and all(model.Q[tuple(g.apply(v))] == Q for v, Q in model.Q.items())
+    )
 
 
 def structure_preserving_elements(model, order):
@@ -880,6 +947,79 @@ class TestMonomialModels:
         for v, mono in model.monomials().items():
             s = mono.to_cyc()
             assert s * s == CycMatrix.scalar(4, Cyc.from_int((-1) ** model.Q[v]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("eps", ["+", "-"])
+    def test_formula_table_matches_the_pauli_words(self, n, eps):
+        """The table and Q, written down from s(v) = i^t(v) X^a Z^b, equal
+        the products of the signed Pauli generators and their squares, label
+        by label and in the same order."""
+        model = Extraspecial2Model(n, eps)
+        table, Q = pauli_reference(n, eps)
+        assert list(model.monomials()) == list(table) and list(model.Q.items()) == list(Q.items())
+        for v, mono in model.monomials().items():
+            assert (mono.perm, mono.exps, mono.e) == (table[v].perm, table[v].exps, table[v].e)
+
+    def test_models_build_without_closure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a closure in the model build")
+
+        monkeypatch.setattr(repkit, "closure", refuse)
+        assert not hasattr(stonevn, "closure") and not hasattr(Extraspecial2Model, "word")
+        for n in range(1, 7):
+            for eps in "+-":
+                assert len(Extraspecial2Model(n, eps).monomials()) == 4**n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extraspecial_images_take_one_product_per_label(self, monkeypatch, n):
+        """sigma(s(v)) = sigma(s(v')) s(g e_k), v' the earlier label with v's
+        last set bit k cleared: at most 4^n monomial products, for the
+        intertwiner that the Pauli words of the generator images give."""
+        minus, plus = Extraspecial2Model(n, "-"), Extraspecial2Model(n, "+")
+        cases = []
+        for model, g in ((minus, minus_torus_element(minus)), (plus, sp_torus_element(n, 2, 1))):
+            table = model.monomials()
+            imgs = [table[tuple(g.apply(e))] for e in model.generators()]
+            ref = stonevn._average(model, lambda v, imgs=imgs, dim=model.dim: pauli_word(v, imgs, dim))
+            cases.append((model, g, ref.mat))
+        products = 0
+        mul = MonomialMatrix.__mul__
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(MonomialMatrix, "__mul__", counting_mul)
+        for model, g, ref in cases:
+            products = 0
+            M = outer_intertwiner_2(model, g).mat
+            assert products <= 4**n
+            assert (M.m, M.den, M.coeffs) == (ref.m, ref.den, ref.coeffs)
+
+    @pytest.mark.parametrize("eps", ["+", "-"])
+    def test_basis_form_check_equals_the_full_scan(self, eps):
+        """Q kept on the basis labels is Q kept on every vector, for the
+        order-3 elements that keep the structure, for every element of
+        Sp_4(2) and for random F_2 matrices and symplectic products."""
+        rng = random.Random(1)
+        F2 = field(2)
+        for n in (1, 2, 3):
+            model = Extraspecial2Model(n, eps)
+            G = symplectic_gram(F2, n)
+            candidates = [FqMatrix(F2, 2 * n, tuple(rng.randrange(2) for _ in range(4 * n * n))) for _ in range(200)]
+            for _ in range(200):
+                g = FqMatrix.identity(F2, 2 * n)
+                for _ in range(rng.randrange(1, 8)):
+                    u = tuple(rng.randrange(2) for _ in range(2 * n))
+                    if any(u):
+                        g = g * _symplectic_transvection(F2, G, u)
+                candidates.append(g)
+            if n == 2:
+                candidates += structure_preserving_elements(model, 3) + list(symplectic_group(2, 2).elements)
+            verdicts = [model.preserves_structure(g) for g in candidates]
+            assert verdicts == [full_scan_preserves(model, g) for g in candidates]
+            assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("args", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 1, 2)])
     def test_table_matches_rho_monomial(self, args):

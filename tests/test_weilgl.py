@@ -128,6 +128,27 @@ class TestGroups:
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             build(*args)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (weilgl.the_group, ("linear", 2, 3)),
+            (weilgl.ss_exhaustive_check, ("Foo", 6, 5)),
+            (weilgl.ss_exhaustive_check, ("Foo", 2, 27)),
+            (weilgl.ss_exhaustive_check, ("unitary", 2, 3)),
+        ],
+    )
+    def test_unknown_family_is_refused_before_any_work(self, monkeypatch, build, args):
+        """A family other than Linear or Unitary was read as Unitary: GU_2(3)
+        for "linear", CapExceeded naming GU_6(5), class types listed."""
+
+        def refuse(*args):
+            raise AssertionError("work before the family check")
+
+        for name in ("_prime_power", "_class_count", "_class_types", "general_linear_group", "unitary_group"):
+            monkeypatch.setattr(weilgl, name, refuse)
+        with pytest.raises(ValueError, match="^family must be Linear or Unitary, got "):
+            build(*args)
+
     def test_unitary_order_checked_before_closure(self, monkeypatch):
         """GU_3(3) has order 24,192: under a cap of 1000 it is refused from the
         order formula, and closure is never called (past the group cache)."""
