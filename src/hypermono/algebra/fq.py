@@ -3,11 +3,13 @@
 Elements of F_(p^f) are ints in [0, p^f) encoding coefficient vectors base p
 against the deterministic defining polynomial: the monic irreducible of
 degree f whose non-leading coefficient vector (a_{f-1}, ..., a_0), read as a
-base-p integer, is least.  Matrices are flat row-major tuples; the hot
-matrix loops (product, Gauss-Jordan, matrix-vector) live in ``_fqcore_py``.  A
-matrix's digit key (``FqMatrix.digits``) spells the same encoding out in
-base-p digits, the coordinates in which conjugation is an F_p-linear map that
-``FqMatrix.conjugation`` applies to the digit planes of many keys at once.
+base-p integer, is least.  A matrix's entries are flat and row-major, in
+``FqMatrix.data``: ``bytes`` when q <= 256, a tuple otherwise, read the same
+way by the hot matrix loops (product, Gauss-Jordan, matrix-vector) in
+``_fqcore_py``.  The data is the matrix's key: equal data means equal
+matrices over the same field.  Conjugation is F_p-linear in the base-p
+digits of the entries, and ``FqMatrix.conjugation`` applies it to the
+planes of many keys at once.
 """
 
 from __future__ import annotations
@@ -98,8 +100,6 @@ class FieldSpec:
         self.mul = mul
         self.inv = [0] + [exp[-k] for k in logs]
         self.frob = [self.pow(a, p) for a in range(q)]  # x -> x^p
-        # an element's f base-p digits, lowest first, for FqMatrix.digits when f > 1
-        self.digit_bytes = [bytes(self._digits(a)) for a in range(q)] if f > 1 else None
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -173,17 +173,39 @@ def field(p: int, f: int = 1) -> FieldSpec:
 _field = lru_cache(maxsize=None)(FieldSpec)
 
 
+class _Memo(dict):
+    """A dict that forms a missing value as fn(key), once."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class FqMatrix:
-    """Square matrix over a FieldSpec; immutable, hashable."""
+    """Square matrix over a FieldSpec; immutable, hashable.  Its entries are
+    ``data``, flat and row-major: ``bytes`` when q <= 256, else a tuple."""
 
     __slots__ = ("F", "n", "data")
 
     def __init__(self, F: FieldSpec, n: int, data):
         self.F = F
         self.n = n
-        self.data = tuple(data)
+        self.data = bytes(data) if F.q <= 256 else tuple(data)
         if len(self.data) != n * n:
             raise ValueError("matrix data has wrong length")
+
+    @classmethod
+    def _make(cls, F: FieldSpec, n: int, data) -> "FqMatrix":
+        """Unchecked constructor for data of n * n entries already of F's
+        key type (bytes when q <= 256, else a tuple)."""
+        x = object.__new__(cls)
+        x.F, x.n, x.data = F, n, data
+        return x
 
     @classmethod
     def identity(cls, F: FieldSpec, n: int) -> "FqMatrix":
@@ -213,60 +235,56 @@ class FqMatrix:
         return hash(self.data)
 
     def right_multiplier(self):
-        """The map y -> y * self, row by row: row i of y * self is self^T
-        applied to row i of y, formed with ``mat_vec`` the first time the map
-        meets that row and looked up after.  The memo lives as long as the
-        map and holds at most one image per distinct row, q^n at most."""
+        """The map y.data -> (y * self).data on data keys, row by row: row i
+        of y * self is self^T applied to row i of y, formed with ``mat_vec``
+        the first time the map meets that row and looked up after.  The memo
+        lives as long as the map and holds at most one image per distinct
+        row, q^n at most."""
         F, n = self.F, self.n
         q, mul, add, mat_vec = F.q, F.mul, F.add, _kernel.mat_vec
-        st, memo = self.transpose().data, {}
-        starts = range(0, n * n, n)
+        st = self.transpose().data
+        key = type(st)  # bytes or tuple, as every key over F
+        image = _Memo(lambda row: key(mat_vec(st, row, n, q, mul, add))).__getitem__
+        first, *rest = [slice(i, i + n) for i in range(0, n * n, n)]
 
-        def times(y: FqMatrix) -> FqMatrix:
-            d, out = y.data, []
-            for i in starts:
-                row = d[i : i + n]
-                image = memo.get(row)
-                if image is None:
-                    image = memo[row] = mat_vec(st, row, n, q, mul, add)
-                out += image
-            return FqMatrix(F, n, out)
+        def times(y):
+            out = image(y[first])
+            for s in rest:
+                out += image(y[s])
+            return out
 
         return times
 
-    def digits(self) -> bytes:
-        """The base-p digits of the entries, row-major, f per entry and the
-        lowest first: bytes(data) when f = 1.  Equal keys mean equal matrices
-        over the same field."""
-        if self.F.f == 1:
-            return bytes(self.data)
-        return b"".join(map(self.F.digit_bytes.__getitem__, self.data))
-
     def conjugation(self, inverse: "FqMatrix"):
-        """The map y -> self * y * inverse on digit planes, or None when
-        p > 128: plane d holds digit d of many keys (``digits``), that is
-        ``b"".join(keys)[d::N]`` with N = n^2 f.  The map is F_p-linear, with
-        matrix L read off the images of the N basis digits (2N products).
-        Image plane d' sums plane d read through the byte table
-        y -> L[d', d] y mod p over d, as ints (byte k of the int is byte k of
-        the plane), reduced by one translate before a byte could carry; a
-        reduced sum takes one more term without a carry when 2(p - 1) <= 255."""
+        """The map y -> self * y * inverse on data planes, or None unless
+        p <= 128 and q <= 256: plane k holds entry k of many data keys, that
+        is ``b"".join(keys)[k::n^2]``.  The map is F_p-linear in the base-p
+        digits of the entries, with matrix L read off the images of the
+        N = n^2 f basis digits (2N products).  For f > 1 plane k splits into
+        its f digit planes through f translate tables, and the image digits
+        recombine through f more.  Image digit plane d' sums digit plane d
+        read through the byte table y -> L[d', d] y mod p over d, as ints
+        (byte k of the int is byte k of the plane), reduced by one translate
+        before a byte could carry; a reduced sum takes one more term without
+        a carry when 2(p - 1) <= 255."""
         F, n = self.F, self.n
         p, f = F.p, F.f
         per = 255 // (p - 1) - 1  # terms a reduced sum takes before a byte could carry
-        if per < 1:
+        if per < 1 or F.q > 256:
             return None
         size = n * n * f
         basis = []  # image digits of each basis digit: x^(k % f) at entry k // f
         for k in range(size):
             e = [0] * (n * n)
             e[k // f] = p ** (k % f)
-            basis.append((self * FqMatrix(F, n, e) * inverse).digits())
+            basis.append([d for x in (self * FqMatrix(F, n, e) * inverse).data for d in F._digits(x)])
         times = [bytes(c * b % p for b in range(p)).ljust(256, b"\0") for c in range(p)]  # digits are < p
         reduce = bytes(b % p for b in range(256))
+        place = [bytes(b * p**d for b in range(p)).ljust(256, b"\0") for d in range(f)]  # digit d's share
         from_bytes = int.from_bytes
 
         def conj(planes: list[bytes]) -> list[bytes]:
+            planes = _digit_planes(F, planes)
             m, images = len(planes[0]), []
             for row in range(size):
                 terms = [from_bytes(x.translate(times[c[row]]), "little") for x, c in zip(planes, basis) if c[row]]
@@ -275,6 +293,11 @@ class FqMatrix:
                     image = from_bytes(image, "little") + sum(terms[lo : lo + per])
                     image = image.to_bytes(m, "little").translate(reduce)
                 images.append(image)
+            if f > 1:  # an entry is the sum of its digits d times p^d, with no carry as q <= 256
+                digits, images = images, []
+                for k in range(0, size, f):
+                    entry = sum(from_bytes(x.translate(t), "little") for x, t in zip(digits[k : k + f], place))
+                    images.append(entry.to_bytes(m, "little"))
             return images
 
         return conj
@@ -360,6 +383,17 @@ class FqMatrix:
 
     def __repr__(self):
         return f"FqMatrix({self.F}, {self.rows()})"
+
+
+def _digit_planes(F: FieldSpec, planes: list[bytes]) -> list[bytes]:
+    """The digit planes of data planes over F (q <= 256): digit d of plane k,
+    lowest first, at k * f + d, each read through one translate table; the
+    data planes themselves when f = 1."""
+    p, f = F.p, F.f
+    if f == 1:
+        return planes
+    digit = [bytes(b // p**d % p for b in range(256)) for d in range(f)]
+    return [x.translate(t) for x in planes for t in digit]
 
 
 def _polyadd_fq(F, a, b):

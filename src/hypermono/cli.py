@@ -1,7 +1,7 @@
 """Command-line surface: deterministic JSON reports over the module layer.
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 cap exceeded,
-4 oracle mismatch.
+Exit codes: 0 success, 1 I/O error, 2 validation error, 3 cap exceeded (or,
+as a best effort, out of memory), 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -593,7 +593,13 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    return EXIT_OK
+    except MemoryError:
+        pass  # the traceback holds the work's frames, and their memory, until this handler ends
+    else:
+        return EXIT_OK
+    # best effort: the work's memory is free again, but printing may still fail
+    print("error: out of memory: the input is inside the cap but too large for this process", file=sys.stderr)
+    return EXIT_CAP
 
 
 if __name__ == "__main__":

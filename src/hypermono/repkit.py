@@ -1,15 +1,17 @@
 """Generic finite matrix-group engine.
 
 Closure from generators with a hard cap by Dimino's coset enumeration, which
-keeps only the irredundant generators and, over F_q, forms each coset as an
+keeps only the irredundant generators and, over F_q, runs on the elements'
+data keys (``FqMatrix.data``, bytes when q <= 256), forming each coset as an
 earlier coset times a kept generator, one memoised row image at a time,
-with no full matrix product; element orders; conjugacy classes as
-the orbits of those kept generators' conjugation permutations on the element
-positions, over F_q with p <= 128 by the generator's F_p-linear map on the
-digit planes of all the elements at once, with no product per element
-(other elements take two products each); exact spectra by discrete
-Fourier inversion of the power traces, one root sum per eigenvalue index
-with no Cyc product; and the fourth moment M4.
+with no full matrix product and no matrix object until the end; element
+orders; conjugacy classes as the orbits of those kept generators'
+conjugation permutations on the element positions, over F_q with p <= 128
+and q <= 256 by the generator's F_p-linear map on the data planes of all the
+elements at once, looked up in the one data-keyed index that closure
+filled, with no product per element (other elements take two products
+each); exact spectra by discrete Fourier inversion of the power traces, one
+root sum per eigenvalue index with no Cyc product; and the fourth moment M4.
 Works for matrices over a FieldSpec or over a cyclotomic field, and for
 monomial matrices with root-of-unity entries, which closure takes as
 MonomialMatrix; elements only need ``*``, ``**``, equality and hashing.
@@ -380,7 +382,8 @@ class MonomialMatrix:
 
 class MatGroup:
     """A finite matrix group given by full element enumeration, as closure
-    returns it: index maps each element to its position in elements."""
+    returns it: index maps each element's key to its position in elements.
+    The key of an FqMatrix is its data; any other element is its own key."""
 
     def __init__(self, generators, elements, identity, index):
         self.generators = list(generators)
@@ -390,8 +393,21 @@ class MatGroup:
         self.order = len(self.elements)
         self._classes = None
 
+    def _key(self, g):
+        """g's key in index: in an FqMatrix group its data, or None (which
+        is no key) when g is not an FqMatrix over the group's field; in any
+        other group g itself."""
+        one = self.identity
+        if isinstance(one, FqMatrix):
+            return g.data if isinstance(g, FqMatrix) and g.F is one.F else None
+        return g
+
     def __contains__(self, g):
-        return g in self.index
+        return self._key(g) in self.index
+
+    def position(self, g) -> int:
+        """g's position in elements; KeyError when g is not in the group."""
+        return self.index[self._key(g)]
 
     def conjugacy_classes(self) -> list[list]:
         """The classes as orbits of the kept generators' conjugation
@@ -420,36 +436,31 @@ class MatGroup:
 
     def _conjugation_permutation(self, g) -> list[int]:
         """pi with elements[pi[i]] = g * elements[i] * g^-1, from g's conjugation
-        map on the digit planes of all FqMatrix elements where it has one, else
+        map on the data planes of all FqMatrix elements where it has one, else
         from products.  g^-1 is the last of g's powers."""
         ginv = deque(_powers(g), maxlen=1)[0]
         conj = g.conjugation(ginv) if isinstance(g, FqMatrix) else None
         if conj is None:
             return self._product_permutation(g, ginv)
-        planes, position = self._digit_planes, self._digit_positions
+        planes, index = self._data_planes, self.index
         size = len(planes)
         out = bytearray(size * self.order)
-        for d, plane in enumerate(conj(planes)):
-            out[d::size] = plane
-        return [position[y] for (y,) in iter_unpack(f"{size}s", out)]
+        for k, plane in enumerate(conj(planes)):
+            out[k::size] = plane
+        return [index[y] for (y,) in iter_unpack(f"{size}s", out)]
 
     @cached_property
-    def _digit_positions(self) -> dict[bytes, int]:
-        """Each FqMatrix element's digit key -> its position: formed once per
-        group, whatever number of kept generators reads it."""
-        return {x.digits(): i for i, x in enumerate(self.elements)}
-
-    @cached_property
-    def _digit_planes(self) -> list[bytes]:
-        """Plane d: digit d of every element, in position order."""
-        keys, size = bytearray(), len(self.identity.digits())
-        for key in self._digit_positions:  # b"".join would hold an 80-byte buffer view per key
+    def _data_planes(self) -> list[bytes]:
+        """Plane k: entry k of every element's data, in position order (the
+        order of index's keys)."""
+        keys, size = bytearray(), len(self.identity.data)
+        for key in self.index:  # b"".join would hold an 80-byte buffer view per key
             keys += key
-        return [keys[d::size] for d in range(size)]
+        return [keys[k::size] for k in range(size)]
 
     def _product_permutation(self, g, ginv) -> list[int]:
         """pi with elements[pi[i]] = g * elements[i] * ginv, two products per element."""
-        return [self.index[g * x * ginv] for x in self.elements]
+        return [self.position(g * x * ginv) for x in self.elements]
 
     def class_representatives(self) -> list:
         return [c[0] for c in self.conjugacy_classes()]
@@ -473,10 +484,12 @@ def closure(generators) -> MatGroup:
     Each coset is a block of |H| positions that starts at its rep, so the
     block of r holds elements[i] * r, and the coset of t = r*s is formed as
     the block of r times s: the same matrices elements[i] * t at the same
-    positions.  Over F_q the map y -> y * s is s's
-    ``FqMatrix.right_multiplier``, one matrix-vector product per distinct
-    row, looked up after, for the whole call; Cyc and monomial elements
-    take one product y * s each.
+    positions, entered in the index a block at a time.  Over F_q the
+    enumeration runs on data keys, the index is keyed by data, and the
+    map y -> y * s is s's ``FqMatrix.right_multiplier``, key to key, one
+    matrix-vector product per distinct row, looked up after, for the whole
+    call; the FqMatrix elements are made once, at the end.  Cyc and
+    monomial elements are their own keys and take one product y * s each.
 
     Cyc generators that each have exactly one root-of-unity entry per row
     and column are taken as MonomialMatrix over one exponent modulus, and
@@ -506,33 +519,33 @@ def closure(generators) -> MatGroup:
         if g.rank() != g.n:
             raise ValueError("singular generator")
     identity = first**0
-    elements = [identity]
-    index = {identity: 0}  # element -> its position in elements
-    kept, times = [], []  # the kept generators s and the maps y -> y * s
+    fq = isinstance(first, FqMatrix)  # then closure runs on data keys
+    keys = [identity.data if fq else identity]  # the elements' keys, in position order
+    index = {keys[0]: 0}  # key -> its position in keys
+    kept, times = [], []  # the kept generators s and the maps y -> y * s on keys
     for g in generators:
-        if g in index:
+        if (g.data if fq else g) in index:
             continue
         kept.append(g)
-        times.append(g.right_multiplier() if isinstance(g, FqMatrix) else lambda y, s=g: y * s)
-        size = len(elements)  # |H|; elements[:size] is H, with the identity first
-        reps = [0]  # the coset reps' positions; the block of size elements there is H * rep
+        times.append(g.right_multiplier() if fq else lambda y, s=g: y * s)
+        size = len(keys)  # |H|; keys[:size] is H, with the identity first
+        reps = [0]  # the coset reps' positions; the block of size keys there is H * rep
         for r in reps:  # grows by one rep per new coset
             for times_s in times:
-                t = times_s(elements[r])
+                t = times_s(keys[r])
                 if t in index:
                     continue
-                if len(elements) + size > cap:
+                if len(keys) + size > cap:
                     raise CapExceeded(
-                        f"closure exceeded cap {cap}: {len(elements)} elements reached, "
+                        f"closure exceeded cap {cap}: {len(keys)} elements reached, "
                         f"{len(kept)} of {len(generators)} generators kept"
                     )
-                start = len(elements)
-                index[t] = start
-                elements.append(t)
-                for x in map(times_s, elements[r + 1 : r + size]):  # H * r * s
-                    index[x] = len(elements)
-                    elements.append(x)
+                start = len(keys)
+                block = [t, *map(times_s, keys[r + 1 : r + size])]  # H * r * s
+                keys += block
+                index.update(zip(block, range(start, start + size)))
                 reps.append(start)
+    elements = [FqMatrix._make(first.F, first.n, y) for y in keys] if fq else keys
     return MatGroup(kept, elements, identity, index)
 
 

@@ -326,7 +326,7 @@ def group_scalars(group: MatGroup) -> set[FqMatrix]:
     out = set()
     for s in range(1, g0.F.q):
         m = FqMatrix.scalar(g0.F, g0.n, s)
-        if m in group.index:
+        if m in group:
             out.add(m)
     return out
 

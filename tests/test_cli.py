@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hypermono import stonevn
 from hypermono.cli import build_parser, main
 
 HERE = Path(__file__).parent
@@ -173,6 +174,23 @@ class TestExitCodes:
         monkeypatch.setenv("HYPERMONO_CAP", "10")
         code = main(["m4", str(DATA / "monomial_q3.json")])
         assert code == 3
+
+    def test_memory_error_is_3(self, capsys, monkeypatch):
+        """An oracle that runs out of memory inside every cap, as
+        ss_sp_oracle(2, 11) can under a small address-space limit, gives one
+        stderr line and exit 3, not a traceback and exit 1."""
+        calls = []
+
+        def exhausted(n, q):
+            calls.append((n, q))
+            raise MemoryError
+
+        monkeypatch.setattr(stonevn, "ss_sp_oracle", exhausted)
+        assert main(["ss", "symplectic", "2", "5", "--exhaustive"]) == 3
+        assert calls == [(2, 5)]
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: out of memory")
 
     def test_excluded_case_is_2(self):
         code = main(["ss", "unitary", "3", "2"])

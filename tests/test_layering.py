@@ -8,6 +8,8 @@ The cap is set in one place: no function but numth's _cap and _powers
 takes a cap, the CLI has no --cap option, and no module-level name ending
 in _CAP is bound outside CAP_NAMES.
 
+A closed FqMatrix group keeps one index, keyed by data: no digit key.
+
 Gauss-Jordan over F_q is written once, in the kernel module.
 
 Every public module-level function and class has a caller in the package or
@@ -132,6 +134,24 @@ def test_no_second_cap():
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             names |= {f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.endswith("_CAP")}
     assert names == CAP_NAMES
+
+
+# the digit key of an FqMatrix and the index over it, which its data and
+# closure's one index replace
+SECOND_INDEX_NAMES = {"digits", "digit_bytes", "_digit_positions"}
+
+
+def test_no_second_index():
+    """No module in src defines or reads FqMatrix.digits, FieldSpec.digit_bytes
+    or MatGroup._digit_positions: a closed FqMatrix group keeps one index,
+    keyed by data, that closure and the class search share."""
+    names = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.name if isinstance(node, ast.FunctionDef) else getattr(node, "attr", None)
+            if name in SECOND_INDEX_NAMES:
+                names.append((path.relative_to(SRC).as_posix(), node.lineno, name))
+    assert names == []
 
 
 def test_one_gauss_jordan_over_fq():

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd, lcm
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermono import weilgl
-from hypermono.algebra import _fqcore_py
+from hypermono.algebra import _fqcore_py, fq
 from hypermono.algebra.cyc import Cyc, zeta
 from hypermono.algebra.fq import FqMatrix, field
 from hypermono.algebra.unity import UnityClass, unity
@@ -177,7 +178,7 @@ def check_against_reference(gens):
     G = closure(gens)
     elements, index, kept = dimino_reference(gens)
     assert G.elements == elements
-    assert G.index == index
+    assert {x: G.position(x) for x in elements} == index and len(G.index) == len(index)
     assert G.generators == kept
 
 
@@ -311,14 +312,25 @@ class TestDimino:
     @PROPS
     @given(st.data())
     def test_right_multiplier(self, data):
-        """y -> y * s, the same map on first meeting a row and on looking it up."""
+        """y.data -> (y * s).data, the same map on first meeting a row and on
+        looking it up."""
         F = field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (131, 1)])))
         n = data.draw(st.sampled_from((1, 2, 3)))
         s = data.draw(fq_matrices(F, n))
         ys = data.draw(st.lists(fq_matrices(F, n), min_size=1, max_size=8))
         times = s.right_multiplier()
         for y in ys + ys:
-            assert times(y) == y * s
+            assert times(y.data) == (y * s).data
+
+    def test_membership_reads_the_field(self):
+        """An FqMatrix group is keyed by data, and a matrix over another field
+        with the same data, or a matrix of another kind, is not in it."""
+        G = closure(affine_generators(field(3)))
+        one_9 = FqMatrix.identity(field(3, 2), 2)
+        assert one_9.data == G.identity.data and G.position(G.identity) == 0
+        assert G.identity in G and one_9 not in G and CycMatrix.identity(2) not in G
+        with pytest.raises(KeyError):
+            G.position(one_9)
 
     def test_gl33_forms_each_element_about_once(self, monkeypatch):
         rows = [0]
@@ -395,7 +407,7 @@ def bfs_classes(G):
                     orbit.add(z)
                     frontier.append(z)
         seen |= orbit
-        classes.append(sorted(orbit, key=G.index.__getitem__))
+        classes.append(sorted(orbit, key=G.position))
     return classes
 
 
@@ -406,6 +418,104 @@ def check_conjugation_tables(G):
         ginv = g ** (g.order() - 1)
         assert G._conjugation_permutation(g) == G._product_permutation(g, ginv)
     assert fresh_copy(G).conjugacy_classes() == bfs_classes(G)
+
+
+# the groups the criteria read, and two affine groups
+CRITERION_GROUPS = {
+    "gl_3_3": lambda: weilgl.general_linear_group(3, 3),
+    "gu_3_2": lambda: weilgl.unitary_group(3, 2),
+    "sp_4_2": lambda: weilgl.symplectic_group(2, 2),
+    "sp_4_3": lambda: weilgl.symplectic_group(2, 3),
+    "gl_2_9": lambda: weilgl.general_linear_group(2, 9),
+    "gu_2_3": lambda: weilgl.unitary_group(2, 3),
+    "sp_2_5": lambda: weilgl.symplectic_group(1, 5),
+    "sp_2_7": lambda: weilgl.symplectic_group(1, 7),
+    "aff_13": lambda: closure(affine_generators(field(13))),
+    "aff_17": lambda: closure(affine_generators(field(17))),
+}
+
+
+def group_pin(G):
+    """(SHA-256 of the element data in position order, the kept generators'
+    data, the class sizes in class order, SHA-256 of the class members'
+    positions, 4 bytes each, in class order)."""
+    classes = G.conjugacy_classes()
+    return (
+        sha256(b"".join(bytes(x.data) for x in G.elements)).hexdigest(),
+        [tuple(g.data) for g in G.generators],
+        [len(c) for c in classes],
+        sha256(b"".join(G.position(x).to_bytes(4, "little") for c in classes for x in c)).hexdigest(),
+    )
+
+
+# group_pin of each of CRITERION_GROUPS, read off the closure and class search
+# that keyed the elements by FqMatrix objects, not by their data
+PINNED_GROUPS = {
+    "gl_3_3": (
+        "1f65d46f07cade7a57ce5dab49d232d0366650b6e2d2850511b334702be93ed1",
+        [(2, 0, 1, 2, 0, 0, 0, 2, 0), (2, 0, 0, 0, 1, 0, 0, 0, 1)],
+        [1, 432, 432, 432, 432, 117, 432, 702, 432, 624, 702, 702, 432, 432, 702, 702, 104, 936, 702, 624, 117, 936,
+         104, 1],
+        "ffda0d94b26d75b0331b254f6b03ad0ad0cf61e4f18b3cde096de54717609202",
+    ),
+    "gu_3_2": (
+        "be7dc40ead15860b2fd533788215e5c796447787776c05f60751526c88bb73a3",
+        [(0, 0, 1, 0, 2, 1, 1, 2, 2), (2, 0, 2, 0, 1, 0, 0, 0, 2)],
+        [1, 72, 72, 1, 1, 36, 54, 36, 54, 36, 54, 12, 12, 12, 9, 36, 9, 36, 9, 36, 12, 12, 12, 24],
+        "98ebc8c415daa6873da42760b5dba84d169d9a9673a565b79edfbeb731b45979",
+    ),
+    "sp_4_2": (
+        "1f80cb449bf80e7d395c1faf9b3d1c2a7864944f995a5c069d445fc9910d45e1",
+        [(0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0), (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)],
+        [1, 120, 40, 15, 15, 144, 90, 90, 40, 45, 120],
+        "e3e6d4883f8b3c154e9909dd7eabcf364e15e9ca47d614c00e29ab0313025353",
+    ),
+    "sp_4_3": (
+        "09d9859fb62b28889188bf305546295ac4ece0c3abe69cb1028fcb712d0bd81c",
+        [(0, 0, 1, 0, 0, 0, 1, 1, 2, 1, 0, 0, 0, 2, 0, 0), (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)],
+        [1, 1440, 480, 90, 1440, 40, 5184, 2880, 1440, 5184, 40, 2880, 1440, 4320, 2160, 2160, 360, 240, 6480, 540,
+         360, 2160, 2160, 2880, 540, 360, 2880, 240, 360, 480, 540, 40, 40, 1],
+        "6a90d4e2de9ac7dd95d18266aa5a4f05a524ff1473ea486d07d2c21d645d0300",
+    ),
+    "gl_2_9": (
+        "70d8bef984d360aab4bb5a2e5614a95a88bc5de1deda7a4fda4ab54653952ac5",
+        [(2, 1, 2, 0), (4, 0, 0, 1)],
+        [1, 80, 90, 72, 90, 90, 72, 72, 72, 80, 90, 72, 90, 90, 72, 90, 90, 90, 90, 72, 72, 80, 90, 90, 72, 72, 72,
+         90, 72, 90, 72, 72, 80, 72, 72, 90, 72, 72, 90, 80, 90, 72, 80, 90, 90, 72, 72, 72, 90, 72, 90, 72, 72, 72,
+         90, 80, 90, 72, 90, 72, 72, 72, 90, 72, 90, 72, 72, 72, 90, 80, 1, 1, 72, 90, 1, 72, 1, 1, 1, 1],
+        "4e055cd310e4d3254d2b75ade7d8c8961947053f2c1aaa90bb1c9fd0a8043ba2",
+    ),
+    "gu_2_3": (
+        "99bfdb831f8b3e10aa6fb7127b0e8872d6d85e0775720c689010c91ea5d1fc28",
+        [(4, 0, 0, 8), (4, 5, 0, 8), (0, 4, 8, 0)],
+        [1, 12, 1, 12, 1, 1, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6],
+        "52bd0751dcc638fedee333be508d247db261faf0d462ea541925919c9549c40d",
+    ),
+    "sp_2_5": (
+        "614d6fb1c1a67bfa313942b5da64ad21d20a94f28f40c165909c8135ec7c2cac",
+        [(0, 1, 4, 0), (1, 1, 0, 1)],
+        [1, 30, 1, 12, 20, 12, 20, 12, 12],
+        "f29330a7a616d85a89a6ed644d44d7f47d9b903d1cb308c43599ac6c853cd497",
+    ),
+    "sp_2_7": (
+        "7bb8ea0d68eee14ed8819f94b3ca9fb03f49dcd6a46a2e67e6dc5f01beb4cb59",
+        [(0, 1, 6, 0), (1, 1, 0, 1)],
+        [1, 42, 1, 24, 56, 24, 56, 24, 24, 42, 42],
+        "a05bcf6b23ab0dd8d5a04324bf96815e4536de6a511a613edc06814bbf2a57e3",
+    ),
+    "aff_13": (
+        "332331a11450218b2efc230d0e2f3e1b612bc15a6ca17671614ada32d8ae9048",
+        [(2, 0, 0, 1), (1, 0, 1, 1)],
+        [1, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 12],
+        "80a4022d5e890b0aa789f019aeafc4e27b8406d31e330f77dd46c6a99815c8ca",
+    ),
+    "aff_17": (
+        "bb6e571425ea9dd2203c1c767ab740642daf14dffabd409e613692164a5ed30a",
+        [(3, 0, 0, 1), (1, 0, 1, 1)],
+        [1, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 17, 16],
+        "ac76d87a1a8cd815d820012593fea72bf008692ccb64919dd87450e065771ec8",
+    ),
+}
 
 
 @st.composite
@@ -438,27 +548,28 @@ class TestConjugationTables:
     def test_matches_the_product_search(self, build):
         check_conjugation_tables(build())
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: weilgl.general_linear_group(3, 3),
-            lambda: weilgl.unitary_group(3, 2),
-            lambda: weilgl.symplectic_group(2, 2),
-            lambda: weilgl.symplectic_group(2, 3),
-            lambda: weilgl.general_linear_group(2, 9),
-            lambda: weilgl.unitary_group(2, 3),
-            lambda: weilgl.symplectic_group(1, 5),
-            lambda: weilgl.symplectic_group(1, 7),
-            lambda: closure(affine_generators(field(13))),
-            lambda: closure(affine_generators(field(17))),
-        ],
-        ids=["gl_3_3", "gu_3_2", "sp_4_2", "sp_4_3", "gl_2_9", "gu_2_3", "sp_2_5", "sp_2_7", "aff_13", "aff_17"],
-    )
+    @pytest.mark.parametrize("build", CRITERION_GROUPS.values(), ids=CRITERION_GROUPS)
     def test_criterion_groups_are_tabulated(self, build):
         """Every kept generator of these groups has a table, so none falls
         back to two products per element."""
         for g in build().generators:
             assert g.conjugation(g**-1) is not None
+
+    @pytest.mark.parametrize("name", CRITERION_GROUPS)
+    def test_criterion_groups_are_pinned(self, name):
+        """The element data in position order, the kept generators and the
+        classes of these groups are the pinned ones."""
+        assert group_pin(CRITERION_GROUPS[name]()) == PINNED_GROUPS[name]
+
+    def test_tuple_data_groups_use_products(self):
+        """Over q > 256 an FqMatrix keeps tuple data and conjugation has no
+        table, even for p <= 128: GU_1(17) over F_289 and GL_1(257) close on
+        tuple keys, and their classes, by products, are their elements."""
+        for G, order in ((weilgl.unitary_group(1, 17), 18), (weilgl.general_linear_group(1, 257), 256)):
+            assert G.order == order and all(type(x.data) is tuple for x in G.elements)
+            assert all(g.conjugation(g**-1) is None for g in G.generators)
+            check_conjugation_tables(G)
+            assert fresh_copy(G).conjugacy_classes() == [[x] for x in G.elements]
 
     @pytest.mark.parametrize(
         "p, f",
@@ -502,11 +613,12 @@ class TestConjugationTables:
         check_conjugation_tables(monomial_group(3))
 
     def test_digit_keys(self):
+        """The digit planes of one key's data planes spell its digits out."""
         F3, F9 = field(3), field(3, 2)
         a = FqMatrix.from_rows(F3, [[0, 2], [1, 0]])
-        assert a.digits() == bytes(a.data)
+        assert b"".join(fq._digit_planes(F3, [bytes([x]) for x in a.data])) == a.data
         b = FqMatrix.from_rows(F9, [[5, 0], [1, 8]])  # 5 = 2 + 1*3, 8 = 2 + 2*3
-        assert b.digits() == bytes([2, 1, 0, 0, 1, 0, 2, 2])
+        assert b"".join(fq._digit_planes(F9, [bytes([x]) for x in b.data])) == bytes([2, 1, 0, 0, 1, 0, 2, 2])
 
     def test_digit_sums_past_a_byte_use_products(self):
         F257, F131 = field(257), field(131)

@@ -80,7 +80,7 @@ class TestCharacterValues:
         F9 = field(3, 2)
         xi = F9.pow(F9.gen, 2)  # order 4
         z = FqMatrix.scalar(F9, 2, xi)
-        assert z in G.index
+        assert z in G
         for i in range(4):
             v = zeta_value(2, 3, i, z)
             assert v.abs2().rational() == WeilCharSpec("Unitary", 2, 3, i).degree ** 2
@@ -267,7 +267,7 @@ class TestTori:
     def test_gu_singer(self):
         g = gu_torus_element(3, 3, 28)
         assert g.order() == 28 and is_unitary(g, 1)
-        assert g in unitary_group(3, 3).index
+        assert g in unitary_group(3, 3)
 
     def test_gu_block_torus(self):
         h = gu_block_torus(3, [(2, 8), (1, 4)])
@@ -335,7 +335,7 @@ class TestTori:
 
         monkeypatch.setattr(FqMatrix, "order", refuse)
         for build, args, data in self.PINNED:
-            assert build(*args).data == data, (build.__name__, args)
+            assert tuple(build(*args).data) == data, (build.__name__, args)
 
     def test_form_tori_test_self_dual_polynomials_only(self, monkeypatch):
         """Only a self-dual f carries a nondegenerate form, so the GU and Sp
