@@ -1,10 +1,11 @@
 """Finite-field matrix kernel: the inner loops behind ``fq.FqMatrix``
 (product, Gauss-Jordan, matrix-vector).
 
-Matrices are flat row-major tuples of field elements encoded as ints in
-[0, q); arithmetic goes through flat lookup tables (mul[a*q+b], add[a*q+b],
-neg[a], inv[a]).  ``rref`` is the one Gauss-Jordan over F_q, behind
-``FqMatrix.rank``, ``FqMatrix.inverse`` and ``fq.nullspace``.
+Matrices are flat row-major sequences (bytes, tuples or lists) of field
+elements encoded as ints in [0, q); ``mat_mul`` and ``mat_vec`` return the
+list they fill.  Arithmetic goes through flat lookup tables (mul[a*q+b],
+add[a*q+b], neg[a], inv[a]).  ``rref`` is the one Gauss-Jordan over F_q,
+behind ``FqMatrix.rank``, ``FqMatrix.inverse`` and ``fq.nullspace``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def mat_mul(a, b, n, q, mul, add):
                     bkj = b[kn + j]
                     if bkj:
                         out[row + j] = add[out[row + j] * q + mul[base + bkj]]
-    return tuple(out)
+    return out
 
 
 def rref(rows, ncols, q, mul, add, neg, inv):
@@ -72,4 +73,4 @@ def mat_vec(a, v, n, q, mul, add):
             if aij and v[j]:
                 acc = add[acc * q + mul[aij * q + v[j]]]
         out[i] = acc
-    return tuple(out)
+    return out

@@ -4,12 +4,12 @@ Elements of F_(p^f) are ints in [0, p^f) encoding coefficient vectors base p
 against the deterministic defining polynomial: the monic irreducible of
 degree f whose non-leading coefficient vector (a_{f-1}, ..., a_0), read as a
 base-p integer, is least.  A matrix's entries are flat and row-major, in
-``FqMatrix.data``: ``bytes`` when q <= 256, a tuple otherwise, read the same
-way by the hot matrix loops (product, Gauss-Jordan, matrix-vector) in
-``_fqcore_py``.  The data is the matrix's key: equal data means equal
-matrices over the same field.  Conjugation is F_p-linear in the base-p
-digits of the entries, and ``FqMatrix.conjugation`` applies it to the
-planes of many keys at once.
+``FqMatrix.data`` of type ``FieldSpec.key`` (``bytes`` when q <= 256, a
+tuple otherwise), read the same way by the hot matrix loops (product,
+Gauss-Jordan, matrix-vector) in ``_fqcore_py``.  The data is the matrix's
+key: equal data means equal matrices over the same field.  Conjugation is
+F_p-linear in the base-p digits of the entries, and ``FqMatrix.conjugation``
+applies it to the planes of many keys at once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ def _defining_poly(p: int, f: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """F_q with q = p^f and full arithmetic lookup tables (desk-scale q)."""
+    """F_q with q = p^f and full arithmetic lookup tables (desk-scale q).
+    ``exp[k] = gen^k`` (k < q - 1) is the one power table; ``key`` is the
+    type of an FqMatrix's data over F_q, ``bytes`` when q <= 256."""
 
     def __init__(self, p: int, f: int = 1):
         if not is_prime(p):
@@ -65,6 +67,7 @@ class FieldSpec:
         self.q = p**f
         self.poly = _defining_poly(p, f)
         q = self.q
+        self.key = bytes if q <= 256 else tuple
         # element i encodes sum_j digit_j(i) * x^j, digit_0 = i mod p; addition
         # is digit-wise, so the table for p^k comes from the one for p^(k-1)
         prime_rows = [[(a + b) % p for b in range(p)] for a in range(p)]
@@ -85,7 +88,7 @@ class FieldSpec:
                 x = _poly_mul_mod(x, a, poly, p)
             if len(exp) == q - 1:
                 break
-        self.gen = gen
+        self.gen, self.exp = gen, exp
         dlog = [0] * q  # dlog[a] = k with gen^k = a (a != 0)
         for k, a in enumerate(exp):
             dlog[a] = k
@@ -99,7 +102,7 @@ class FieldSpec:
             mul.extend([row[k] for k in logs])
         self.mul = mul
         self.inv = [0] + [exp[-k] for k in logs]
-        self.frob = [self.pow(a, p) for a in range(q)]  # x -> x^p
+        self.frob = self.subfield_power_map(1)  # x -> x^p
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -112,19 +115,6 @@ class FieldSpec:
         out = 0
         for d in reversed(list(digits)):
             out = out * self.p + d % self.p
-        return out
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv[a]
-            e = -e
-        out, base = 1, a
-        mul, q = self.mul, self.q
-        while e:
-            if e & 1:
-                out = mul[out * q + base]
-            base = mul[base * q + base]
-            e >>= 1
         return out
 
     def element_order(self, a: int) -> int:
@@ -150,11 +140,9 @@ class FieldSpec:
         return t  # lies in the prime field: encoding of c is c itself
 
     def subfield_power_map(self, e: int) -> list[int]:
-        """The map x -> x^(p^e) as a table."""
-        out = list(range(self.q))
-        for _ in range(e):
-            out = [self.frob[x] for x in out]
-        return out
+        """The map x -> x^(p^e) as a table, in one pass: gen^k -> gen^(k p^e), 0 -> 0."""
+        exp, r, m = self.exp, self.p**e, self.q - 1
+        return [0] + [exp[k * r % m] for k in self.dlog[1:]]
 
     def __repr__(self):
         return f"F_{self.q}" if self.f > 1 else f"F_{self.p}"
@@ -188,21 +176,21 @@ class _Memo(dict):
 
 class FqMatrix:
     """Square matrix over a FieldSpec; immutable, hashable.  Its entries are
-    ``data``, flat and row-major: ``bytes`` when q <= 256, else a tuple."""
+    ``data``, flat and row-major, of the field's ``key`` type."""
 
     __slots__ = ("F", "n", "data")
 
     def __init__(self, F: FieldSpec, n: int, data):
         self.F = F
         self.n = n
-        self.data = bytes(data) if F.q <= 256 else tuple(data)
+        self.data = F.key(data)
         if len(self.data) != n * n:
             raise ValueError("matrix data has wrong length")
 
     @classmethod
     def _make(cls, F: FieldSpec, n: int, data) -> "FqMatrix":
         """Unchecked constructor for data of n * n entries already of F's
-        key type (bytes when q <= 256, else a tuple)."""
+        ``key`` type."""
         x = object.__new__(cls)
         x.F, x.n, x.data = F, n, data
         return x
@@ -226,7 +214,7 @@ class FqMatrix:
 
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
         F = self.F
-        return FqMatrix(F, self.n, _kernel.mat_mul(self.data, other.data, self.n, F.q, F.mul, F.add))
+        return FqMatrix._make(F, self.n, F.key(_kernel.mat_mul(self.data, other.data, self.n, F.q, F.mul, F.add)))
 
     def __eq__(self, other):
         return isinstance(other, FqMatrix) and self.data == other.data and self.F is other.F
@@ -241,9 +229,8 @@ class FqMatrix:
         lives as long as the map and holds at most one image per distinct
         row, q^n at most."""
         F, n = self.F, self.n
-        q, mul, add, mat_vec = F.q, F.mul, F.add, _kernel.mat_vec
+        q, mul, add, mat_vec, key = F.q, F.mul, F.add, _kernel.mat_vec, F.key
         st = self.transpose().data
-        key = type(st)  # bytes or tuple, as every key over F
         image = _Memo(lambda row: key(mat_vec(st, row, n, q, mul, add))).__getitem__
         first, *rest = [slice(i, i + n) for i in range(0, n * n, n)]
 
@@ -270,7 +257,7 @@ class FqMatrix:
         F, n = self.F, self.n
         p, f = F.p, F.f
         per = 255 // (p - 1) - 1  # terms a reduced sum takes before a byte could carry
-        if per < 1 or F.q > 256:
+        if per < 1 or F.key is not bytes:
             return None
         size = n * n * f
         basis = []  # image digits of each basis digit: x^(k % f) at entry k // f

@@ -182,6 +182,18 @@ def p_prime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
 
 
+def partitions(n: int, max_part: int | None = None):
+    """All partitions of n as non-increasing tuples."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, max_part), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
 def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra.cyc import Cyc, cyc_from_literal, json_int
-from .algebra.numth import CapExceeded, _cap, factor, is_prime, least_prime_divisor, primes_upto
+from .algebra.numth import CapExceeded, _cap, factor, is_prime, least_prime_divisor, partitions, primes_upto
 from .chargeom import HypDescriptor
 
 
@@ -22,16 +22,21 @@ from .chargeom import HypDescriptor
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def landau(n: int) -> int:
     """Largest lcm of a partition of n (largest element order in S_n), by a
-    table of n steps for each of at most n prime powers: CapExceeded when n^2
-    passes the cap."""
+    table of n steps for each of at most n prime powers: CapExceeded, before
+    the cache, when n^2 passes the cap in force, so the answer does not
+    depend on the cap that first built it."""
     if n < 0:
         raise ValueError("need n >= 0")
     cap = _cap(None)
     if n * n > cap:
         raise CapExceeded(f"Landau's function of n = {n} needs n^2 table steps, above cap {cap}")
+    return _landau(n)
+
+
+@lru_cache(maxsize=None)
+def _landau(n: int) -> int:
     best = [1] * (n + 1)
     for p in primes_upto(n):
         for j in range(n, 0, -1):
@@ -42,18 +47,6 @@ def landau(n: int) -> int:
                     best[j] = cand
                 pk *= p
     return best[n]
-
-
-def partitions(n: int, max_part: int | None = None):
-    """All partitions of n as non-increasing tuples."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - part, part):
-            yield (part,) + rest
 
 
 def landau_bruteforce(n: int) -> int:

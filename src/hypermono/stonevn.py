@@ -596,7 +596,7 @@ def ss_extr_enumerate(p: int, n: int, override: bool = False) -> list[int]:
     ValueError below the classification's p^n >= 11, unless override.
 
     For p = 2, the products of 2^a + 1 over the sets of parts a of n whose
-    factors are pairwise coprime, in ``gates.partitions(n)`` order: since
+    factors are pairwise coprime, in ``numth.partitions(n)`` order: since
     gcd(2^a + 1, 2^b + 1) = 2^gcd(a, b) + 1 if v_2(a) = v_2(b) and 1 if not,
     the sets whose parts have pairwise distinct 2-adic valuations.  There are
     c(n) of them, c(0) = 1, c(2m) = c(m), c(2m + 1) = c(0) + ... + c(m), and
@@ -735,31 +735,22 @@ def ss_extr_oracle(n: int = 2) -> dict:
     torus element conjugated by one transvection onto the model's quadratic
     form (minus_torus_element), so every n whose model fits the cap answers.
     """
-    out = {}
-    minus = Extraspecial2Model(n, "-")
-    pm = outer_intertwiner_2(minus, minus_torus_element(minus)).odd_projective_rep()
-    spec = pm.projective_spectrum()
-    want = Spectrum.from_multiset([unity(k, 2**n + 1) for k in range(1, 2**n + 1)]).canonical_rotation()
-    out["minus"] = {
-        "torus_order": 2**n + 1,
-        "spectrum": {str(u): m for u, m in spec.mult.items()},
-        "matches": spec == want,
-        "simple": pm.is_simple(),
-    }
-    plus = Extraspecial2Model(n, "+")
-    # the split torus of order 2^n - 1: diag(A, A^-T) on the two Lagrangians
-    g3 = sp_torus_element(n, 2, 1)
-    pm2 = outer_intertwiner_2(plus, g3).odd_projective_rep()
-    spec2 = pm2.projective_spectrum()
-    want2 = Spectrum.from_multiset(
-        [unity(0, 1)] + [unity(k, 2**n - 1) for k in range(2**n - 1)]
-    ).canonical_rotation()
-    out["plus"] = {
-        "torus_order": 2**n - 1,
-        "spectrum": {str(u): m for u, m in spec2.mult.items()},
-        "matches": spec2 == want2,
-        "simple": pm2.is_simple(),
-    }
+    out, minus, plus = {}, Extraspecial2Model(n, "-"), Extraspecial2Model(n, "+")
+    # each wanted spectrum is mu_order with its trivial class `trivial` times
+    for label, model, g, order, trivial in (
+        ("minus", minus, minus_torus_element(minus), 2**n + 1, 0),
+        # the split torus of order 2^n - 1: diag(A, A^-T) on the two Lagrangians
+        ("plus", plus, sp_torus_element(n, 2, 1), 2**n - 1, 2),
+    ):
+        pm = outer_intertwiner_2(model, g).odd_projective_rep()
+        spec = pm.projective_spectrum()
+        want = [unity(0, 1)] * trivial + [unity(k, order) for k in range(1, order)]
+        out[label] = {
+            "torus_order": order,
+            "spectrum": {str(u): m for u, m in spec.mult.items()},
+            "matches": spec == Spectrum.from_multiset(want).canonical_rotation(),
+            "simple": pm.is_simple(),
+        }
     out["enumerate"] = ss_extr_enumerate(2, n, override=True)
     out["agree"] = out["minus"]["matches"] and out["plus"]["matches"] and not out["plus"]["simple"]
     return out

@@ -34,7 +34,7 @@ from .algebra.fq import (
     nullspace,
     poly_mul_fq,
 )
-from .algebra.numth import is_prime_power, mult_order
+from .algebra.numth import is_prime_power, mult_order, partitions
 from .algebra.unity import unity
 from .repkit import CapExceeded, MatGroup, Spectrum, _cap, _powers, closure
 
@@ -244,12 +244,7 @@ def _scalars(F: FieldSpec, Q: int) -> list[int]:
     """xi^k for k = 0..Q-1, xi = gen^((|F| - 1)/Q) of order Q: the powers of
     the generator itself for GL_n(q) (Q = q - 1), and those of order q + 1 in
     F_(q^2) for GU_n(q)."""
-    xi = F.pow(F.gen, (F.q - 1) // Q)
-    out, x = [], 1
-    for _ in range(Q):
-        out.append(x)
-        x = F.mul[x * F.q + xi]
-    return out
+    return F.exp[:: (F.q - 1) // Q]
 
 
 def gl_kernel_profile(g: FqMatrix, q: int) -> tuple[int, ...]:
@@ -535,8 +530,7 @@ def _gu1_element(q: int, order: int) -> FqMatrix:
     F2 = field(p, 2 * f)
     if (q + 1) % order != 0:
         raise ExcludedCase(f"GU_1({q}) has no element of order {order}")
-    x = F2.pow(F2.gen, (q * q - 1) // order)
-    return FqMatrix(F2, 1, (x,))
+    return FqMatrix(F2, 1, (F2.exp[(q * q - 1) // order % (q * q - 1)],))
 
 
 def sp_torus_element(n: int, q: int, eps: int) -> FqMatrix:
@@ -651,8 +645,6 @@ def deleted_perm_spectrum(cycle_type) -> Spectrum:
 def simple_cycle_types(n: int) -> list[tuple[int, ...]]:
     """Cycle types of S_n with simple spectrum on the deleted permutation
     module: the alternating oracle of test_criterion_2_alternating_oracle."""
-    from .gates import partitions
-
     return [ct for ct in partitions(n) if deleted_perm_spectrum(ct).is_simple()]
 
 
@@ -704,8 +696,6 @@ def _class_types(family: str, n: int, q: int):
     J. Austral. Math. Soc. 3, 1963; Ennola, Ann. Acad. Sci. Fenn. 323,
     1963).  The count and the class equation are checked on every call.
     """
-    from .gates import partitions
-
     p, e = _prime_power(q)
     if family == LINEAR:
         F = field(p, e)

@@ -108,16 +108,18 @@ class TestFqLinearAlgebra:
     @given(st.sampled_from((2, 4, 8, 9, 25, 27, 49, 64, 81, 128, 243, 729)), st.data())
     def test_tables_are_polynomial_arithmetic(self, q, data):
         """add and mul agree with digit-wise sums and products mod the
-        defining polynomial; gen is the least element of order q - 1 and
-        dlog inverts its powers."""
+        defining polynomial; gen is the least element of order q - 1, exp[k]
+        is k products of gen through mul, and dlog inverts it."""
         F = field(*is_prime_power(q))
         a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
         da, db = F._digits(a), F._digits(b)
         assert F.add[a * q + b] == F._encode([x + y for x, y in zip(da, db)])
         assert F.mul[a * q + b] == F._encode(_poly_mul_mod(da, db, list(F.poly), F.p))
         assert all(F.element_order(c) < q - 1 for c in range(1, F.gen)) and F.element_order(F.gen) == q - 1
-        k = data.draw(st.integers(0, q - 2))
-        assert F.dlog[F.pow(F.gen, k)] == k
+        k, x = data.draw(st.integers(0, q - 2)), 1
+        for _ in range(k):
+            x = F.mul[x * q + F.gen]
+        assert F.exp[k] == x and F.dlog[x] == k
 
     def test_every_prime_power_up_to_64_gives_a_field(self):
         for q in range(2, 65):
@@ -127,6 +129,23 @@ class TestFqLinearAlgebra:
             F = field(*pf)
             assert all(F.mul[a * q + F.inv[a]] == 1 for a in range(1, q)), q
             assert F.element_order(F.gen) == q - 1, q
+
+    def test_power_maps_are_repeated_products(self):
+        """For every prime power q <= 64, frob is x -> x^p and
+        subfield_power_map(e) is x -> x^(p^e) for 0 <= e <= f, each power
+        taken as p^e - 1 products through mul."""
+        for q in range(2, 65):
+            pf = is_prime_power(q)
+            if pf is None:
+                continue
+            F = field(*pf)
+            for e in range(F.f + 1):
+                want = list(range(q))
+                for _ in range(F.p**e - 1):
+                    want = [F.mul[y * q + x] for x, y in enumerate(want)]
+                assert F.subfield_power_map(e) == want, (q, e)
+                if e == 1:
+                    assert F.frob == want, q
 
     def test_f729_is_built_on_an_irreducible_sextic(self):
         """No root and no monic factor of degree 2 or 3 over F_3, checked

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hypermono.algebra.cyc import Cyc
+from hypermono.algebra.numth import CapExceeded
 from hypermono.algebra.unity import unity
 from hypermono.chargeom import HypDescriptor, parse_charset
 from hypermono.gates import (
@@ -37,6 +38,15 @@ class TestLandau:
     def test_against_partition_oracle(self):
         for n in range(27):
             assert landau(n) == landau_bruteforce(n)
+
+    def test_refused_under_the_cap_in_force(self, monkeypatch):
+        """landau(n) is refused once n^2 passes the cap in force, even when
+        it was built under a larger one."""
+        assert landau(30) == landau_bruteforce(30)  # 900 table steps, at the default cap
+        monkeypatch.setenv("HYPERMONO_CAP", "899")
+        with pytest.raises(CapExceeded):
+            landau(30)
+        assert landau(29) == landau_bruteforce(29)
 
 
 class TestPpd:

@@ -4,6 +4,9 @@ The coefficient layout of cyclotomic numbers stays behind Cyc and CycMatrix:
 only repkit, home of the flat CycMatrix kernel, may import the underscore
 helpers of hypermono.algebra.cyc; every other module goes through Cyc.
 
+F_q has one binary power, numth's _power: FieldSpec reads its powers off
+its exp table and has no pow.
+
 The cap is set in one place: no function but numth's _cap and _powers
 takes a cap, the CLI has no --cap option, and no module-level name ending
 in _CAP is bound outside CAP_NAMES.
@@ -68,13 +71,20 @@ def test_the_guard_sees_relative_imports():
 
 def test_one_power_and_one_walk_and_no_setattr_override():
     """The binary power and the capped walk over group elements are defined
-    once, in numth, and no value type guards its slots by overriding
-    __setattr__ or writes them through object.__setattr__."""
-    homes, setattr_uses = {}, []
+    once, in numth: the only >>= in src halves _power's exponent, and
+    FieldSpec has no pow of its own (its powers are read off its exp table).
+    No value type guards its slots by overriding __setattr__ or writes them
+    through object.__setattr__."""
+    homes, setattr_uses, shifts, field_methods, power = {}, [], [], None, None
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef) and node.name in ("_power", "_powers"):
                 homes.setdefault(node.name, []).append(path.relative_to(SRC).as_posix())
+                power = node if node.name == "_power" else power
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+                shifts.append((path.relative_to(SRC).as_posix(), node.lineno))
+            if isinstance(node, ast.ClassDef) and node.name == "FieldSpec":
+                field_methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
             if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
                 setattr_uses.append((path.name, node.lineno))
             if (
@@ -86,6 +96,8 @@ def test_one_power_and_one_walk_and_no_setattr_override():
                 setattr_uses.append((path.name, node.lineno))
     numth = "hypermono/algebra/numth.py"
     assert homes == {"_power": [numth], "_powers": [numth]}
+    assert [home for home, _ in shifts] == [numth] and power.lineno <= shifts[0][1] <= power.end_lineno
+    assert "subfield_power_map" in field_methods and "pow" not in field_methods
     assert setattr_uses == []
 
 

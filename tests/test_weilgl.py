@@ -78,7 +78,7 @@ class TestCharacterValues:
     def test_zeta_central_scaling(self):
         G = unitary_group(2, 3)
         F9 = field(3, 2)
-        xi = F9.pow(F9.gen, 2)  # order 4
+        xi = F9.exp[2]  # order 4
         z = FqMatrix.scalar(F9, 2, xi)
         assert z in G
         for i in range(4):
@@ -279,7 +279,7 @@ class TestTori:
         # central order: least k with t^k scalar
         F16 = field(2, 4)
         k, x = 1, t
-        scalars = {FqMatrix.scalar(F16, 4, F16.pow(F16.gen, j * 3)) for j in range(5)}
+        scalars = {FqMatrix.scalar(F16, 4, F16.exp[j * 3]) for j in range(5)}
         while x not in scalars:
             x = x * t
             k += 1
